@@ -95,14 +95,16 @@ def parse_set_file(text: str) -> PointSet:
             raise InputError(
                 f"line {lineno}: vector {line!r} has length {len(line)}, expected {n}"
             )
-        if any(ch not in "0123456789" or int(ch) >= p for ch in line):
+        # strip() leaves something behind exactly when a character is not
+        # a digit of F_p; the digits then read in base p give the rank
+        if line.strip("012"[:p]):
             raise InputError(f"line {lineno}: vector {line!r} has digits not in F_{p}")
         if line in seen:
             raise InputError(
                 f"line {lineno}: duplicate vector {line!r} (first at line {seen[line]})"
             )
         seen[line] = lineno
-        ranks.append(GFVector(p, n, tuple(int(ch) for ch in line)).rank)
+        ranks.append(int(line, p))
     if p is None:
         raise InputError("line 1: missing header 'p=<2|3> n=<int>'")
     return PointSet.from_ranks(p, n, ranks)

@@ -46,22 +46,6 @@ class Eisenstein:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> Eisenstein:
-        if k < 0:
-            raise InputError("negative Eisenstein powers are not defined here")
-        out = Eisenstein(1, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    @classmethod
-    def from_int(cls, v: int) -> Eisenstein:
-        return cls(v, 0)
-
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -78,7 +62,6 @@ class Eisenstein:
         return f"{self.a}{self.b:+d}w"
 
 
-OMEGA = Eisenstein(0, 1)
 OMEGA_POWERS = (Eisenstein(1, 0), Eisenstein(0, 1), Eisenstein(-1, -1))
 
 
@@ -112,18 +95,3 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Canonical text form: reduced "num/den", "/den" omitted when 1."""
     return str(Fraction(value))
-
-
-@dataclass(frozen=True)
-class UniformityParams:
-    """A validated uniformity threshold 0 < eps <= 1."""
-
-    eps: Fraction
-
-    def __post_init__(self) -> None:
-        if not 0 < self.eps <= 1:
-            raise InputError(f"eps must satisfy 0 < eps <= 1, got {self.eps}")
-
-    @property
-    def eps_sq(self) -> Fraction:
-        return self.eps * self.eps

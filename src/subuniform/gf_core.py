@@ -382,8 +382,9 @@ class PointSet:
 
     def membership_table(self) -> list[int]:
         """0/1 list of length p^n indexed by rank."""
-        bits = self.bits
-        return [(bits >> r) & 1 for r in range(self.ambient_size)]
+        # the binary rendering reversed puts rank 0 first; 48 is ord("0")
+        digits = format(self.bits, f"0{self.ambient_size}b")[::-1].encode()
+        return [d - 48 for d in digits]
 
     def complement(self) -> PointSet:
         return PointSet(self.p, self.n, self.bits ^ ((1 << self.ambient_size) - 1))
@@ -500,6 +501,30 @@ def _coset_rep_ranks(space: Subspace) -> list[int]:
         else:
             reps = reps + [x + w for x in reps] + [x + 2 * w for x in reps]
     return reps
+
+
+def _coset_memberships(mem: Sequence[int], space: Subspace) -> list[int]:
+    """Packed membership of every coset of `space`, in quotient-index order.
+
+    `mem` is a set's 0/1 membership table (PointSet.membership_table).
+    Entry q belongs to the coset with quotient index q; its bit i is set
+    when the i-th point of that coset, in point_ranks() order, lies in
+    the set, so bit_count() is the coset's member count and, for p = 2,
+    the entry is the packed restriction that spectra.packed_max_coef_sq
+    reads.
+    """
+    p, n = space.p, space.n
+    # each coset is read as a string of ASCII bits (48 is ord("0")) whose
+    # last digit is the first point, so point i lands on bit i
+    backwards = space.point_ranks()[::-1]
+    out = []
+    for rep in _coset_rep_ranks(space):
+        if p == 2:
+            digits = [48 + mem[rep ^ v] for v in backwards]
+        else:
+            digits = [48 + mem[add_rank(p, n, rep, v)] for v in backwards]
+        out.append(int(bytes(digits), 2))
+    return out
 
 
 def quotient_index(space: Subspace, x: GFVector) -> int:

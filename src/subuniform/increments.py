@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InputError
 from .gf_core import (
@@ -33,8 +33,8 @@ from .gf_core import (
     GFVector,
     PointSet,
     Subspace,
+    _coset_memberships,
     _coset_rep_ranks,
-    add_rank,
     canonical_rep,
     extend_span,
     perp,
@@ -112,24 +112,17 @@ def density_increment(points: PointSet, eps: Fraction) -> IncrementTrace:
     raise AssertionError("density increment failed to terminate within its bound")
 
 
+def _energy(counts: Sequence[int], coset_size: int) -> Fraction:
+    """Mean squared coset density from per-coset member counts."""
+    return Fraction(sum(c * c for c in counts), len(counts) * coset_size * coset_size)
+
+
 def partition_energy(points: PointSet, space: Subspace) -> Fraction:
     """Mean squared coset density of the set over the cosets of `space`."""
     if (points.p, points.n) != (space.p, space.n):
         raise InputError("point set and subspace live in different ambient spaces")
-    mem = points.membership_table()
-    p, n = points.p, points.n
-    member_ranks = space.point_ranks()
-    total = 0
-    if p == 2:
-        for rep in _coset_rep_ranks(space):
-            c = sum(mem[rep ^ v] for v in member_ranks)
-            total += c * c
-    else:
-        for rep in _coset_rep_ranks(space):
-            c = sum(mem[add_rank(p, n, rep, v)] for v in member_ranks)
-            total += c * c
-    cosets = p**space.codim
-    return Fraction(total, cosets * space.size * space.size)
+    packed = _coset_memberships(points.membership_table(), space)
+    return _energy([x.bit_count() for x in packed], space.size)
 
 
 @dataclass(frozen=True)
@@ -138,8 +131,11 @@ class RegularityResult:
 
     On success at most an eta fraction of the cosets of W are bad
     (sup_sq > eps^2); bad_reps lists their canonical representatives.
-    On failure (the next refinement would exceed max_codim) the partial
-    state is returned with succeeded = False.
+    coset_counts[q] is |A intersect coset q| for every coset of the final
+    W, in quotient-index order; the last energy_trace entry is read from
+    these counts and bucket_colouring colours from them.  On failure (the
+    next refinement would exceed max_codim) the partial state is returned
+    with succeeded = False.
     """
 
     succeeded: bool
@@ -148,6 +144,7 @@ class RegularityResult:
     bad_reps: tuple[GFVector, ...]
     rounds: int
     energy_trace: tuple[Fraction, ...]
+    coset_counts: tuple[int, ...]
 
 
 def coordinate_subspace(p: int, n: int, codim: int) -> Subspace:
@@ -161,24 +158,19 @@ def coordinate_subspace(p: int, n: int, codim: int) -> Subspace:
 
 def _scan_cosets(
     mem: list[int], space: Subspace, eps: Fraction
-) -> tuple[list[tuple[int, int]], int]:
-    """Per-coset scan: ([(rep rank, witness t) for bad cosets], energy numerator)."""
+) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """One pass over the cosets: ([(rep rank, witness t) of bad cosets], counts)."""
     k = space.dim
-    member_ranks = space.point_ranks()
     rhs = eps.numerator * eps.numerator << (2 * k)
     den_sq = eps.denominator * eps.denominator
+    packed = _coset_memberships(mem, space)
+    counts = tuple(x.bit_count() for x in packed)
     bad: list[tuple[int, int]] = []
-    energy_num = 0
-    for rep in _coset_rep_ranks(space):
-        packed = 0
-        for i, v in enumerate(member_ranks):
-            packed |= mem[rep ^ v] << i
-        count = packed.bit_count()
-        energy_num += count * count
-        max_sq, witness_t = packed_max_coef_sq(packed, count, k)
+    for rep, x, count in zip(_coset_rep_ranks(space), packed, counts):
+        max_sq, witness_t = packed_max_coef_sq(x, count, k)
         if max_sq * den_sq > rhs:
             bad.append((rep, witness_t))
-    return bad, energy_num
+    return bad, counts
 
 
 def regularity_decompose(
@@ -216,9 +208,9 @@ def regularity_decompose(
     rounds = 0
     # codim grows strictly every round, so n + 1 scans always suffice
     for _ in range(n + 1):
-        bad, energy_num = _scan_cosets(mem, space, eps)
-        cosets = 1 << space.codim
-        energy_trace.append(Fraction(energy_num, cosets * space.size * space.size))
+        bad, counts = _scan_cosets(mem, space, eps)
+        cosets = len(counts)
+        energy_trace.append(_energy(counts, space.size))
         good_fraction = Fraction(cosets - len(bad), cosets)
         bad_reps = tuple(GFVector.from_rank(2, n, rep) for rep, _ in bad)
         if Fraction(len(bad), cosets) <= eta:
@@ -229,6 +221,7 @@ def regularity_decompose(
                 bad_reps=bad_reps,
                 rounds=rounds,
                 energy_trace=tuple(energy_trace),
+                coset_counts=counts,
             )
         witness_ranks = sorted({lift_class(space, t).rank for _, t in bad})
         witnesses = [GFVector.from_rank(2, n, r) for r in witness_ranks]
@@ -241,6 +234,7 @@ def regularity_decompose(
                 bad_reps=bad_reps,
                 rounds=rounds,
                 energy_trace=tuple(energy_trace),
+                coset_counts=counts,
             )
         space = refined
         rounds += 1

@@ -4,8 +4,9 @@ find_uniform_subspace ties the stages together for a set A over F_2^n:
 
 1. regularity_decompose foliates the space into cosets of a subspace W
    with at most an eta fraction of bad (non-eps-uniform) cosets;
-2. bucket_colouring turns the good coset densities into an
-   almost-colouring of the quotient F_2^m with B + 1 colours;
+2. bucket_colouring turns the good coset densities, read from the
+   per-coset counts of that same scan, into an almost-colouring of the
+   quotient F_2^m with B + 1 colours;
 3. find_union_structure looks for d independent quotient points whose
    nonempty subset sums are monochromatic; their lifts extend W to the
    candidate V = W + span(lifts);
@@ -49,9 +50,9 @@ from .gf_core import (
     GFVector,
     PointSet,
     Subspace,
+    _coset_rep_ranks,
     _rref_bases_raw,
     _span_ranks,
-    coset_reps,
     enumerate_subspaces,
     extend_span,
     gaussian_binomial,
@@ -139,8 +140,8 @@ def find_uniform_subspace(points: PointSet, params: PipelineParams) -> PipelineR
             )
         space = reg.space
         bad = {rep.rank for rep in reg.bad_reps}
-        good = [rep for rep in coset_reps(space) if rep.rank not in bad]
-        colouring = bucket_colouring(points, space, buckets, good)
+        good = [q for q, rep in enumerate(_coset_rep_ranks(space)) if rep not in bad]
+        colouring = bucket_colouring(reg.coset_counts, space, buckets, good)
         structure = find_union_structure(colouring, d)
         attempts.append(PipelineAttempt(depth, reg, colouring, structure))
         if structure is None:
@@ -324,17 +325,17 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
     records: list[F3SubspaceRecord] = []
     for k in range(1, n + 1):
         for space in enumerate_subspaces(3, n, k):
-            coset = Coset(space, GFVector.zero(3, n))
-            report = uniformity_sup(points, coset)
+            spectrum = restricted_spectrum(points, Coset(space, GFVector.zero(3, n)))
+            report = spectrum.uniformity()
             j = space.pivots[0]
-            spectrum = restricted_spectrum(points, coset)
             t_index = spectrum.class_index(GFVector.unit(3, n, j))
             coef = spectrum.coefficients[t_index]
             assert isinstance(coef, Eisenstein)
             identity = 3 * coef.b == -space.size
+            weight = 3 ** (n - j)  # the rank weight of coordinate j
             ones = twos = member_ones = member_twos = 0
-            for rank, v in zip(space.point_ranks(), space.points()):
-                digit = v.coords[j - 1]
+            for rank in space.point_ranks():
+                digit = rank // weight % 3
                 if digit == 1:
                     ones += 1
                     member_ones += bits >> rank & 1

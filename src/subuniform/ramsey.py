@@ -12,9 +12,11 @@ definite answer, not a timeout.  Independence is checked incrementally:
 x is independent of x_1..x_j exactly when x avoids their subset sums
 (including 0).
 
-The bucket colouring assigns c(x) = floor(B * density(A on x + W)) to
-the good coset representatives of a subspace W, leaving bad cosets
-uncoloured; colours range over 0..B.
+The bucket colouring assigns c(q) = floor(B * density(A on coset q of
+W)) to the quotient index q of every good coset of a subspace W, leaving
+bad cosets uncoloured; colours range over 0..B.  It reads the per-coset
+member counts that the regularity scan already took
+(RegularityResult.coset_counts) and never recounts the set.
 
 A simple text format for standalone colouring experiments:
 
@@ -30,10 +32,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Collection, Optional, Sequence
 
 from .errors import InputError
-from .gf_core import GFVector, PointSet, Subspace, quotient_index
+from .gf_core import GFVector, Subspace
 
 MAX_COLOURING_M = 24
 
@@ -89,34 +91,31 @@ class UnionStructure:
 
 
 def bucket_colouring(
-    points: PointSet,
+    counts: Sequence[int],
     space: Subspace,
     buckets: int,
-    good_reps: Iterable[GFVector],
+    good: Collection[int],
 ) -> AlmostColouring:
-    """Colour good coset representatives by density bucket floor(B * density).
+    """Colour the good cosets of `space` by density bucket floor(B * density).
 
-    The colouring lives on the quotient F_2^m (m = codim of `space`),
-    indexed by quotient_index; representatives not listed stay
-    uncoloured.
+    counts[q] is the set's member count in the coset with quotient index
+    q, as in RegularityResult.coset_counts; `good` lists the quotient
+    indices to colour.  The colouring lives on the quotient F_2^m
+    (m = codim of `space`), indexed by quotient index; cosets not listed
+    stay uncoloured.
     """
-    if points.p != 2:
+    if space.p != 2:
         raise InputError("bucket_colouring is defined over F_2 only")
-    if (points.p, points.n) != (space.p, space.n):
-        raise InputError("point set and subspace live in different ambient spaces")
+    if len(counts) != 1 << space.codim:
+        raise InputError(f"expected {1 << space.codim} coset counts, got {len(counts)}")
     if buckets < 1:
         raise InputError(f"bucket count must be >= 1, got {buckets}")
-    m = space.codim
-    bits = points.bits
-    member_ranks = space.point_ranks()
-    size = space.size
-    colours: list[Optional[int]] = [None] * (1 << m)
-    for rep in good_reps:
-        idx = quotient_index(space, rep)
-        base = rep.rank
-        count = sum(bits >> (base ^ v) & 1 for v in member_ranks)
-        colours[idx] = buckets * count // size
-    return AlmostColouring(m=m, C=buckets, colours=tuple(colours))
+    colours: list[Optional[int]] = [None] * len(counts)
+    for q in good:
+        if not 0 <= q < len(counts):
+            raise InputError(f"quotient index {q} out of range for codim {space.codim}")
+        colours[q] = buckets * counts[q] // space.size
+    return AlmostColouring(m=space.codim, C=buckets, colours=tuple(colours))
 
 
 def find_union_structure(

@@ -146,6 +146,22 @@ class Spectrum:
         phase = omega_pow(-r.dot(self.anchor))
         return phase * self.coefficients[self.class_index(r)], self.scale
 
+    def uniformity(self) -> UniformityReport:
+        """Largest nontrivial squared coefficient magnitude and its witness."""
+        if self.p == 2:
+            squares = [c * c for c in self.coefficients]
+        else:
+            squares = [c.norm() for c in self.coefficients]
+        best = max(squares[1:], default=0)
+        best_t = squares.index(best, 1) if best else None
+        return UniformityReport(
+            coset=Coset(self.basis, self.anchor),
+            sup_sq=Fraction(best, self.scale * self.scale),
+            witness_t=best_t,
+            witness_r=None if best_t is None else lift_class(self.basis, best_t),
+            density=self.density,
+        )
+
 
 def restricted_spectrum(points: PointSet, coset: Coset) -> Spectrum:
     """Restricted spectrum of `points` on `coset` (exact, unnormalized)."""
@@ -177,7 +193,9 @@ class UniformityReport:
 
     witness_t is the least character index attaining the maximum;
     witness_r its lex-least ambient lift (never in the annihilator of
-    V).  Both are None when dim V = 0, where sup_sq is 0 by convention.
+    V).  Both are None exactly when sup_sq is 0: when dim V = 0 (no
+    nontrivial characters; sup_sq is 0 by convention) and when every
+    nontrivial coefficient vanishes, e.g. for the empty or the full set.
     """
 
     coset: Coset
@@ -211,37 +229,7 @@ def lift_class(space: Subspace, t_index: int) -> GFVector:
 
 def uniformity_sup(points: PointSet, coset: Coset) -> UniformityReport:
     """Uniformity of `points` on `coset`: max |coefficient/scale|^2 over t != 0."""
-    spectrum = restricted_spectrum(points, coset)
-    if spectrum.k == 0:
-        return UniformityReport(
-            coset=coset,
-            sup_sq=Fraction(0),
-            witness_t=None,
-            witness_r=None,
-            density=spectrum.density,
-        )
-    coeffs = spectrum.coefficients
-    best = 0
-    best_t = None
-    if spectrum.p == 2:
-        for t in range(1, len(coeffs)):
-            sq = coeffs[t] * coeffs[t]
-            if sq > best:
-                best = sq
-                best_t = t
-    else:
-        for t in range(1, len(coeffs)):
-            sq = coeffs[t].norm()
-            if sq > best:
-                best = sq
-                best_t = t
-    return UniformityReport(
-        coset=coset,
-        sup_sq=Fraction(best, spectrum.scale * spectrum.scale),
-        witness_t=best_t,
-        witness_r=None if best_t is None else lift_class(coset.subspace, best_t),
-        density=spectrum.density,
-    )
+    return restricted_spectrum(points, coset).uniformity()
 
 
 # Packed fast path for p = 2 scans.  A coset restriction is packed into
@@ -266,11 +254,6 @@ def parity_masks(k: int) -> tuple[int, ...]:
         low = t & -t
         masks[t] = masks[t ^ low] ^ base[low.bit_length() - 1]
     return tuple(masks)
-
-
-def packed_coefficient(packed: int, count: int, t: int, masks: tuple[int, ...]) -> int:
-    """Coefficient at character t from a packed 0/1 restriction."""
-    return count - 2 * (packed & masks[t]).bit_count()
 
 
 def packed_max_coef_sq(packed: int, count: int, k: int) -> tuple[int, int]:

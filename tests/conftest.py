@@ -12,7 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from subuniform import GFVector, PointSet, Subspace, rref_basis, splitmix64
+from subuniform import (
+    GFVector,
+    PointSet,
+    Subspace,
+    lift_from_quotient,
+    rref_basis,
+    splitmix64,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +93,26 @@ def tuple_span(p: int, vectors: Sequence[Sequence[int]]) -> frozenset[tuple[int,
         additions = [tuple_scale(p, c, v) for c in range(1, p)]
         span |= {tuple_add(p, x, a) for x in span for a in additions}
     return frozenset(span)
+
+
+def raw_coset_counts(points: PointSet, space: Subspace) -> list[int]:
+    """Member count of each coset of `space`, in quotient-index order.
+
+    Coset q is lift_from_quotient(space, q) plus the brute-force span of
+    the basis; each of its points is looked up in the set one by one.
+    """
+    p, n = space.p, space.n
+    if space.basis:
+        span = tuple_span(p, [row.coords for row in space.basis])
+    else:
+        span = frozenset([(0,) * n])
+    counts = []
+    for q in range(p**space.codim):
+        rep = lift_from_quotient(space, q).coords
+        counts.append(
+            sum(points.contains(GFVector(p, n, tuple_add(p, rep, v))) for v in span)
+        )
+    return counts
 
 
 def bf_wht2(table: Sequence[int]) -> list[int]:

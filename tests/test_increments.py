@@ -28,7 +28,7 @@ from subuniform import (
     rref_basis,
 )
 
-from conftest import random_subset, random_subspace, rec_wht2, words
+from conftest import raw_coset_counts, random_subset, random_subspace, rec_wht2, words
 
 
 def half_space(n: int) -> PointSet:
@@ -176,6 +176,8 @@ def test_regularity_frozen_failure_path():
     assert res.good_fraction == Fraction(3, 4)
     assert [v.digits() for v in res.bad_reps] == ["100001"]
     assert [str(e) for e in res.energy_trace] == ["961/4096", "961/2048", "481/1024"]
+    # per-coset counts in quotient order; the bad coset 100001 has index 3
+    assert list(res.coset_counts) == raw_coset_counts(A, res.space) == [0, 0, 16, 15]
 
 
 def test_regularity_recovers_union_structure():
@@ -245,6 +247,9 @@ def test_regularity_invariants_on_random_sets(seed):
         if res.succeeded:
             assert res.good_fraction == Fraction(len(cosets) - len(bad), len(cosets))
             assert {v.rank for v in res.bad_reps} == {v.rank for v in bad}
+        # the final partition's counts and energy agree with a raw recount
+        assert list(res.coset_counts) == raw_coset_counts(A, res.space)
+        assert res.energy_trace[-1] == partition_energy(A, res.space)
 
 
 def test_coordinate_subspace_shape():

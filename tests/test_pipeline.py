@@ -39,6 +39,7 @@ from subuniform.pipeline import LOWER_BOUND_SQ
 from conftest import (
     OMEGA_PAIRS,
     pair_add,
+    raw_coset_counts,
     random_subset,
     random_subspace,
     random_vector,
@@ -131,6 +132,18 @@ def test_pipeline_reports_are_internally_consistent(seed):
     assert report.outcome in ("success", "ramsey_failure", "codim_exhausted")
     depths = [a.min_codim for a in report.attempts]
     assert depths == sorted(depths)
+    # each colouring gives every good coset of its W the colour
+    # floor(B * count / |W|) and leaves the bad cosets uncoloured
+    for attempt in report.attempts:
+        if attempt.colouring is None:
+            continue
+        W = attempt.regularity.space
+        bad = {quotient_index(W, rep) for rep in attempt.regularity.bad_reps}
+        expect = tuple(
+            None if q in bad else report.buckets * count // W.size
+            for q, count in enumerate(raw_coset_counts(A, W))
+        )
+        assert attempt.colouring.colours == expect
     if report.outcome != "success":
         assert report.V is None
         return

@@ -21,14 +21,13 @@ from subuniform import (
     UnionStructure,
     bucket_colouring,
     check_union_structure,
-    coset_reps,
     find_union_structure,
     parse_colouring,
     rref_basis,
     serialize_colouring,
 )
 
-from conftest import rand_below, words
+from conftest import rand_below, raw_coset_counts, words
 
 
 def oracle_pair(colours) -> tuple[int, int] | None:
@@ -78,7 +77,7 @@ def random_colouring(stream, m: int, C: int, coloured_prob=(3, 4)) -> AlmostColo
 def test_bucket_colouring_frozen_example():
     W = rref_basis([GFVector(2, 4, (0, 0, 1, 0)), GFVector(2, 4, (0, 0, 0, 1))])
     A = PointSet.from_ranks(2, 4, [r for r in range(16) if r & 8])
-    col = bucket_colouring(A, W, 4, coset_reps(W))
+    col = bucket_colouring(raw_coset_counts(A, W), W, 4, range(4))
     assert (col.m, col.C) == (2, 4)
     # quotient indexes 00,01,10,11 carry densities 0,0,1,1 -> colours 0,0,4,4
     assert col.colours == (0, 0, 4, 4)
@@ -101,19 +100,22 @@ def test_bucket_colour_is_floor_of_scaled_density():
 def test_bucket_colouring_respects_good_reps():
     W = rref_basis([GFVector(2, 4, (0, 0, 1, 0)), GFVector(2, 4, (0, 0, 0, 1))])
     A = PointSet.from_ranks(2, 4, [r for r in range(16) if r & 8])
-    reps = coset_reps(W)
-    col = bucket_colouring(A, W, 4, reps[:2])
+    counts = raw_coset_counts(A, W)
+    col = bucket_colouring(counts, W, 4, [0, 1])
     assert col.colours == (0, 0, None, None)
     assert col.coloured_fraction == Fraction(1, 2)
     assert col.colour_of(GFVector(2, 2, (0, 1)).rank) == 0
     assert col.colour_of(GFVector(2, 2, (1, 1)).rank) is None
+    for bad_counts, good in ((counts, [4]), (counts, [-1]), (counts[:3], [0])):
+        with pytest.raises(InputError):
+            bucket_colouring(bad_counts, W, 4, good)
 
 
 def test_bucket_colouring_with_dyadic_density_mix():
     # one coset full, one half-full, two empty, B = 2
     W = rref_basis([GFVector(2, 3, (0, 0, 1))])
     A = PointSet.from_ranks(2, 3, [4, 5, 6])
-    col = bucket_colouring(A, W, 2, coset_reps(W))
+    col = bucket_colouring(raw_coset_counts(A, W), W, 2, range(4))
     assert col.colours == (0, 0, 2, 1)
 
 

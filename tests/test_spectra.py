@@ -29,7 +29,7 @@ from subuniform import (
     uniformity_sup,
     wht2,
 )
-from subuniform.spectra import packed_coefficient, packed_max_coef_sq, parity_masks
+from subuniform.spectra import packed_max_coef_sq, parity_masks
 
 from conftest import (
     OMEGA_PAIRS,
@@ -316,8 +316,8 @@ def test_uniformity_frozen_half_space():
 
 
 def test_uniformity_trivial_cases():
-    for A in (PointSet.empty(2, 4), PointSet.full(2, 4)):
-        report = uniformity_sup(A, Coset.whole_space(2, 4))
+    for A in (PointSet.empty(2, 4), PointSet.full(2, 4), PointSet.empty(3, 2)):
+        report = uniformity_sup(A, Coset.whole_space(A.p, A.n))
         assert report.sup_sq == 0
         assert report.witness_t is None and report.witness_r is None
     # dimension-zero coset: no nontrivial characters at all
@@ -388,7 +388,7 @@ def test_packed_path_matches_transform_route():
         assert count == spec.count
         masks = parity_masks(k)
         for t in range(1 << k):
-            assert packed_coefficient(packed, count, t, masks) == spec.coefficients[t]
+            assert count - 2 * (packed & masks[t]).bit_count() == spec.coefficients[t]
         max_sq, least_t = packed_max_coef_sq(packed, count, k)
         coef_sq = [c * c for c in spec.coefficients]
         expect = max(coef_sq[1:])
