@@ -48,6 +48,7 @@ from .increments import (
     regularity_decompose,
 )
 from .pipeline import (
+    ORACLE_BUDGET,
     F3Report,
     PipelineReport,
     exhaustive_best_subspace,
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="exhaustive best-subspace scan")
     sp.add_argument("--set", required=True)
     sp.add_argument("--max-codim", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=10**7)
+    sp.add_argument("--budget", type=int, default=ORACLE_BUDGET)
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("f3-verify", help="exhaustive F_3 lower-bound scan")

@@ -46,10 +46,6 @@ class Eisenstein:
 
     __rmul__ = __mul__
 
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def conj(self) -> Eisenstein:
         """Complex conjugate: conj(a + b w) = (a - b) - b w."""
         return Eisenstein(self.a - self.b, -self.b)

@@ -382,12 +382,22 @@ class PointSet:
 
     def membership_table(self) -> list[int]:
         """0/1 list of length p^n indexed by rank."""
-        # the binary rendering reversed puts rank 0 first; 48 is ord("0")
-        digits = format(self.bits, f"0{self.ambient_size}b")[::-1].encode()
-        return [d - 48 for d in digits]
+        return _unpacked(self.bits, self.ambient_size)
 
     def complement(self) -> PointSet:
         return PointSet(self.p, self.n, self.bits ^ ((1 << self.ambient_size) - 1))
+
+
+def _unpacked(bits: int, size: int) -> list[int]:
+    """0/1 list of the low `size` bits of `bits`; entry i is bit i."""
+    # the binary rendering reversed puts bit 0 first; 48 is ord("0")
+    return [d - 48 for d in format(bits, f"0{size}b")[::-1].encode()]
+
+
+def _packed(mem: Sequence[int], ranks: Sequence[int]) -> int:
+    """Inverse of _unpacked on a selection: bit i is mem[ranks[i]]."""
+    # read as a string of ASCII bits whose last digit is ranks[0]
+    return int(bytes([48 + mem[r] for r in reversed(ranks)]), 2)
 
 
 def _span_ranks(p: int, n: int, row_ranks: tuple[int, ...]) -> list[int]:
@@ -496,10 +506,7 @@ def _coset_rep_ranks(space: Subspace) -> list[int]:
     reps = [0]
     free_weights = [weights[col - 1] for col in space.free_columns]
     for w in reversed(free_weights):
-        if p == 2:
-            reps += [x + w for x in reps]
-        else:
-            reps = reps + [x + w for x in reps] + [x + 2 * w for x in reps]
+        reps = [x + c * w for c in range(p) for x in reps]
     return reps
 
 
@@ -514,17 +521,11 @@ def _coset_memberships(mem: Sequence[int], space: Subspace) -> list[int]:
     reads.
     """
     p, n = space.p, space.n
-    # each coset is read as a string of ASCII bits (48 is ord("0")) whose
-    # last digit is the first point, so point i lands on bit i
-    backwards = space.point_ranks()[::-1]
-    out = []
-    for rep in _coset_rep_ranks(space):
-        if p == 2:
-            digits = [48 + mem[rep ^ v] for v in backwards]
-        else:
-            digits = [48 + mem[add_rank(p, n, rep, v)] for v in backwards]
-        out.append(int(bytes(digits), 2))
-    return out
+    pts = space.point_ranks()
+    reps = _coset_rep_ranks(space)
+    if p == 2:  # inline xor: an add_rank call per point doubles the scan time
+        return [_packed(mem, [rep ^ v for v in pts]) for rep in reps]
+    return [_packed(mem, [add_rank(p, n, rep, v) for v in pts]) for rep in reps]
 
 
 def quotient_index(space: Subspace, x: GFVector) -> int:

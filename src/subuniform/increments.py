@@ -35,11 +35,10 @@ from .gf_core import (
     Subspace,
     _coset_memberships,
     _coset_rep_ranks,
-    canonical_rep,
     extend_span,
     perp,
 )
-from .spectra import lift_class, packed_max_coef_sq, uniformity_sup
+from .spectra import lift_class, packed_max_coef_sq, restricted_spectrum
 
 
 @dataclass(frozen=True)
@@ -69,22 +68,23 @@ def density_increment(points: PointSet, eps: Fraction) -> IncrementTrace:
     """Walk to a coset on which the set is eps-uniform (p = 2 only).
 
     Each step halves the current coset along the witness hyperplane
-    r.y = const and keeps the denser half; ties cannot occur because the
-    witness coefficient magnitude exceeds eps, which forces the two half
-    densities apart by more than 2*eps.
+    r.y = const and keeps the denser half.  The split is read off the
+    witness coefficient itself: its value at r is (members with r.y = 0
+    minus members with r.y = 1) / |coset|, so its sign names the denser
+    half, and it cannot be 0 because its magnitude exceeds eps, which
+    forces the two half densities apart by more than 2*eps.
     """
     if points.p != 2:
         raise InputError("density_increment is defined over F_2 only")
     if not 0 < eps <= 1:
         raise InputError(f"eps must satisfy 0 < eps <= 1, got {eps}")
-    n = points.n
-    bits = points.bits
-    coset = Coset.whole_space(2, n)
+    coset = Coset.whole_space(2, points.n)
     eps_sq = eps * eps
     steps: list[IncrementStep] = []
     max_steps = ceil(1 / eps) + 1
     for _ in range(max_steps + 1):
-        report = uniformity_sup(points, coset)
+        spectrum = restricted_spectrum(points, coset)
+        report = spectrum.uniformity()
         if report.sup_sq <= eps_sq:
             steps.append(IncrementStep(coset, report.density, None))
             return IncrementTrace(
@@ -98,17 +98,13 @@ def density_increment(points: PointSet, eps: Fraction) -> IncrementTrace:
         steps.append(IncrementStep(coset, report.density, r))
         space = coset.subspace
         half_space = perp(extend_span(perp(space), [r]))
-        r_rank = r.rank
-        counts = [0, 0]
-        first_rank: list[Optional[int]] = [None, None]
-        for y in coset.point_ranks():
-            side = (r_rank & y).bit_count() & 1
-            if first_rank[side] is None:
-                first_rank[side] = y
-            counts[side] += bits >> y & 1
-        side = 0 if counts[0] > counts[1] else 1
-        anchor = GFVector.from_rank(2, n, first_rank[side])
-        coset = Coset(half_space, canonical_rep(anchor, half_space))
+        side = 0 if spectrum.signed_value_at(r) > 0 else 1
+        anchor = coset.rep
+        if r.dot(anchor) != side:
+            # r is not in the annihilator of the coset's subspace, so
+            # some basis row crosses over to the other half
+            anchor = anchor + next(row for row in space.basis if r.dot(row))
+        coset = Coset.of(half_space, anchor)
     raise AssertionError("density increment failed to terminate within its bound")
 
 

@@ -51,6 +51,7 @@ from .gf_core import (
     PointSet,
     Subspace,
     _coset_rep_ranks,
+    _packed,
     _rref_bases_raw,
     _span_ranks,
     enumerate_subspaces,
@@ -214,9 +215,7 @@ def exhaustive_best_subspace(
         for _, rows in _rref_bases_raw(p, n, k):
             pts = _span_ranks(p, n, rows)
             if p == 2:
-                packed = 0
-                for i, v in enumerate(pts):
-                    packed |= mem[v] << i
+                packed = _packed(mem, pts)
                 max_sq, _ = packed_max_coef_sq(packed, packed.bit_count(), k)
             else:
                 transformed = _dft3_pairs([(mem[v], 0) for v in pts])
@@ -321,7 +320,6 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
     if n == 5 and not long_run:
         raise InputError("n = 5 scans every subspace of F_3^5; pass long_run=True")
     points = leading_one_set(n)
-    bits = points.bits
     records: list[F3SubspaceRecord] = []
     for k in range(1, n + 1):
         for space in enumerate_subspaces(3, n, k):
@@ -338,10 +336,10 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
                 digit = rank // weight % 3
                 if digit == 1:
                     ones += 1
-                    member_ones += bits >> rank & 1
+                    member_ones += points.contains_rank(rank)
                 elif digit == 2:
                     twos += 1
-                    member_twos += bits >> rank & 1
+                    member_twos += points.contains_rank(rank)
             inclusions = member_ones == ones and member_twos == 0
             equidistribution = 3 * ones == space.size and ones == twos
             records.append(

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError
 from .exact_arith import Eisenstein, magnitude_sq, omega_pow
-from .gf_core import Coset, GFVector, PointSet, Subspace, add_rank, canonical_rep, perp
+from .gf_core import Coset, GFVector, PointSet, Subspace, _unpacked, canonical_rep, perp
 
 
 def wht2(table: Sequence[int]) -> list[int]:
@@ -168,19 +168,12 @@ def restricted_spectrum(points: PointSet, coset: Coset) -> Spectrum:
     space = coset.subspace
     if (points.p, points.n) != (space.p, space.n):
         raise InputError("point set and coset live in different ambient spaces")
-    p, n = points.p, points.n
-    bits = points.bits
-    base = coset.rep.rank
-    if p == 2:
-        table: list = [bits >> (base ^ v) & 1 for v in space.point_ranks()]
-        coeffs: tuple = tuple(wht2(table))
-    else:
-        table = [bits >> add_rank(p, n, base, v) & 1 for v in space.point_ranks()]
-        coeffs = tuple(dft3(table))
+    mem = points.membership_table()
+    table = [mem[r] for r in coset.point_ranks()]
     return Spectrum(
-        p=p,
+        p=points.p,
         k=space.dim,
-        coefficients=coeffs,
+        coefficients=tuple(wht2(table) if points.p == 2 else dft3(table)),
         scale=space.size,
         basis=space,
         anchor=coset.rep,
@@ -236,7 +229,11 @@ def uniformity_sup(points: PointSet, coset: Coset) -> UniformityReport:
 # an integer (bit i = membership of the i-th coset point in index
 # order); coefficients follow from popcounts against fixed parity
 # masks.  Used by the hot loops in increments and pipeline; equality
-# with the wht2 route is pinned by tests.
+# with the wht2 route is pinned by tests.  The masks of dimension k take
+# 4^k bits (half a gigabyte at k = 16), and from k = 14 on the butterfly
+# is also the faster route, so larger cosets are unpacked and sent
+# through wht2 instead.
+PACKED_MAX_K = 13
 
 
 @lru_cache(maxsize=None)
@@ -260,6 +257,11 @@ def packed_max_coef_sq(packed: int, count: int, k: int) -> tuple[int, int]:
     """(max coefficient^2 over t != 0, least witness index) for p = 2."""
     if k == 0:
         return 0, 0
+    if k > PACKED_MAX_K:
+        squares = [c * c for c in wht2(_unpacked(packed, 1 << k))]
+        best = max(squares[1:])
+        # when every square is 0 this is index 1, as in the mask loop
+        return best, squares.index(best, 1)
     masks = parity_masks(k)
     best = 0
     best_t = 1

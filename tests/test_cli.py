@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -387,6 +388,8 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "subuniform.cli", "f3-verify", "--n", "1"],
         capture_output=True,
         text=True,
+        # the child imports the package from where this process found it
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

@@ -7,6 +7,7 @@ are recomputed from raw membership counts.
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from math import ceil
 
@@ -54,15 +55,21 @@ def oracle_sup_sq(points: PointSet, coset: Coset) -> Fraction:
 
 
 def test_increment_frozen_half_space():
-    trace = density_increment(half_space(3), Fraction(1, 4))
-    assert trace.step_count == 1
-    assert trace.steps[0].coset == Coset.whole_space(2, 3)
-    assert trace.steps[0].density == Fraction(1, 2)
-    assert trace.steps[0].witness_r == GFVector(2, 3, (1, 0, 0))
-    assert trace.final.subspace.codim == 1
-    assert trace.final.rep == GFVector(2, 3, (1, 0, 0))
-    assert trace.final_density == 1
-    assert trace.final_sup_sq == 0
+    # the set {x_1 = 1} is the odd half of the witness r = 100, its
+    # complement the even half; the walk keeps whichever holds the set
+    for A, rep in (
+        (half_space(3), (1, 0, 0)),
+        (half_space(3).complement(), (0, 0, 0)),
+    ):
+        trace = density_increment(A, Fraction(1, 4))
+        assert trace.step_count == 1
+        assert trace.steps[0].coset == Coset.whole_space(2, 3)
+        assert trace.steps[0].density == Fraction(1, 2)
+        assert trace.steps[0].witness_r == GFVector(2, 3, (1, 0, 0))
+        assert trace.final.subspace.codim == 1
+        assert trace.final.rep == GFVector(2, 3, rep)
+        assert trace.final_density == 1
+        assert trace.final_sup_sq == 0
 
 
 def test_increment_trivial_sets():
@@ -206,6 +213,19 @@ def test_regularity_trivial_set_with_min_codim():
     assert res.rounds == 0
     assert res.good_fraction == 1
     assert tuple(res.energy_trace) == (Fraction(0),)
+
+
+def test_regularity_memory_bounded_on_full_space():
+    # min_codim = 0 scans the whole F_2^15 as one coset, whose parity
+    # mask table would hold 4^15 bits (128 MiB)
+    A = random_subset(words(61), 2, 15, Fraction(1, 2))
+    tracemalloc.start()
+    try:
+        regularity_decompose(A, Fraction(1, 4), Fraction(1, 8), min_codim=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 def test_regularity_validation():

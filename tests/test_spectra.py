@@ -29,7 +29,7 @@ from subuniform import (
     uniformity_sup,
     wht2,
 )
-from subuniform.spectra import packed_max_coef_sq, parity_masks
+from subuniform.spectra import PACKED_MAX_K, packed_max_coef_sq, parity_masks
 
 from conftest import (
     OMEGA_PAIRS,
@@ -374,26 +374,32 @@ def test_parity_masks_bits():
 
 def test_packed_path_matches_transform_route():
     stream = words(250)
-    for _ in range(10):
-        A = random_subset(stream, 2, 6, Fraction(1, 2))
-        space = random_subspace(stream, 2, 6, 4)
-        coset = Coset.of(space, random_vector(stream, 2, 6))
+    # the k = 14 coset lies past PACKED_MAX_K, where the kernel unpacks
+    # the restriction and takes the butterfly instead of the masks
+    for n, k in [(6, 4)] * 10 + [(15, 14)]:
+        A = random_subset(stream, 2, n, Fraction(1, 2))
+        space = random_subspace(stream, 2, n, k)
+        coset = Coset.of(space, random_vector(stream, 2, n))
         spec = restricted_spectrum(A, coset)
-        k = space.dim
         packed = 0
         for i, y in enumerate(coset.points()):
             if A.contains(y):
                 packed |= 1 << i
         count = packed.bit_count()
         assert count == spec.count
-        masks = parity_masks(k)
-        for t in range(1 << k):
-            assert count - 2 * (packed & masks[t]).bit_count() == spec.coefficients[t]
+        if k <= PACKED_MAX_K:
+            masks = parity_masks(k)
+            for t in range(1 << k):
+                assert count - 2 * (packed & masks[t]).bit_count() == spec.coefficients[t]
         max_sq, least_t = packed_max_coef_sq(packed, count, k)
         coef_sq = [c * c for c in spec.coefficients]
         expect = max(coef_sq[1:])
         assert max_sq == expect
         assert least_t == coef_sq.index(expect, 1)
+    # with every nontrivial coefficient 0 both routes name t = 1
+    for k in (4, 14):
+        assert packed_max_coef_sq(0, 0, k) == (0, 1)
+        assert packed_max_coef_sq((1 << (1 << k)) - 1, 1 << k, k) == (0, 1)
 
 
 def test_lift_class_is_least_preimage():
