@@ -301,6 +301,8 @@ class Coset:
     def point_ranks(self) -> list[int]:
         p, n = self.subspace.p, self.subspace.n
         base = self.rep.rank
+        if p == 2:  # inline xor, as in _coset_memberships
+            return [base ^ v for v in self.subspace.point_ranks()]
         return [add_rank(p, n, base, v) for v in self.subspace.point_ranks()]
 
     def points(self) -> Iterator[GFVector]:
@@ -409,7 +411,8 @@ def _span_ranks(p: int, n: int, row_ranks: tuple[int, ...]) -> list[int]:
     pts = [0]
     if p == 2:
         for r in reversed(row_ranks):
-            pts += [x ^ r for x in pts]
+            for x in pts[:]:  # faster than a comprehension on small spans
+                pts.append(x ^ r)
     else:
         for r in reversed(row_ranks):
             r2 = add_rank(p, n, r, r)
@@ -421,38 +424,50 @@ def _span_ranks(p: int, n: int, row_ranks: tuple[int, ...]) -> list[int]:
     return pts
 
 
-def _rref_bases_raw(
-    p: int, n: int, k: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield (pivot columns, basis row ranks) for every k-dim RREF basis.
+# A profile's leading slots run in an outer product; the sums over the
+# other slots are tabulated once per profile, at most this many entries.
+_TAIL_SIZE = 1 << 12
+
+
+def _rref_walk(
+    p: int, n: int, k: int, annihilator: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """Row ranks for every k-dim subspace V, in the canonical order.
 
     Profiles are emitted in lexicographic order of the pivot-column
-    tuple; within a profile the free entries are enumerated
-    lexicographically, earliest (row, column) slot most significant.
+    tuple; within a profile the free entries A[i][f] (row i, non-pivot
+    column f right of pivot i) are enumerated lexicographically,
+    earliest (row, column) slot most significant.  Yields V's RREF rows,
+    or with annihilator=True the rows w_f = e_f - sum_i A[i][f] e_{pivot i},
+    one per non-pivot column f, which span V's annihilator.
+
+    The rows are packed as base-p^n digits of one integer.  Each slot
+    owns one coordinate of one row, so the packed rows are the sum of
+    one term per slot and no digit ever carries.
     """
-    if k == 0:
-        yield (), ()
-        return
-    digits = tuple(range(p))
     weights = _weights(p, n)
+    field = p**n
     for pivots in combinations(range(1, n + 1), k):
-        pivot_set = set(pivots)
-        base_rows = [weights[col - 1] for col in pivots]
-        slots = [
-            (i, weights[col - 1])
-            for i in range(k)
-            for col in range(pivots[i] + 1, n + 1)
-            if col not in pivot_set
+        free = [col for col in range(1, n + 1) if col not in pivots]
+        labels = free if annihilator else pivots
+        scales = [field**j for j in range(len(labels))]
+        base = sum(weights[col - 1] * s for col, s in zip(labels, scales))
+        terms = [
+            tuple(-d % p * weights[pivot - 1] * scales[j] for d in range(p))
+            if annihilator
+            else tuple(d * weights[col - 1] * scales[i] for d in range(p))
+            for i, pivot in enumerate(pivots)
+            for j, col in enumerate(free)
+            if col > pivot
         ]
-        if not slots:
-            yield pivots, tuple(base_rows)
-            continue
-        for assignment in product(digits, repeat=len(slots)):
-            rows = base_rows.copy()
-            for (i, w), d in zip(slots, assignment):
-                if d:
-                    rows[i] += d * w
-            yield pivots, tuple(rows)
+        cut, tail = len(terms), [0]
+        while cut and len(tail) * p <= _TAIL_SIZE:
+            cut -= 1
+            tail = [t + rest for t in terms[cut] for rest in tail]
+        for head in product(*terms[:cut]):
+            start = base + sum(head)
+            for rest in tail:
+                yield tuple([(start + rest) // s % field for s in scales])
 
 
 def enumerate_subspaces(p: int, n: int, k: int) -> Iterator[Subspace]:
@@ -464,7 +479,7 @@ def enumerate_subspaces(p: int, n: int, k: int) -> Iterator[Subspace]:
     _check_space(p, n)
     if not 0 <= k <= n:
         raise InputError(f"subspace dimension {k} out of range 0..{n}")
-    for _, rows in _rref_bases_raw(p, n, k):
+    for rows in _rref_walk(p, n, k):
         yield Subspace(
             p, n, tuple(GFVector.from_rank(p, n, r) for r in rows)
         )

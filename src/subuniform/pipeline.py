@@ -25,8 +25,12 @@ within budget admits a structure, "codim_exhausted" when the regularity
 stage itself runs out of room.
 
 exhaustive_best_subspace is the independent ground-truth oracle: it
-scans every subspace of codimension <= max_codim (Gaussian-binomial
-counts, budget-guarded) and returns the minimizer of sup_sq.
+scans every subspace V of codimension <= max_codim (Gaussian-binomial
+counts, budget-guarded) and returns the minimizer of sup_sq.  It
+transforms the set once over the whole space and reads each V through
+its annihilator W (dim W = codim V): by Poisson summation the sum of
+the full transform over a coset r + W is |W| times V's coefficient at
+the character r induces on V.
 
 Over F_3 no analogous search can succeed: leading_one_set builds the
 set whose members have first nonzero coordinate 1, and
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .errors import BudgetExceededError, InputError
@@ -51,22 +56,24 @@ from .gf_core import (
     PointSet,
     Subspace,
     _coset_rep_ranks,
-    _packed,
-    _rref_bases_raw,
+    _rref_walk,
     _span_ranks,
+    add_rank,
     enumerate_subspaces,
     extend_span,
     gaussian_binomial,
     lift_from_quotient,
+    perp,
+    rref_basis,
 )
 from .increments import PipelineParams, RegularityResult, regularity_decompose
 from .ramsey import AlmostColouring, UnionStructure, bucket_colouring, find_union_structure
 from .spectra import (
     UniformityReport,
     _dft3_pairs,
-    packed_max_coef_sq,
     restricted_spectrum,
     uniformity_sup,
+    wht2,
 )
 
 ORACLE_BUDGET = 10**7
@@ -192,10 +199,16 @@ def exhaustive_best_subspace(
 ) -> tuple[Subspace, Fraction]:
     """Ground-truth oracle: the subspace minimizing uniformity sup_sq.
 
-    Scans every subspace of codimension 0..max_codim in the canonical
-    enumeration order and evaluates the set's uniformity on it (coset of
-    the zero vector).  Ties prefer smaller codimension, then earlier
-    enumeration order.  Raises BudgetExceededError when the scan would
+    Scans every subspace V of codimension 0..max_codim in the canonical
+    enumeration order and scores the set's uniformity on it (coset of
+    the zero vector) through its annihilator W: with F the full
+    transform, computed once, and S(r) the sum of F(r + s) over s in W,
+    sup_sq(V) = max over r outside W of |S(r)|^2 / p^(2n).  Every score
+    has that denominator, so all comparisons are on integers.  Ties
+    prefer smaller codimension, then earlier enumeration order, so V is
+    abandoned at the first r with |S(r)|^2 >= the best so far (r is
+    tried by descending |F(r)|^2), and the scan stops at the first V
+    with sup_sq = 0.  Raises BudgetExceededError when the scan would
     evaluate more than `budget` subspaces.
     """
     p, n = points.p, points.n
@@ -207,34 +220,39 @@ def exhaustive_best_subspace(
             f"scan of {total} subspaces exceeds budget {budget}"
         )
     mem = points.membership_table()
-    best_num = best_rows = None
-    best_den = 1
-    for codim in range(max_codim + 1):
-        k = n - codim
-        scale_sq = p ** (2 * k)
-        for _, rows in _rref_bases_raw(p, n, k):
-            pts = _span_ranks(p, n, rows)
-            if p == 2:
-                packed = _packed(mem, pts)
-                max_sq, _ = packed_max_coef_sq(packed, packed.bit_count(), k)
-            else:
-                transformed = _dft3_pairs([(mem[v], 0) for v in pts])
-                max_sq = max(
-                    (a * a - a * b + b * b for a, b in transformed[1:]), default=0
-                )
-            if best_num is None or max_sq * best_den < best_num * scale_sq:
-                best_num = max_sq
-                best_den = scale_sq
-                best_rows = rows
-            if best_num == 0:
+    if p == 2:
+        F = wht2(mem)
+
+        def coset_sq(r: int, span: list[int]) -> int:
+            s = 0
+            for x in span:
+                s += F[r ^ x]
+            return s * s
+
+    else:
+        F3 = _dft3_pairs([(m, 0) for m in mem])
+
+        def coset_sq(r: int, span: list[int]) -> int:
+            a, b = map(sum, zip(*[F3[add_rank(3, n, r, x)] for x in span]))
+            return a * a - a * b + b * b
+
+    order = sorted(range(1, p**n), key=lambda r: coset_sq(r, [0]), reverse=True)
+    best = p ** (2 * n) + 1  # above every |S|^2, since |S| <= p^n
+    best_rows: tuple[int, ...] = ()
+    walks = (_rref_walk(p, n, n - c, annihilator=True) for c in range(max_codim + 1))
+    for rows in chain.from_iterable(walks):
+        span = _span_ranks(p, n, rows)
+        for r in order:
+            if r not in span and coset_sq(r, span) >= best:
+                break  # V cannot win: ties go to the earlier subspace
+        else:
+            best = max((coset_sq(r, span) for r in order if r not in span), default=0)
+            best_rows = rows
+            if best == 0:
                 break
-        if best_num == 0:
-            break
-    assert best_rows is not None
-    winner = Subspace(
-        p, n, tuple(GFVector.from_rank(p, n, r) for r in best_rows)
-    )
-    return winner, Fraction(best_num, best_den)
+    dual = [GFVector.from_rank(p, n, r) for r in best_rows]
+    winner = perp(rref_basis(dual)) if dual else Subspace.full(p, n)
+    return winner, Fraction(best, p ** (2 * n))
 
 
 def leading_one_set(n: int) -> PointSet:

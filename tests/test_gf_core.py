@@ -32,6 +32,7 @@ from subuniform import (
     quotient_index,
     rref_basis,
 )
+from subuniform import gf_core
 from subuniform.gf_core import add_rank
 
 from conftest import (
@@ -295,6 +296,39 @@ def test_enumeration_counts_match_recursion_oracle(p, n):
         assert len(spaces) == gb_oracle(p, n, k) == gaussian_binomial(p, n, k)
         assert len(set(spaces)) == len(spaces)
         assert all(s.dim == k for s in spaces)
+
+
+def _slot_entries(space: Subspace) -> tuple[int, ...]:
+    """Free entries of the RREF basis, row by row, left to right."""
+    pivots = space.pivots
+    return tuple(
+        row.coords[col - 1]
+        for row, pivot in zip(space.basis, pivots)
+        for col in range(pivot + 1, space.n + 1)
+        if col not in pivots
+    )
+
+
+# a tail table of 1 puts every slot in the outer product, 4 splits them
+@pytest.mark.parametrize("tail_size", [gf_core._TAIL_SIZE, 1, 4])
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3)])
+def test_enumeration_order_and_annihilator_rows(monkeypatch, tail_size, p, n):
+    monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
+    for k in range(n + 1):
+        spaces = list(enumerate_subspaces(p, n, k))
+        # canonical order: pivot profile, then free entries lexicographically
+        keys = [(s.pivots, _slot_entries(s)) for s in spaces]
+        assert keys == sorted(keys)
+        walk = list(gf_core._rref_walk(p, n, k, annihilator=True))
+        assert len(walk) == len(spaces)
+        for space, rows in zip(spaces, walk):
+            dual = [GFVector.from_rank(p, n, r) for r in rows]
+            # one row w_f per non-pivot column f: 1 at f, 0 at the others
+            for row, f in zip(dual, space.free_columns):
+                assert [row.coords[c - 1] for c in space.free_columns] == [
+                    int(c == f) for c in space.free_columns
+                ]
+            assert (rref_basis(dual) if dual else Subspace.zero(p, n)) == perp(space)
 
 
 def test_enumeration_is_deterministic_with_frozen_head():

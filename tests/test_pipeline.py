@@ -1,8 +1,9 @@
 """End-to-end subspace search, the exhaustive oracle, and the F_3 scans.
 
 The oracle cross-check re-runs the scan through the readable
-`uniformity_sup` route (per-coset transform) rather than the packed
-popcount fast path, so the two code paths validate each other.
+`uniformity_sup` route (per-coset transform) rather than the oracle's
+sums of the full transform over annihilators, so the two code paths
+validate each other.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from subuniform import (
     PointSet,
     Subspace,
     check_union_structure,
+    coset_reps,
     enumerate_subspaces,
     exhaustive_best_subspace,
     extend_span,
@@ -39,6 +41,7 @@ from subuniform.pipeline import LOWER_BOUND_SQ
 from conftest import (
     OMEGA_PAIRS,
     pair_add,
+    rand_below,
     raw_coset_counts,
     random_subset,
     random_subspace,
@@ -199,11 +202,48 @@ def _oracle_reference(points: PointSet, max_codim: int):
     return best_space, best
 
 
-@pytest.mark.parametrize("p,n,max_codim,seed", [(2, 5, 2, 91), (3, 3, 1, 92)])
-def test_oracle_matches_transform_route(p, n, max_codim, seed):
+def _quadratic_set(n: int) -> PointSet:
+    """{x : x1 x2 + x3 x4 + ... = 1}: bent, so every |F(r)|, r != 0, is equal."""
+    return PointSet.from_ranks(2, n, [
+        v.rank
+        for v in Subspace.full(2, n).points()
+        if sum(v.coords[i] * v.coords[i + 1] for i in range(0, n, 2)) % 2
+    ])
+
+
+def _oracle_inputs(kind: str, p: int, n: int, seed: int) -> list[PointSet]:
     stream = words(seed)
-    for _ in range(3):
-        A = random_subset(stream, p, n, Fraction(1, 2))
+    if kind == "random":
+        return [random_subset(stream, p, n, Fraction(1, 2)) for _ in range(3)]
+    if kind == "quadratic":
+        A = _quadratic_set(n)
+        return [A, A.complement()]
+    # unions of cosets of random codim-2 and codim-3 subspaces
+    sets = []
+    for codim in (2, 3):
+        U = random_subspace(stream, p, n, n - codim)
+        reps = coset_reps(U)[: 1 + rand_below(stream, p**codim - 1)]
+        sets.append(PointSet.from_vectors([rep + v for rep in reps for v in U.points()]))
+    return sets
+
+
+# quadratic sets and coset unions reach their minimum, mostly 0, on many
+# subspaces at once, so they pin the tie-break: smaller codimension
+# first, then the earlier subspace
+@pytest.mark.parametrize(
+    "kind,p,n,max_codim,seed",
+    [
+        pytest.param("random", 2, 5, 2, 91, id="2-5-2-91"),
+        pytest.param("random", 3, 3, 1, 92, id="3-3-1-92"),
+        *[("quadratic", 2, n, c, 0) for n in (4, 6) for c in range(4)],
+        *[("planted", 2, 6, c, 97) for c in (1, 2, 3)],
+        ("random", 3, 4, 2, 98),
+        ("planted", 3, 4, 1, 99),
+        ("planted", 3, 4, 2, 99),
+    ],
+)
+def test_oracle_matches_transform_route(kind, p, n, max_codim, seed):
+    for A in _oracle_inputs(kind, p, n, seed):
         winner, sup = exhaustive_best_subspace(A, max_codim)
         ref_space, ref_sup = _oracle_reference(A, max_codim)
         assert sup == ref_sup

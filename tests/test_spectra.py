@@ -39,6 +39,7 @@ from conftest import (
     pair_add,
     pair_mul,
     pair_norm,
+    rand_below,
     random_int_table,
     random_subset,
     random_subspace,
@@ -356,6 +357,33 @@ def test_uniformity_witness_properties(p, n, dim, seed):
         assert r.rank == min(candidates)
         # nontrivial class means r is outside the annihilator
         assert not perp(space).contains(r)
+
+
+@pytest.mark.parametrize("p,n,seed", [(2, 4, 242), (2, 6, 243), (3, 3, 244), (3, 4, 245)])
+def test_uniformity_from_annihilator_sums_of_full_transform(p, n, seed):
+    # Poisson summation: sum_{s in W} F(r + s) = |W| * coefficient of the
+    # class r induces on V, for W = perp(V) and F the full transform, so
+    # sup^2 on V = max over r outside W of |that sum|^2 / p^(2n)
+    stream = words(seed)
+    for _ in range(8):
+        A = random_subset(stream, p, n, Fraction(1, 2))
+        space = random_subspace(stream, p, n, rand_below(stream, n + 1))
+        table = A.membership_table()
+        F = bf_wht2(table) if p == 2 else bf_dft3(table, n)
+        dual = list(perp(space).points())
+        best = 0
+        for rank in range(p**n):
+            r = GFVector.from_rank(p, n, rank)
+            if r in dual:
+                continue
+            terms = [F[(r + s).rank] for s in dual]
+            if p == 2:
+                best = max(best, sum(terms) ** 2)
+            else:
+                total = (sum(a for a, _ in terms), sum(b for _, b in terms))
+                best = max(best, pair_norm(total))
+        expect = uniformity_sup(A, Coset(space, GFVector.zero(p, n))).sup_sq
+        assert Fraction(best, p ** (2 * n)) == expect
 
 
 # ---------------------------------------------------------------------------
