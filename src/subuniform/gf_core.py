@@ -299,11 +299,9 @@ class Coset:
         return self.subspace.size
 
     def point_ranks(self) -> list[int]:
-        p, n = self.subspace.p, self.subspace.n
-        base = self.rep.rank
-        if p == 2:  # inline xor, as in _coset_memberships
-            return [base ^ v for v in self.subspace.point_ranks()]
-        return [add_rank(p, n, base, v) for v in self.subspace.point_ranks()]
+        space = self.subspace
+        rows = tuple(row.rank for row in space.basis)
+        return _span_ranks(space.p, space.n, rows, self.rep.rank)
 
     def points(self) -> Iterator[GFVector]:
         p, n = self.subspace.p, self.subspace.n
@@ -339,13 +337,13 @@ class PointSet:
     @classmethod
     def from_ranks(cls, p: int, n: int, ranks: Iterable[int]) -> PointSet:
         _check_space(p, n)
-        bits = 0
         total = p**n
+        digits = bytearray(b"0" * total)  # ASCII bits; the last one is bit 0
         for r in ranks:
             if not 0 <= r < total:
                 raise InputError(f"rank {r} out of range for F_{p}^{n}")
-            bits |= 1 << r
-        return cls(p, n, bits)
+            digits[~r] = 49  # ord("1")
+        return cls(p, n, int(digits, 2))
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[GFVector]) -> PointSet:
@@ -402,19 +400,19 @@ def _packed(mem: Sequence[int], ranks: Sequence[int]) -> int:
     return int(bytes([48 + mem[r] for r in reversed(ranks)]), 2)
 
 
-def _span_ranks(p: int, n: int, row_ranks: tuple[int, ...]) -> list[int]:
-    """Ranks of the span, ordered by coefficient index.
+def _span_ranks(p: int, n: int, rows: tuple[int, ...], start: int = 0) -> list[int]:
+    """Ranks of start + the span of rows, ordered by coefficient index.
 
-    Index c = sum(c_i p^(k-i)) maps to sum(c_i basis_i); the first basis
+    Index c = sum(c_i p^(k-i)) maps to start + sum(c_i rows_i); the first
     row is the most significant digit, so rows are folded in reverse.
     """
-    pts = [0]
+    pts = [start]
     if p == 2:
-        for r in reversed(row_ranks):
+        for r in reversed(rows):
             for x in pts[:]:  # faster than a comprehension on small spans
                 pts.append(x ^ r)
     else:
-        for r in reversed(row_ranks):
+        for r in reversed(rows):
             r2 = add_rank(p, n, r, r)
             pts = (
                 pts

@@ -34,10 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Optional, Sequence
 
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 from .gf_core import GFVector, Subspace
 
 MAX_COLOURING_M = 24
+
+# Candidates find_union_structure may try, summed over all extension
+# steps; at about 350k candidates per second this is about 30 s.
+SEARCH_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,8 @@ def find_union_structure(
     Candidates x_1 < ... < x_d are scanned in increasing rank order with
     pruning by colour agreement and linear independence; the first
     structure found is the lex-least one.  Returns None when no
-    structure exists.
+    structure exists.  Raises BudgetExceededError once more than
+    SEARCH_BUDGET candidates have been tried.
     """
     if d < 1:
         raise InputError(f"structure size d must be >= 1, got {d}")
@@ -138,16 +143,24 @@ def find_union_structure(
         c = colours[x]
         if c is not None:
             classes.setdefault(c, []).append(x)
+    tried = 0
 
     def extend(
         chosen: list[int], sums: list[int], colour: int, candidates: list[int]
     ) -> Optional[list[int]]:
+        nonlocal tried
         if len(chosen) == d:
             return chosen
         span = set(sums)
         span.add(0)
         start = bisect_right(candidates, chosen[-1])
         for x in candidates[start:]:
+            tried += 1
+            if tried > SEARCH_BUDGET:
+                raise BudgetExceededError(
+                    f"subset-sum search tried more than {SEARCH_BUDGET} candidates;"
+                    f" it stopped at x_1 of rank {chosen[0]} of {total - 1}"
+                )
             if x in span:
                 continue
             shifted = [s ^ x for s in sums]

@@ -20,14 +20,16 @@ The uniformity of A on the coset is the largest squared magnitude
 |coefficient(t)/scale|^2 over t != 0.  Its witness is reported both as
 the character index and as the lexicographically least ambient
 frequency r inducing t on V (r restricted to V acts as r.v = t.coords(v));
-that lift never lies in the annihilator of V.
+that lift never lies in the annihilator of V.  Every transform over
+F_2 goes through wht2, one kernel of lane-packed integer butterflies.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -36,25 +38,44 @@ from .gf_core import Coset, GFVector, PointSet, Subspace, _unpacked, canonical_r
 
 
 def wht2(table: Sequence[int]) -> list[int]:
-    """Walsh transform F(t) = sum_x f(x) (-1)^(t.x) on F_2^k.
+    """Walsh transform F(t) = sum_x f(x) (-1)^(t.x) on F_2^k, exact.
 
-    Unnormalized in-place butterfly; applying it twice multiplies the
-    input by 2^k.  Table length must be a power of two (index = rank).
+    Unnormalized: applying it twice multiplies the input by 2^k.  Table
+    length must be a power of two (index = rank).  Entry i sits in lane i
+    of one integer as its value plus a bias b, first the largest |entry|.
+    Level j maps each lane pair (x, y) at distance 2^j to (x + y,
+    x - y + 2b) by whole-integer masks, shifts and adds, and b doubles,
+    so lanes stay in [0, 2b] and never borrow or carry.  Lanes take 16,
+    32 or 64 bits, the least holding 2^(k+1) max|entry|; past 64 bits
+    the table is rejected with InputError.
     """
-    out = list(table)
-    m = len(out)
+    m = len(table)
     if m == 0 or m & (m - 1):
         raise InputError(f"table length {m} is not a power of two")
+    bias = max(map(abs, table))
+    top = bias << m.bit_length()  # 2^(k+1) * bias, the largest lane value
+    code = next((c for c in "HIQ" if top >> 8 * array(c).itemsize == 0), None)
+    if code is None:
+        raise InputError(f"transform of entries up to {bias} overflows 64-bit lanes")
+    size = array(code).itemsize
+    lane = (1 << 8 * size) - 1
+    biased = array(code, [v + bias for v in table])
+    lanes = int.from_bytes(biased.tobytes(), sys.byteorder)
     h = 1
     while h < m:
-        for start in range(0, m, 2 * h):
-            for j in range(start, start + h):
-                x = out[j]
-                y = out[j + h]
-                out[j] = x + y
-                out[j + h] = x - y
+        # 1 in each lane whose index has bit j clear, 0 in the others
+        block = (1).to_bytes(size, sys.byteorder) * h + bytes(size * h)
+        units = int.from_bytes(block * (m // (2 * h)), sys.byteorder)
+        mask = units * lane
+        shift = 8 * size * h
+        lo = lanes & mask
+        hi = (lanes >> shift) & mask
+        lanes = (lo + hi) | (lo + units * (2 * bias) - hi) << shift
+        bias *= 2
         h *= 2
-    return out
+    out = array(code)
+    out.frombytes(lanes.to_bytes(m * size, sys.byteorder))
+    return [v - bias for v in out]
 
 
 def dft3(table: Sequence[int | Eisenstein]) -> list[Eisenstein]:
@@ -225,50 +246,15 @@ def uniformity_sup(points: PointSet, coset: Coset) -> UniformityReport:
     return restricted_spectrum(points, coset).uniformity()
 
 
-# Packed fast path for p = 2 scans.  A coset restriction is packed into
-# an integer (bit i = membership of the i-th coset point in index
-# order); coefficients follow from popcounts against fixed parity
-# masks.  Used by the hot loops in increments and pipeline; equality
-# with the wht2 route is pinned by tests.  The masks of dimension k take
-# 4^k bits (half a gigabyte at k = 16), and from k = 14 on the butterfly
-# is also the faster route, so larger cosets are unpacked and sent
-# through wht2 instead.
-PACKED_MAX_K = 13
-
-
-@lru_cache(maxsize=None)
-def parity_masks(k: int) -> tuple[int, ...]:
-    """masks[t] has bit c set iff t.c is odd (c ranging over F_2^k)."""
-    base = []
-    for j in range(k):
-        m = 0
-        for c in range(1 << k):
-            if (c >> j) & 1:
-                m |= 1 << c
-        base.append(m)
-    masks = [0] * (1 << k)
-    for t in range(1, 1 << k):
-        low = t & -t
-        masks[t] = masks[t ^ low] ^ base[low.bit_length() - 1]
-    return tuple(masks)
-
-
 def packed_max_coef_sq(packed: int, count: int, k: int) -> tuple[int, int]:
-    """(max coefficient^2 over t != 0, least witness index) for p = 2."""
+    """(max coefficient^2 over t != 0, least witness index) for p = 2.
+
+    Bit i of `packed` is the i-th coset point's membership, as
+    _coset_memberships packs it.  The witness is 1 when every nontrivial
+    coefficient is 0; k = 0 gives (0, 0).  `count` is not read.
+    """
     if k == 0:
         return 0, 0
-    if k > PACKED_MAX_K:
-        squares = [c * c for c in wht2(_unpacked(packed, 1 << k))]
-        best = max(squares[1:])
-        # when every square is 0 this is index 1, as in the mask loop
-        return best, squares.index(best, 1)
-    masks = parity_masks(k)
-    best = 0
-    best_t = 1
-    for t in range(1, 1 << k):
-        d = count - 2 * (packed & masks[t]).bit_count()
-        sq = d * d
-        if sq > best:
-            best = sq
-            best_t = t
-    return best, best_t
+    squares = [c * c for c in wht2(_unpacked(packed, 1 << k))]
+    best = max(squares[1:])
+    return best, squares.index(best, 1)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from subuniform import InputError, PointSet, random_point_set
+from subuniform import InputError, PointSet, random_point_set, ramsey
 from subuniform.cli import parse_set_file, run_command, serialize_set_file
 
 from conftest import random_subset, words
@@ -251,6 +251,18 @@ def test_oracle_budget_exceeded_exits_three(capsys, tmp_path):
     assert err == (
         "budget exceeded: scan of 59972563453390883681 subspaces"
         " exceeds budget 10000000\n"
+    )
+
+
+def test_search_budget_exceeded_exits_three(capsys, set_path, monkeypatch):
+    # without the budget this subset-sum search (d = 5) runs for hours
+    monkeypatch.setattr(ramsey, "SEARCH_BUDGET", 1000)
+    path = set_path(random_point_set(2, 10, Fraction(1, 2), seed=1))
+    code, report, err = run(capsys, ["pipeline", "--set", path, "--eps", "1/16"])
+    assert code == 3
+    assert report is None
+    assert err.startswith(
+        "budget exceeded: subset-sum search tried more than 1000 candidates;"
     )
 
 

@@ -40,6 +40,7 @@ from conftest import (
     random_subspace,
     random_vector,
     tuple_add,
+    tuple_scale,
     tuple_span,
     words,
 )
@@ -255,6 +256,25 @@ def test_coset_canonicalization_and_validation():
     assert whole.subspace == Subspace.full(2, 3) and whole.rep.is_zero
 
 
+@pytest.mark.parametrize("p,n,dim,seed", [(2, 6, 3, 23), (2, 5, 5, 24), (3, 4, 2, 25)])
+def test_coset_point_ranks_translate_the_span(p, n, dim, seed):
+    stream = words(seed)
+    for _ in range(10):
+        space = random_subspace(stream, p, n, dim)
+        coset = Coset.of(space, random_vector(stream, p, n))
+        rep = coset.rep.coords
+        points = [GFVector.from_rank(p, n, r).coords for r in coset.point_ranks()]
+        span = tuple_span(p, [row.coords for row in space.basis])
+        assert len(points) == len(span)
+        assert set(points) == {tuple_add(p, rep, v) for v in span}
+        # index c is rep + sum c_i basis_i, the first row most significant
+        for c, point in enumerate(points):
+            expect = rep
+            for digit, row in zip(base_p_digits(p, dim, c), space.basis):
+                expect = tuple_add(p, expect, tuple_scale(p, digit, row.coords))
+            assert point == expect
+
+
 @pytest.mark.parametrize("p,n,dim,seed", [(2, 5, 3, 21), (3, 3, 1, 22)])
 def test_coset_reps_partition_ambient(p, n, dim, seed):
     stream = words(seed)
@@ -379,9 +399,9 @@ def test_pointset_round_trip_and_operations():
 
 
 def test_pointset_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="rank 8 out of range for F_2\\^3"):
         PointSet.from_ranks(2, 3, [8])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="rank -1 out of range for F_2\\^3"):
         PointSet.from_ranks(2, 3, [-1])
     with pytest.raises(InputError):
         PointSet.empty(2, 25)

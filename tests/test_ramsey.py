@@ -15,6 +15,7 @@ import pytest
 
 from subuniform import (
     AlmostColouring,
+    BudgetExceededError,
     GFVector,
     InputError,
     PointSet,
@@ -26,6 +27,7 @@ from subuniform import (
     rref_basis,
     serialize_colouring,
 )
+from subuniform import ramsey
 
 from conftest import rand_below, raw_coset_counts, words
 
@@ -155,6 +157,26 @@ def test_structure_needs_enough_dimensions():
     assert find_union_structure(mono, 3) is None
     with pytest.raises(InputError):
         find_union_structure(mono, 0)
+
+
+def test_search_budget_counts_candidates(monkeypatch):
+    # d = 3 on F_2^2 tries 4 candidates: 2, then 3 after (1, 2), then 3
+    # after x_1 = 1, and 3 after x_1 = 2
+    mono = AlmostColouring(2, 1, (None, 1, 1, 1))
+    monkeypatch.setattr(ramsey, "SEARCH_BUDGET", 4)
+    assert find_union_structure(mono, 3) is None
+    monkeypatch.setattr(ramsey, "SEARCH_BUDGET", 3)
+    with pytest.raises(
+        BudgetExceededError,
+        match="tried more than 3 candidates; it stopped at x_1 of rank 2 of 3",
+    ):
+        find_union_structure(mono, 3)
+    # the pair (1, 2) is found at the first candidate
+    monkeypatch.setattr(ramsey, "SEARCH_BUDGET", 1)
+    assert [x.rank for x in find_union_structure(mono, 2).xs] == [1, 2]
+    monkeypatch.setattr(ramsey, "SEARCH_BUDGET", 0)
+    with pytest.raises(BudgetExceededError, match="x_1 of rank 1 of 3"):
+        find_union_structure(mono, 2)
 
 
 # ---------------------------------------------------------------------------

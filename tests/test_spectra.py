@@ -29,7 +29,7 @@ from subuniform import (
     uniformity_sup,
     wht2,
 )
-from subuniform.spectra import PACKED_MAX_K, packed_max_coef_sq, parity_masks
+from subuniform.spectra import packed_max_coef_sq
 
 from conftest import (
     OMEGA_PAIRS,
@@ -99,6 +99,37 @@ def test_wht2_rejects_bad_lengths():
     for bad in ([], [1, 2, 3], [0] * 6):
         with pytest.raises(InputError):
             wht2(bad)
+
+
+@pytest.mark.parametrize("k", [14, 15])
+def test_wht2_on_both_sides_of_the_lane_switch(k):
+    # 0/1 tables take 16-bit lanes up to k = 14 and 32-bit lanes from 15
+    size = 1 << k
+    for table, expect in (
+        ([1] * size, [size] + [0] * (size - 1)),
+        ([1, 0] * (size // 2), [size // 2] * 2 + [0] * (size - 2)),
+        ([1, -1] * (size // 2), [0, size] + [0] * (size - 2)),
+    ):
+        coeffs = wht2(table)
+        assert coeffs == expect
+        assert coeffs == rec_wht2(table)
+
+
+def test_wht2_negative_and_single_entries():
+    for table in ([7], [-7], [0], [-1] * 8, [-9, 3, 0, -4], [-5] * 3 + [9] * 5):
+        assert wht2(table) == bf_wht2(table) == rec_wht2(table)
+    stream = words(102)
+    table = [-1 - rand_below(stream, 1000) for _ in range(64)]
+    assert wht2(table) == bf_wht2(table)
+
+
+def test_wht2_rejects_tables_past_64_bit_lanes():
+    # lanes must hold 2^(k+1) * max|entry|: 2^63 fits, 2^64 does not
+    for table in ([1 << 61, 0], [0, -(1 << 61)], [1 << 47] + [0] * ((1 << 15) - 1)):
+        assert wht2(table) == rec_wht2(table)
+    for table in ([1 << 62, 0], [0, -(1 << 62)], [1 << 48] + [0] * ((1 << 15) - 1)):
+        with pytest.raises(InputError):
+            wht2(table)
 
 
 # ---------------------------------------------------------------------------
@@ -390,44 +421,45 @@ def test_uniformity_from_annihilator_sums_of_full_transform(p, n, seed):
 # character-class lifting and the packed fast path
 
 
-def test_parity_masks_bits():
-    for k in (1, 2, 3, 5):
-        masks = parity_masks(k)
-        assert len(masks) == 1 << k
-        for t in range(1 << k):
-            for i in range(1 << k):
-                expect = (t & i).bit_count() & 1
-                assert (masks[t] >> i) & 1 == expect
-
-
 def test_packed_path_matches_transform_route():
     stream = words(250)
-    # the k = 14 coset lies past PACKED_MAX_K, where the kernel unpacks
-    # the restriction and takes the butterfly instead of the masks
+    # the k = 14 coset's table is too large for bf_wht2's 4^k sums
     for n, k in [(6, 4)] * 10 + [(15, 14)]:
         A = random_subset(stream, 2, n, Fraction(1, 2))
         space = random_subspace(stream, 2, n, k)
         coset = Coset.of(space, random_vector(stream, 2, n))
-        spec = restricted_spectrum(A, coset)
-        packed = 0
-        for i, y in enumerate(coset.points()):
-            if A.contains(y):
-                packed |= 1 << i
+        table = [int(A.contains(y)) for y in coset.points()]
+        coeffs = bf_wht2(table) if k < 14 else rec_wht2(table)
+        packed = sum(bit << i for i, bit in enumerate(table))
         count = packed.bit_count()
-        assert count == spec.count
-        if k <= PACKED_MAX_K:
-            masks = parity_masks(k)
-            for t in range(1 << k):
-                assert count - 2 * (packed & masks[t]).bit_count() == spec.coefficients[t]
+        assert restricted_spectrum(A, coset).coefficients == tuple(coeffs)
         max_sq, least_t = packed_max_coef_sq(packed, count, k)
-        coef_sq = [c * c for c in spec.coefficients]
+        coef_sq = [c * c for c in coeffs]
         expect = max(coef_sq[1:])
         assert max_sq == expect
         assert least_t == coef_sq.index(expect, 1)
-    # with every nontrivial coefficient 0 both routes name t = 1
+    # with every nontrivial coefficient 0 the witness is t = 1
     for k in (4, 14):
         assert packed_max_coef_sq(0, 0, k) == (0, 1)
         assert packed_max_coef_sq((1 << (1 << k)) - 1, 1 << k, k) == (0, 1)
+    # coefficients -2 at t = 3 and +2 at t = 4 tie: the least t wins
+    assert bf_wht2([0, 1, 1, 0, 0, 0, 0, 0]) == [2, 0, 0, -2, 2, 0, 0, -2]
+    assert packed_max_coef_sq(0b110, 2, 3) == (4, 3)
+
+
+def test_packed_kernel_matches_bruteforce_every_dimension():
+    stream = words(251)
+    assert packed_max_coef_sq(1, 1, 0) == (0, 0)
+    for k in range(1, 16):
+        size = 1 << k
+        table = [rand_below(stream, 2) for _ in range(size)]
+        packed = sum(bit << i for i, bit in enumerate(table))
+        coef_sq = [c * c for c in (bf_wht2(table) if k <= 8 else rec_wht2(table))]
+        expect = max(coef_sq[1:])
+        assert packed_max_coef_sq(packed, packed.bit_count(), k) == (
+            expect,
+            coef_sq.index(expect, 1),
+        )
 
 
 def test_lift_class_is_least_preimage():
