@@ -300,9 +300,7 @@ def _f3_json(report: F3Report) -> dict:
         "all_passed": report.all_passed,
         "min_sup_sq": _fraction_json(report.min_sup_sq()),
         "lower_bound_sq": "1/12",
-        "failures": [
-            _space_json(r.space) for r in report.records if not r.passed
-        ],
+        "failures": [_space_json(space) for space in report.failures],
     }
 
 

@@ -15,6 +15,11 @@ Conventions used throughout the package:
   representative is the lexicographically least element of the coset.
   That canonical representative is the unique coset element whose pivot
   coordinates are all zero.
+* Inner loops over F_3^n add vectors as trit planes (lo, hi): bit i of
+  lo (of hi) is set when the digit of weight 3^i is 1 (is 2).  One add
+  is six whole-int operations (Harrison, Page and Smart, "Software
+  implementation of finite fields of characteristic three", 2002), and
+  the rank of (lo, hi) is T[lo] + 2 T[hi] with T = _trit_table(n).
 
 Ambient sizes are capped so tables of p^n entries stay addressable:
 n <= 24 for p = 2 and n <= 12 for p = 3.
@@ -43,16 +48,6 @@ def _check_space(p: int, n: int) -> None:
 def _weights(p: int, n: int) -> tuple[int, ...]:
     """Digit weights (p^(n-1), ..., p, 1): coordinate i has weight p^(n-i)."""
     return tuple(p ** (n - i) for i in range(1, n + 1))
-
-
-def add_rank(p: int, n: int, x: int, y: int) -> int:
-    """Coordinatewise sum mod p of two vectors given by rank."""
-    if p == 2:
-        return x ^ y
-    s = 0
-    for w in _weights(p, n):
-        s += ((x // w + y // w) % 3) * w
-    return s
 
 
 @dataclass(frozen=True, order=True)
@@ -406,19 +401,68 @@ def _span_ranks(p: int, n: int, rows: tuple[int, ...], start: int = 0) -> list[i
     Index c = sum(c_i p^(k-i)) maps to start + sum(c_i rows_i); the first
     row is the most significant digit, so rows are folded in reverse.
     """
+    if p == 3:
+        span = _trit_span([_trit_planes(r) for r in rows], _trit_planes(start))
+        return _trit_ranks(n, span)
     pts = [start]
-    if p == 2:
-        for r in reversed(rows):
-            for x in pts[:]:  # faster than a comprehension on small spans
-                pts.append(x ^ r)
-    else:
-        for r in reversed(rows):
-            r2 = add_rank(p, n, r, r)
-            pts = (
-                pts
-                + [add_rank(p, n, x, r) for x in pts]
-                + [add_rank(p, n, x, r2) for x in pts]
-            )
+    for r in reversed(rows):
+        for x in pts[:]:  # faster than a comprehension on small spans
+            pts.append(x ^ r)
+    return pts
+
+
+@lru_cache(maxsize=None)
+def _trit_table(n: int) -> tuple[int, ...]:
+    """T[m] = sum of 3^i over the set bits i of m, for m < 2^n."""
+    table = [0]
+    for i in range(n):
+        table += [t + 3**i for t in table]
+    return tuple(table)
+
+
+def _trit_planes(rank: int) -> tuple[int, int]:
+    """Trit planes (lo, hi) of the F_3 vector with the given rank."""
+    lo = hi = 0
+    bit = 1
+    while rank:
+        rank, digit = divmod(rank, 3)
+        if digit == 1:
+            lo |= bit
+        elif digit == 2:
+            hi |= bit
+        bit <<= 1
+    return lo, hi
+
+
+def _trit_ranks(n: int, pts: Iterable[tuple[int, int]]) -> list[int]:
+    """Ranks of vectors of F_3^n given as trit planes."""
+    table = _trit_table(n)
+    return [table[lo] + 2 * table[hi] for lo, hi in pts]
+
+
+def _trit_add(
+    shifts: Iterable[tuple[int, int]], pts: Sequence[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """d + x for every d in shifts, then every x in pts, as trit planes.
+
+    This is the package's one F_3 vector add.  A loop, because on the
+    3 to 9 points of a small span it beats a comprehension.
+    """
+    out = []
+    for dl, dh in shifts:
+        for xl, xh in pts:
+            t = (dl | xh) ^ (dh | xl)
+            out.append(((dh | xh) ^ t, (dl | xl) ^ t))
+    return out
+
+
+def _trit_span(
+    rows: Sequence[tuple[int, int]], start: tuple[int, int] = (0, 0)
+) -> list[tuple[int, int]]:
+    """start + the span of rows over F_3 as trit planes, as in _span_ranks."""
+    pts = [start]
+    for lo, hi in reversed(rows):
+        pts += _trit_add([(lo, hi), (hi, lo)], pts)  # row, then 2 row = -row
     return pts
 
 
@@ -533,12 +577,15 @@ def _coset_memberships(mem: Sequence[int], space: Subspace) -> list[int]:
     the entry is the packed restriction that spectra.packed_max_coef_sq
     reads.
     """
-    p, n = space.p, space.n
-    pts = space.point_ranks()
     reps = _coset_rep_ranks(space)
-    if p == 2:  # inline xor: an add_rank call per point doubles the scan time
-        return [_packed(mem, [rep ^ v for v in pts]) for rep in reps]
-    return [_packed(mem, [add_rank(p, n, rep, v) for v in pts]) for rep in reps]
+    if space.p == 3:
+        span = _trit_span([_trit_planes(row.rank) for row in space.basis])
+        return [
+            _packed(mem, _trit_ranks(space.n, _trit_add([_trit_planes(rep)], span)))
+            for rep in reps
+        ]
+    pts = space.point_ranks()
+    return [_packed(mem, [rep ^ v for v in pts]) for rep in reps]
 
 
 def quotient_index(space: Subspace, x: GFVector) -> int:

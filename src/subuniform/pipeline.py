@@ -38,7 +38,10 @@ scan_leading_one_set certifies, for every positive-dimensional subspace
 V, a nontrivial coefficient of squared magnitude >= 1/12.  Writing the
 coefficient at the first pivot frequency as a + b*w, its imaginary part
 is pinned by the exact identity 3*b = -|V|, which the scan checks
-together with the structural inclusions behind it.
+together with the structural inclusions behind it.  The scan streams
+over the canonical walk with one transform per subspace and keeps only
+the count, the exact minimum and the failing subspaces.  Both F_3 loops,
+the oracle's and the scan's, add vectors as trit planes (see gf_core).
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from itertools import chain
 from typing import Optional
 
 from .errors import BudgetExceededError, InputError
-from .exact_arith import Eisenstein
 from .gf_core import (
     Coset,
     GFVector,
@@ -58,8 +60,11 @@ from .gf_core import (
     _coset_rep_ranks,
     _rref_walk,
     _span_ranks,
-    add_rank,
-    enumerate_subspaces,
+    _trit_add,
+    _trit_planes,
+    _trit_ranks,
+    _trit_span,
+    _trit_table,
     extend_span,
     gaussian_binomial,
     lift_from_quotient,
@@ -71,7 +76,6 @@ from .ramsey import AlmostColouring, UnionStructure, bucket_colouring, find_unio
 from .spectra import (
     UniformityReport,
     _dft3_pairs,
-    restricted_spectrum,
     uniformity_sup,
     wht2,
 )
@@ -222,6 +226,7 @@ def exhaustive_best_subspace(
     mem = points.membership_table()
     if p == 2:
         F = wht2(mem)
+        keys = range(2**n)
 
         def coset_sq(r: int, span: list[int]) -> int:
             s = 0
@@ -230,18 +235,28 @@ def exhaustive_best_subspace(
             return s * s
 
     else:
+        # r and W's span are trit planes; every r + x is read by its rank
         F3 = _dft3_pairs([(m, 0) for m in mem])
+        T = _trit_table(n)
+        keys = [_trit_planes(r) for r in range(3**n)]
 
-        def coset_sq(r: int, span: list[int]) -> int:
-            a, b = map(sum, zip(*[F3[add_rank(3, n, r, x)] for x in span]))
+        def coset_sq(r: tuple[int, int], span: list[tuple[int, int]]) -> int:
+            a = b = 0
+            for lo, hi in _trit_add([r], span):
+                fa, fb = F3[T[lo] + 2 * T[hi]]
+                a += fa
+                b += fb
             return a * a - a * b + b * b
 
-    order = sorted(range(1, p**n), key=lambda r: coset_sq(r, [0]), reverse=True)
+    order = sorted(keys[1:], key=lambda r: coset_sq(r, [keys[0]]), reverse=True)
     best = p ** (2 * n) + 1  # above every |S|^2, since |S| <= p^n
     best_rows: tuple[int, ...] = ()
     walks = (_rref_walk(p, n, n - c, annihilator=True) for c in range(max_codim + 1))
     for rows in chain.from_iterable(walks):
-        span = _span_ranks(p, n, rows)
+        if p == 2:
+            span = _span_ranks(2, n, rows)
+        else:
+            span = _trit_span([keys[w] for w in rows])
         for r in order:
             if r not in span and coset_sq(r, span) >= best:
                 break  # V cannot win: ties go to the earlier subspace
@@ -260,8 +275,8 @@ def leading_one_set(n: int) -> PointSet:
 
     Contains (3^n - 1)/2 points: exactly one of x, -x for each nonzero x.
     """
-    if not 1 <= n <= 5:
-        raise InputError(f"leading_one_set supports 1 <= n <= 5, got {n}")
+    if not 1 <= n <= 6:
+        raise InputError(f"leading_one_set supports 1 <= n <= 6, got {n}")
     bits = 0
     for rank in range(1, 3**n):
         v = GFVector.from_rank(3, n, rank)
@@ -272,107 +287,84 @@ def leading_one_set(n: int) -> PointSet:
 
 
 @dataclass(frozen=True)
-class F3SubspaceRecord:
-    """Checks for one positive-dimensional subspace V of F_3^n.
+class F3Report:
+    """Exhaustive scan result over all positive-dimensional subspaces.
 
-    sup_passed:      sup_sq >= 1/12 on V;
-    witness_identity_holds: the coefficient a + b*w at the first pivot
-                     frequency satisfies 3*b = -|V|;
-    inclusions_hold: {x in V : x_j = 1} lies inside the set and
-                     {x in V : x_j = 2} misses it (j = first pivot);
-    equidistribution_holds: |{x in V : x_j = 1}| = |V| / 3.
+    failures holds, in enumeration order, every subspace that misses
+    one of the scan's checks; all_passed holds exactly when it is empty.
     """
 
-    space: Subspace
-    sup_sq: Fraction
-    witness_r: Optional[GFVector]
-    sup_passed: bool
-    witness_identity_holds: bool
-    inclusions_hold: bool
-    equidistribution_holds: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.sup_passed
-            and self.witness_identity_holds
-            and self.inclusions_hold
-            and self.equidistribution_holds
-        )
-
-
-@dataclass(frozen=True)
-class F3Report:
-    """Exhaustive scan result over all positive-dimensional subspaces."""
-
     n: int
-    records: tuple[F3SubspaceRecord, ...]
-    all_passed: bool
+    total_subspaces: int
+    minimum: Fraction
+    failures: tuple[Subspace, ...]
 
     @property
-    def total_subspaces(self) -> int:
-        return len(self.records)
+    def all_passed(self) -> bool:
+        return not self.failures
 
     def min_sup_sq(self) -> Fraction:
-        return min(r.sup_sq for r in self.records)
+        return self.minimum
 
 
 LOWER_BOUND_SQ = Fraction(1, 12)
 
 
 def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
-    """Certify the 1/12 lower bound on every subspace of F_3^n.
+    """Certify the LOWER_BOUND_SQ = 1/12 floor on every subspace of F_3^n.
 
-    Enumerates every subspace V with dim V >= 1 and records, per
-    subspace, the exact uniformity sup_sq together with the structural
-    identities that force it: with j the first pivot coordinate of V,
-    the slice {x in V : x_j = 1} lies inside the set, the slice
-    {x in V : x_j = 2} misses it entirely, each slice holds |V|/3
-    points, and the coefficient at frequency e_j is a + b*w with
-    3*b = -|V|, so its squared magnitude is already >= 1/12.
+    Walks every subspace V with dim V >= 1 in the canonical enumeration
+    order, reads V's membership table through its trit-plane span, and
+    transforms it once.  With j the first pivot coordinate of V, V
+    fails when any of these does not hold:
 
-    n = 5 enumerates 2,663 subspaces and sits behind long_run.
+    * sup_sq >= LOWER_BOUND_SQ;
+    * the coefficient at frequency e_j is a + b*w with 3*b = -|V|,
+      which alone forces a squared magnitude >= 1/12;
+    * the slice {x in V : x_j = 1} lies inside the set and the slice
+      {x in V : x_j = 2} misses it (coordinate j is one bit of each plane);
+    * each slice holds |V|/3 points.
+
+    Only failing subspaces are kept; the report carries the count and
+    the exact minimum sup_sq.  n = 5 (2,663 subspaces) and n = 6 (56,631)
+    sit behind long_run; n >= 7 is refused.
     """
-    if not 1 <= n <= 5:
-        raise InputError(f"scan supports 1 <= n <= 5, got {n}")
-    if n == 5 and not long_run:
-        raise InputError("n = 5 scans every subspace of F_3^5; pass long_run=True")
-    points = leading_one_set(n)
-    records: list[F3SubspaceRecord] = []
+    if not 1 <= n <= 6:
+        raise InputError(f"scan supports 1 <= n <= 6, got {n}")
+    if n >= 5 and not long_run:
+        raise InputError(
+            f"n = {n} scans every subspace of F_3^{n}; pass long_run=True"
+        )
+    mem = leading_one_set(n).membership_table()
+    floor = LOWER_BOUND_SQ
+    minimum = Fraction(1)  # no coefficient exceeds |V| in magnitude
+    total = 0
+    failures: list[Subspace] = []
     for k in range(1, n + 1):
-        for space in enumerate_subspaces(3, n, k):
-            spectrum = restricted_spectrum(points, Coset(space, GFVector.zero(3, n)))
-            report = spectrum.uniformity()
-            j = space.pivots[0]
-            t_index = spectrum.class_index(GFVector.unit(3, n, j))
-            coef = spectrum.coefficients[t_index]
-            assert isinstance(coef, Eisenstein)
-            identity = 3 * coef.b == -space.size
-            weight = 3 ** (n - j)  # the rank weight of coordinate j
-            ones = twos = member_ones = member_twos = 0
-            for rank in space.point_ranks():
-                digit = rank // weight % 3
-                if digit == 1:
-                    ones += 1
-                    member_ones += points.contains_rank(rank)
-                elif digit == 2:
-                    twos += 1
-                    member_twos += points.contains_rank(rank)
-            inclusions = member_ones == ones and member_twos == 0
-            equidistribution = 3 * ones == space.size and ones == twos
-            records.append(
-                F3SubspaceRecord(
-                    space=space,
-                    sup_sq=report.sup_sq,
-                    witness_r=report.witness_r,
-                    sup_passed=report.sup_sq >= LOWER_BOUND_SQ,
-                    witness_identity_holds=identity,
-                    inclusions_hold=inclusions,
-                    equidistribution_holds=equidistribution,
+        size = 3**k
+        for rows in _rref_walk(3, n, k):
+            planes = [_trit_planes(r) for r in rows]
+            span = _trit_span(planes)
+            table = [mem[r] for r in _trit_ranks(n, span)]
+            coefs = _dft3_pairs([(m, 0) for m in table])
+            # sup_sq is best / size^2; fractions compare by cross-multiplying
+            best = max(a * a - a * b + b * b for a, b in coefs[1:])
+            if best * minimum.denominator < minimum.numerator * size * size:
+                minimum = Fraction(best, size * size)
+            # e_j is 1 on V's first row and 0 on the others: index 3^(k-1)
+            identity = 3 * coefs[size // 3][1] == -size
+            # the first row's leading trit is its pivot, coordinate j
+            bit = 1 << (planes[0][0] | planes[0][1]).bit_length() - 1
+            ones = [m for (x_lo, _), m in zip(span, table) if x_lo & bit]
+            twos = [m for (_, x_hi), m in zip(span, table) if x_hi & bit]
+            total += 1
+            if (
+                best * floor.denominator < floor.numerator * size * size
+                or not identity
+                or not (all(ones) and not any(twos))
+                or not 3 * len(ones) == 3 * len(twos) == size
+            ):
+                failures.append(
+                    Subspace(3, n, tuple(GFVector.from_rank(3, n, r) for r in rows))
                 )
-            )
-    return F3Report(
-        n=n,
-        records=tuple(records),
-        all_passed=all(r.passed for r in records),
-    )
+    return F3Report(n, total, minimum, tuple(failures))

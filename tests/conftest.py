@@ -2,9 +2,9 @@
 
 All random test data flows through splitmix64 so runs are byte-for-byte
 reproducible.  The oracle helpers here (`bf_wht2`, `bf_dft3`, `rec_wht2`,
-`tuple_span`) are written from the definitions, independently of the
-library's transform and linear-algebra code paths, so they can serve as
-cross-checks.
+`tuple_span`, `add_rank`) are written from the definitions, independently
+of the library's transform and linear-algebra code paths, so they can
+serve as cross-checks.
 """
 
 from __future__ import annotations
@@ -73,6 +73,15 @@ def random_int_table(stream: Iterator[int], length: int, bound: int = 9) -> list
 def base_p_digits(p: int, n: int, r: int) -> tuple[int, ...]:
     """Base-p expansion of r, first coordinate most significant."""
     return tuple((r // p ** (n - 1 - i)) % p for i in range(n))
+
+
+def add_rank(p: int, n: int, x: int, y: int) -> int:
+    """Coordinatewise sum mod p of two vectors given by rank, digit by digit."""
+    s = 0
+    for i in range(n):
+        w = p**i
+        s += ((x // w + y // w) % p) * w
+    return s
 
 
 def tuple_add(p: int, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:

@@ -10,7 +10,18 @@ from fractions import Fraction
 
 import pytest
 
-from subuniform import InputError, PointSet, random_point_set, ramsey
+from subuniform import (
+    Coset,
+    GFVector,
+    InputError,
+    PointSet,
+    enumerate_subspaces,
+    leading_one_set,
+    pipeline,
+    random_point_set,
+    ramsey,
+    uniformity_sup,
+)
 from subuniform.cli import parse_set_file, run_command, serialize_set_file
 
 from conftest import random_subset, words
@@ -278,6 +289,25 @@ def test_f3_verify_report(capsys):
         "failures": [],
     }
     assert report["approx"] == {"min_sup_sq": 0.0864198}
+
+
+def test_f3_verify_failure_exits_one(capsys, monkeypatch):
+    # with a floor some subspaces of F_3^3 miss, the report lists them
+    # and the command exits with the verification code
+    floor = Fraction(1, 11)
+    monkeypatch.setattr(pipeline, "LOWER_BOUND_SQ", floor)
+    A = leading_one_set(3)
+    below = [
+        {"dim": k, "codim": 3 - k, "basis": [row.digits() for row in V.basis]}
+        for k in range(1, 4)
+        for V in enumerate_subspaces(3, 3, k)
+        if uniformity_sup(A, Coset(V, GFVector.zero(3, 3))).sup_sq < floor
+    ]
+    code, report, _ = run(capsys, ["f3-verify", "--n", "3"])
+    assert code == 1
+    assert report["exact"]["all_passed"] is False
+    assert report["exact"]["failures"] == below
+    assert below
 
 
 def test_f3_verify_requires_long_run_flag(capsys):

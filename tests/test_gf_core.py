@@ -2,6 +2,7 @@
 
 Independent oracles:
   * `tuple_span` computes spans by brute-force closure on coordinate tuples;
+  * `add_rank` adds two ranks digit by digit, the reference for trit planes;
   * `base_p_digits` re-derives the rank convention from scratch;
   * `gb_oracle` counts subspaces via the q-Pascal recursion
     G(n, k) = G(n-1, k-1) + p^k * G(n-1, k).
@@ -9,6 +10,7 @@ Independent oracles:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -33,12 +35,23 @@ from subuniform import (
     rref_basis,
 )
 from subuniform import gf_core
-from subuniform.gf_core import add_rank
+from subuniform.gf_core import (
+    _coset_memberships,
+    _span_ranks,
+    _trit_add,
+    _trit_planes,
+    _trit_ranks,
+    _trit_span,
+)
 
 from conftest import (
+    add_rank,
     base_p_digits,
+    rand_below,
+    random_subset,
     random_subspace,
     random_vector,
+    raw_coset_counts,
     tuple_add,
     tuple_scale,
     tuple_span,
@@ -256,7 +269,10 @@ def test_coset_canonicalization_and_validation():
     assert whole.subspace == Subspace.full(2, 3) and whole.rep.is_zero
 
 
-@pytest.mark.parametrize("p,n,dim,seed", [(2, 6, 3, 23), (2, 5, 5, 24), (3, 4, 2, 25)])
+@pytest.mark.parametrize(
+    "p,n,dim,seed",
+    [(2, 6, 3, 23), (2, 5, 5, 24), (3, 4, 2, 25), (3, 12, 3, 26), (3, 5, 5, 27)],
+)
 def test_coset_point_ranks_translate_the_span(p, n, dim, seed):
     stream = words(seed)
     for _ in range(10):
@@ -417,3 +433,61 @@ def test_pointset_membership_matches_rank_set(ranks):
     A = PointSet.from_ranks(2, 6, sorted(ranks))
     assert set(A.member_ranks()) == ranks
     assert A.size == len(ranks)
+
+
+# ---------------------------------------------------------------------------
+# trit planes: the F_3 vector add
+
+
+def test_trit_add_matches_digit_loop_on_all_small_pairs():
+    for n in range(1, 5):
+        planes = [_trit_planes(r) for r in range(3**n)]
+        for x in range(3**n):
+            sums = _trit_ranks(n, _trit_add([planes[x]], planes))
+            assert sums == [add_rank(3, n, x, y) for y in range(3**n)]
+
+
+def test_trit_add_matches_digit_loop_at_n12():
+    stream = words(31)
+    n = 12
+    xs = [rand_below(stream, 3**n) for _ in range(50)]
+    ys = [rand_below(stream, 3**n) for _ in range(50)]
+    # several shifts at once come out shift-major
+    shifts = [_trit_planes(x) for x in xs]
+    sums = _trit_ranks(n, _trit_add(shifts, [_trit_planes(y) for y in ys]))
+    assert sums == [add_rank(3, n, x, y) for x in xs for y in ys]
+
+
+def test_trit_planes_round_trip():
+    for n in range(1, 13):
+        top = 3**n - 1  # every digit 2: all of hi, none of lo
+        assert _trit_planes(0) == (0, 0)
+        assert _trit_planes(top) == (0, (1 << n) - 1)
+        assert _trit_planes((3**n - 1) // 2) == ((1 << n) - 1, 0)
+        for r in (0, 1, top // 2, top - 1, top):
+            lo, hi = _trit_planes(r)
+            assert (lo & hi) == 0 and (lo | hi) < 1 << n
+            assert _trit_ranks(n, [(lo, hi)]) == [r]
+            digits = base_p_digits(3, n, r)[::-1]  # digit i has weight 3^i
+            assert [(lo >> i & 1) + 2 * (hi >> i & 1) for i in range(n)] == list(digits)
+
+
+@pytest.mark.parametrize("n,dim,seed", [(3, 2, 32), (6, 3, 33), (12, 2, 34)])
+def test_trit_span_and_coset_scan_match_tuple_span(n, dim, seed):
+    stream = words(seed)
+    space = random_subspace(stream, 3, n, dim)
+    rows = tuple(row.rank for row in space.basis)
+    span = tuple_span(3, [row.coords for row in space.basis])
+    ranks = _span_ranks(3, n, rows)
+    assert ranks == _trit_ranks(n, _trit_span([_trit_planes(r) for r in rows]))
+    assert {GFVector.from_rank(3, n, r).coords for r in ranks} == span
+    assert len(ranks) == len(span) == space.size
+    if n > 6:
+        return  # the coset scan below reads all 3^n points
+    A = random_subset(stream, 3, n, Fraction(1, 2))
+    mem = A.membership_table()
+    packed = _coset_memberships(mem, space)
+    assert [c.bit_count() for c in packed] == raw_coset_counts(A, space)
+    for q, bits in enumerate(packed):
+        coset = Coset(space, lift_from_quotient(space, q))
+        assert bits == sum(mem[r] << i for i, r in enumerate(coset.point_ranks()))

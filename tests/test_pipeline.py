@@ -8,7 +8,9 @@ validate each other.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -36,6 +38,7 @@ from subuniform import (
     subspace_scan_count,
     uniformity_sup,
 )
+from subuniform import pipeline
 from subuniform.pipeline import LOWER_BOUND_SQ
 
 from conftest import (
@@ -342,9 +345,13 @@ def test_decomposition_identity_and_vanishing_product(seed, d):
 # ---------------------------------------------------------------------------
 # F_3 lower-bound scans
 
+LONG_RUN = os.environ.get("SUBUNIFORM_LONG_RUN") == "1"
+# the n = 6 scan takes a few seconds
+F3_SIZES = (1, 2, 3, 4, 5, 6) if LONG_RUN else (1, 2, 3, 4, 5)
+
 
 def test_leading_one_set_shape():
-    assert [leading_one_set(n).size for n in (1, 2, 3, 4)] == [1, 4, 13, 40]
+    assert [leading_one_set(n).size for n in range(1, 7)] == [1, 4, 13, 40, 121, 364]
     for n in (1, 2, 3):
         A = leading_one_set(n)
         assert A.size == (3**n - 1) // 2
@@ -359,7 +366,7 @@ def test_leading_one_set_shape():
     with pytest.raises(InputError):
         leading_one_set(0)
     with pytest.raises(InputError):
-        leading_one_set(6)
+        leading_one_set(7)
 
 
 def test_f3_scan_frozen_results():
@@ -367,30 +374,65 @@ def test_f3_scan_frozen_results():
     for n, (total, min_sup) in expected.items():
         report = scan_leading_one_set(n)
         assert report.all_passed
+        assert report.failures == ()
         assert report.total_subspaces == total
         assert report.min_sup_sq() == min_sup
         assert min_sup >= LOWER_BOUND_SQ
-        for rec in report.records:
-            assert rec.passed
-            assert rec.sup_sq >= LOWER_BOUND_SQ
 
 
 def test_f3_scan_gating():
     with pytest.raises(InputError):
         scan_leading_one_set(5)
+    with pytest.raises(InputError, match="long_run"):
+        scan_leading_one_set(6)
     with pytest.raises(InputError):
         scan_leading_one_set(0)
     with pytest.raises(InputError):
-        scan_leading_one_set(6, long_run=True)
+        scan_leading_one_set(7, long_run=True)
+
+
+@pytest.mark.parametrize("n", F3_SIZES)
+def test_f3_scan_minimum_closed_form(n):
+    # observed, not proved: min sup^2 = (9^n + 3) / (12 * 9^n), at V = F_3^n
+    closed = Fraction(9**n + 3, 12 * 9**n)
+    assert closed == Fraction(1, 12) + Fraction(1, 4 * 9**n)
+    report = scan_leading_one_set(n, long_run=True)
+    assert report.min_sup_sq() == closed
+    totals = {1: 1, 2: 5, 3: 27, 4: 211, 5: 2663, 6: 56631}
+    assert report.total_subspaces == totals[n]
+    assert report.total_subspaces == subspace_scan_count(3, n, n - 1)
+    assert report.failures == ()
+    whole = uniformity_sup(leading_one_set(n), Coset.whole_space(3, n))
+    assert whole.sup_sq == closed
+    if n == 6:
+        assert closed == Fraction(44287, 531441)
+
+
+def test_f3_scan_failure_path(monkeypatch):
+    # a floor that some subspaces of F_3^3 miss: the scan must list
+    # exactly those, in enumeration order, found here by uniformity_sup
+    floor = Fraction(1, 11)
+    monkeypatch.setattr(pipeline, "LOWER_BOUND_SQ", floor)
+    A = leading_one_set(3)
+    below = [
+        V
+        for k in range(1, 4)
+        for V in enumerate_subspaces(3, 3, k)
+        if uniformity_sup(A, Coset(V, GFVector.zero(3, 3))).sup_sq < floor
+    ]
+    assert 0 < len(below) < 27
+    report = scan_leading_one_set(3)
+    assert report.failures == tuple(below)
+    assert not report.all_passed
+    assert report.total_subspaces == 27
+    assert report.min_sup_sq() == Fraction(61, 729)
 
 
 def test_f3_witness_identity_recomputed_directly():
     # recompute the first-pivot coefficient of each n = 2 subspace with
     # independent Eisenstein arithmetic: 3b = -|V| and the two inclusions
     A = leading_one_set(2)
-    report = scan_leading_one_set(2)
-    for rec in report.records:
-        V = rec.space
+    for V in chain(enumerate_subspaces(3, 2, 1), enumerate_subspaces(3, 2, 2)):
         j = V.pivots[0]
         e_j = GFVector.unit(3, 2, j)
         acc = (0, 0)
@@ -405,3 +447,39 @@ def test_f3_witness_identity_recomputed_directly():
         assert ones <= members
         assert not (twos & members)
         assert len(ones) == len(twos) == V.size // 3
+
+
+def test_f3_scan_flags_broken_slices_and_identity(monkeypatch):
+    # with x = 200 added to the set, every V through x with first pivot
+    # 1 has a member in its x_1 = 2 slice and breaks 3b = -|V|; the scan
+    # must flag exactly the subspaces where one of its four checks
+    # fails, each recomputed here point by point
+    n = 3
+    x = GFVector(3, n, (2, 0, 0))
+    A = PointSet(3, n, leading_one_set(n).bits | 1 << x.rank)
+    monkeypatch.setattr(pipeline, "leading_one_set", lambda m: A)
+    expected, sup_ok = [], []
+    for k in range(1, n + 1):
+        for V in enumerate_subspaces(3, n, k):
+            pts = list(V.points())
+            j = V.pivots[0]
+            acc = (0, 0)
+            for v in pts:
+                if A.contains(v):
+                    acc = pair_add(acc, OMEGA_PAIRS[-v.coords[j - 1] % 3])
+            ones = [A.contains(v) for v in pts if v.coords[j - 1] == 1]
+            twos = [A.contains(v) for v in pts if v.coords[j - 1] == 2]
+            sup = uniformity_sup(A, Coset(V, GFVector.zero(3, n))).sup_sq
+            if not (
+                sup >= LOWER_BOUND_SQ
+                and 3 * acc[1] == -V.size
+                and all(ones)
+                and not any(twos)
+                and 3 * len(ones) == 3 * len(twos) == V.size
+            ):
+                expected.append(V)
+                sup_ok.append(sup >= LOWER_BOUND_SQ)
+    report = scan_leading_one_set(n)
+    assert report.failures == tuple(expected)
+    assert x in report.failures[0].points()
+    assert any(sup_ok)  # some V fails only on the structural checks
