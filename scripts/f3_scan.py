@@ -19,6 +19,9 @@ import argparse
 import time
 
 from subuniform import scan_leading_one_set
+from subuniform.pipeline import LOWER_BOUND_SQ
+
+MAX_N = 6  # scan_leading_one_set refuses larger n
 
 
 def main() -> None:
@@ -31,6 +34,11 @@ def main() -> None:
         help="allow n = 5 and 6 (every subspace of F_3^6 takes a few seconds)",
     )
     args = parser.parse_args()
+    # refuse before the first row, not with a traceback halfway down the table
+    if not (1 <= args.min_n <= MAX_N and 1 <= args.max_n <= MAX_N):
+        parser.error(f"--min-n and --max-n must lie in 1..{MAX_N}")
+    if args.max_n >= 5 and not args.long_run:
+        parser.error("n = 5 and 6 need --long-run")
 
     print(f"{'n':>2} {'subspaces':>10} {'min sup^2':>12} {'~sup':>8}  verdict")
     for n in range(args.min_n, args.max_n + 1):
@@ -47,7 +55,8 @@ def main() -> None:
         for space in report.failures:
             basis = ",".join(row.digits() for row in space.basis)
             print(f"     failing subspace: span{{{basis}}}")
-    print("floor: sup^2 >= 1/12, i.e. sup >= 0.28868")
+    floor = LOWER_BOUND_SQ
+    print(f"floor: sup^2 >= {floor}, i.e. sup >= {float(floor) ** 0.5:.5f}")
 
 
 if __name__ == "__main__":

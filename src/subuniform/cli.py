@@ -37,6 +37,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import pipeline
 from .errors import BudgetExceededError, InputError
 from .exact_arith import format_rational, parse_rational
 from .gf_core import Coset, GFVector, PointSet, Subspace, canonical_rep, rref_basis
@@ -299,7 +300,8 @@ def _f3_json(report: F3Report) -> dict:
         "total_subspaces": report.total_subspaces,
         "all_passed": report.all_passed,
         "min_sup_sq": _fraction_json(report.min_sup_sq()),
-        "lower_bound_sq": "1/12",
+        # the floor the scan checked, read from its module at call time
+        "lower_bound_sq": _fraction_json(pipeline.LOWER_BOUND_SQ),
         "failures": [_space_json(space) for space in report.failures],
     }
 

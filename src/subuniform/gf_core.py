@@ -466,50 +466,79 @@ def _trit_span(
     return pts
 
 
-# A profile's leading slots run in an outer product; the sums over the
-# other slots are tabulated once per profile, at most this many entries.
+# A profile's trailing slots, at most this many subspaces' worth, form
+# the tail lists of one block; its leading slots run in an outer product.
 _TAIL_SIZE = 1 << 12
+
+
+def _rref_blocks(
+    p: int, n: int, k: int, annihilator: bool = False, most: int = 0
+) -> Iterator[tuple[list[int], list[list[int]]]]:
+    """The canonical walk of the k-dim subspaces V, one block at a time.
+
+    Profiles are emitted in lexicographic order of the pivot-column
+    tuple; within a profile the free entries A[i][f] (row i, non-pivot
+    column f right of pivot i) are enumerated lexicographically,
+    earliest (row, column) slot most significant.  The rows are V's RREF
+    rows, or with annihilator=True the rows w_f = e_f - sum_i A[i][f]
+    e_{pivot i}, one per non-pivot column f, which span V's annihilator.
+
+    One block is yielded per (profile, head): the head fixes the leading
+    slots, the trailing slots run inside the block.  A block holds at
+    most _TAIL_SIZE subspaces, and at most `most` when that is positive
+    (never fewer than one).  A block is (start, tails): row f of the block's j-th
+    subspace has rank start[f] + tails[f][j].  Each slot owns one
+    coordinate of one row, so start and tail touch disjoint digits and
+    the sum never carries.  The tail lists are built by doubling over
+    the tail slots, last slot first, and are shared by the profile's
+    blocks.  A block without rows holds exactly one subspace (k = 0, or
+    k = n with annihilator=True).
+    """
+    weights = _weights(p, n)
+    for pivots in combinations(range(1, n + 1), k):
+        free = [col for col in range(1, n + 1) if col not in pivots]
+        labels = free if annihilator else pivots
+        base = [weights[col - 1] for col in labels]
+        # one slot per free entry: the row it writes and its p values
+        slots = [
+            (j, [-d % p * weights[pivot - 1] for d in range(p)])
+            if annihilator
+            else (i, [d * weights[col - 1] for d in range(p)])
+            for i, pivot in enumerate(pivots)
+            for j, col in enumerate(free)
+            if col > pivot
+        ]
+        cap = min(_TAIL_SIZE, most) if most > 0 else _TAIL_SIZE
+        cut, size = len(slots), 1
+        tails = [[0] for _ in labels]
+        while cut and size * p <= cap:
+            cut -= 1
+            row, values = slots[cut]
+            tails = [
+                [v + t for v in values for t in tail] if f == row else tail * p
+                for f, tail in enumerate(tails)
+            ]
+            size *= p
+        head_rows = [row for row, _ in slots[:cut]]
+        for head in product(*[values for _, values in slots[:cut]]):
+            start = base[:]
+            for row, v in zip(head_rows, head):
+                start[row] += v
+            yield start, tails
 
 
 def _rref_walk(
     p: int, n: int, k: int, annihilator: bool = False
 ) -> Iterator[tuple[int, ...]]:
-    """Row ranks for every k-dim subspace V, in the canonical order.
+    """Row ranks for every k-dim subspace, in the canonical order.
 
-    Profiles are emitted in lexicographic order of the pivot-column
-    tuple; within a profile the free entries A[i][f] (row i, non-pivot
-    column f right of pivot i) are enumerated lexicographically,
-    earliest (row, column) slot most significant.  Yields V's RREF rows,
-    or with annihilator=True the rows w_f = e_f - sum_i A[i][f] e_{pivot i},
-    one per non-pivot column f, which span V's annihilator.
-
-    The rows are packed as base-p^n digits of one integer.  Each slot
-    owns one coordinate of one row, so the packed rows are the sum of
-    one term per slot and no digit ever carries.
+    The flattened view of _rref_blocks: one tuple of rows per subspace.
     """
-    weights = _weights(p, n)
-    field = p**n
-    for pivots in combinations(range(1, n + 1), k):
-        free = [col for col in range(1, n + 1) if col not in pivots]
-        labels = free if annihilator else pivots
-        scales = [field**j for j in range(len(labels))]
-        base = sum(weights[col - 1] * s for col, s in zip(labels, scales))
-        terms = [
-            tuple(-d % p * weights[pivot - 1] * scales[j] for d in range(p))
-            if annihilator
-            else tuple(d * weights[col - 1] * scales[i] for d in range(p))
-            for i, pivot in enumerate(pivots)
-            for j, col in enumerate(free)
-            if col > pivot
-        ]
-        cut, tail = len(terms), [0]
-        while cut and len(tail) * p <= _TAIL_SIZE:
-            cut -= 1
-            tail = [t + rest for t in terms[cut] for rest in tail]
-        for head in product(*terms[:cut]):
-            start = base + sum(head)
-            for rest in tail:
-                yield tuple([(start + rest) // s % field for s in scales])
+    for start, tails in _rref_blocks(p, n, k, annihilator):
+        if start:
+            yield from zip(*[[s + t for t in tail] for s, tail in zip(start, tails)])
+        else:
+            yield ()
 
 
 def enumerate_subspaces(p: int, n: int, k: int) -> Iterator[Subspace]:

@@ -30,7 +30,9 @@ counts, budget-guarded) and returns the minimizer of sup_sq.  It
 transforms the set once over the whole space and reads each V through
 its annihilator W (dim W = codim V): by Poisson summation the sum of
 the full transform over a coset r + W is |W| times V's coefficient at
-the character r induces on V.
+the character r induces on V.  Over F_2 the walk comes in blocks that
+share a pivot profile, and _f2_survivors rules out whole blocks by list
+gathers before the per-subspace loop.
 
 Over F_3 no analogous search can succeed: leading_one_set builds the
 set whose members have first nonzero coordinate 1, and
@@ -48,8 +50,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Optional
+from itertools import chain, compress
+from math import isqrt
+from operator import xor
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError
 from .gf_core import (
@@ -58,8 +62,8 @@ from .gf_core import (
     PointSet,
     Subspace,
     _coset_rep_ranks,
+    _rref_blocks,
     _rref_walk,
-    _span_ranks,
     _trit_add,
     _trit_planes,
     _trit_ranks,
@@ -81,6 +85,9 @@ from .spectra import (
 )
 
 ORACLE_BUDGET = 10**7
+# The F_2 oracle cuts its blocks so that their span lists hold at most
+# _SPAN_CELLS ranks, about 0.5 MB of list slots.
+_SPAN_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -198,6 +205,49 @@ def subspace_scan_count(p: int, n: int, max_codim: int) -> int:
     return sum(gaussian_binomial(p, n, n - c) for c in range(max_codim + 1))
 
 
+def _f2_survivors(
+    F: list[int],
+    order: Sequence[int],
+    best: int,
+    rows: list[list[int]],
+) -> Iterator[tuple[int, ...]]:
+    """W's span for each subspace of a block that no single r rules out.
+
+    rows[f][j] is annihilator row f (there is at least one) of the
+    block's j-th subspace, and all its subspaces share one pivot
+    profile.  The span lists are built once by XOR maps, in the span
+    order of gf_core._span_ranks.  Then, for r in `order`, S(r) is
+    summed for every kept subspace by list gathers of the shifted
+    table x -> F(r + x), and a subspace is dropped when S(r)^2 >= best
+    unless r lies in its W.  A round whose gathers would be fewer than
+    one table's 2^n entries costs more than it can save, so the rounds
+    stop there and the survivors' spans are yielded, in walk order.
+    """
+    spans = [[0] * len(rows[0])]
+    for row in reversed(rows):
+        spans += [list(map(xor, span, row)) for span in spans]
+    # w_f has no entry right of its free column f, which is its lowest
+    # set bit; r's bits there pick the one span point that can equal r
+    lows = [row[0] & -row[0] for row in rows]
+    limit = isqrt(best - 1) + 1  # S^2 >= best exactly when |S| >= limit
+    keys = range(len(F))
+    for r in order:
+        if len(spans[0]) * len(spans) < len(F):
+            break
+        fr = [F[r ^ x] for x in keys]
+        first = fr[0]
+        sums = [first + fr[x] for x in spans[1]]
+        for one, two in zip(spans[2::2], spans[3::2]):
+            sums = [s + fr[x] + fr[y] for s, x, y in zip(sums, one, two)]
+        at = 0
+        for low in lows:
+            at = 2 * at + (r & low > 0)
+        keep = [-limit < s < limit or x == r for s, x in zip(sums, spans[at])]
+        if not all(keep):
+            spans = [list(compress(span, keep)) for span in spans]
+    return zip(*spans)
+
+
 def exhaustive_best_subspace(
     points: PointSet, max_codim: int, budget: int = ORACLE_BUDGET
 ) -> tuple[Subspace, Fraction]:
@@ -214,6 +264,13 @@ def exhaustive_best_subspace(
     tried by descending |F(r)|^2), and the scan stops at the first V
     with sup_sq = 0.  Raises BudgetExceededError when the scan would
     evaluate more than `budget` subspaces.
+
+    For p = 2 the walk comes in blocks (gf_core._rref_blocks), and
+    _f2_survivors first rules out whole blocks by list rounds against
+    the best at the block's start.  That is exact because best only
+    falls: an r outside W with |S(r)|^2 >= best proves that V cannot
+    win, as ties go to the earlier subspace.  The survivors then go
+    through the per-subspace loop above, in walk order.
     """
     p, n = points.p, points.n
     if not 0 <= max_codim <= n:
@@ -228,7 +285,7 @@ def exhaustive_best_subspace(
         F = wht2(mem)
         keys = range(2**n)
 
-        def coset_sq(r: int, span: list[int]) -> int:
+        def coset_sq(r: int, span: Sequence[int]) -> int:
             s = 0
             for x in span:
                 s += F[r ^ x]
@@ -240,7 +297,7 @@ def exhaustive_best_subspace(
         T = _trit_table(n)
         keys = [_trit_planes(r) for r in range(3**n)]
 
-        def coset_sq(r: tuple[int, int], span: list[tuple[int, int]]) -> int:
+        def coset_sq(r: tuple[int, int], span: Sequence[tuple[int, int]]) -> int:
             a = b = 0
             for lo, hi in _trit_add([r], span):
                 fa, fb = F3[T[lo] + 2 * T[hi]]
@@ -249,24 +306,35 @@ def exhaustive_best_subspace(
             return a * a - a * b + b * b
 
     order = sorted(keys[1:], key=lambda r: coset_sq(r, [keys[0]]), reverse=True)
+
+    def candidates(c: int) -> Iterator[Sequence]:
+        """W's span for each codim-c subspace still in the running."""
+        if p == 3:
+            for rows in _rref_walk(3, n, n - c, annihilator=True):
+                yield _trit_span([keys[w] for w in rows])
+            return
+        if c == 0:
+            yield (0,)  # W = {0}: V is the whole space
+            return
+        most = max(1, _SPAN_CELLS >> c)
+        for start, tails in _rref_blocks(2, n, n - c, annihilator=True, most=most):
+            rows = [[s + t for t in tail] for s, tail in zip(start, tails)]
+            # best is read here, as the block starts
+            yield from _f2_survivors(F, order, best, rows)
+
     best = p ** (2 * n) + 1  # above every |S|^2, since |S| <= p^n
-    best_rows: tuple[int, ...] = ()
-    walks = (_rref_walk(p, n, n - c, annihilator=True) for c in range(max_codim + 1))
-    for rows in chain.from_iterable(walks):
-        if p == 2:
-            span = _span_ranks(2, n, rows)
-        else:
-            span = _trit_span([keys[w] for w in rows])
+    best_span: Sequence = [keys[0]]
+    for span in chain.from_iterable(map(candidates, range(max_codim + 1))):
         for r in order:
             if r not in span and coset_sq(r, span) >= best:
                 break  # V cannot win: ties go to the earlier subspace
         else:
             best = max((coset_sq(r, span) for r in order if r not in span), default=0)
-            best_rows = rows
+            best_span = span
             if best == 0:
                 break
-    dual = [GFVector.from_rank(p, n, r) for r in best_rows]
-    winner = perp(rref_basis(dual)) if dual else Subspace.full(p, n)
+    ranks = best_span if p == 2 else _trit_ranks(n, best_span)
+    winner = perp(rref_basis([GFVector.from_rank(p, n, r) for r in ranks]))
     return winner, Fraction(best, p ** (2 * n))
 
 

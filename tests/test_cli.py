@@ -307,6 +307,7 @@ def test_f3_verify_failure_exits_one(capsys, monkeypatch):
     assert code == 1
     assert report["exact"]["all_passed"] is False
     assert report["exact"]["failures"] == below
+    assert report["exact"]["lower_bound_sq"] == "1/11"
     assert below
 
 
@@ -436,3 +437,23 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["exact"]["min_sup_sq"] == "1/9"
+
+
+F3_SCAN = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "f3_scan.py")
+
+
+@pytest.mark.parametrize(
+    "flags", [["--max-n", "7", "--long-run"], ["--min-n", "0"], ["--max-n", "5"]]
+)
+def test_f3_scan_script_refuses_out_of_range_n(flags):
+    # refused by argparse before any table row, not by a traceback
+    proc = subprocess.run(
+        [sys.executable, F3_SCAN, *flags],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr

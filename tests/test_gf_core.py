@@ -367,6 +367,20 @@ def test_enumeration_order_and_annihilator_rows(monkeypatch, tail_size, p, n):
             assert (rref_basis(dual) if dual else Subspace.zero(p, n)) == perp(space)
 
 
+@pytest.mark.parametrize("most", [1, 3, 8, 1 << 20])
+def test_rref_blocks_cap_keeps_the_walk(most):
+    p, n, k = 2, 7, 3
+    whole = list(gf_core._rref_walk(p, n, k, annihilator=True))
+    blocks = list(gf_core._rref_blocks(p, n, k, annihilator=True, most=most))
+    assert all(len(tails[0]) <= min(most, gf_core._TAIL_SIZE) for _, tails in blocks)
+    flat = [
+        rows
+        for start, tails in blocks
+        for rows in zip(*[[s + t for t in tail] for s, tail in zip(start, tails)])
+    ]
+    assert flat == whole
+
+
 def test_enumeration_is_deterministic_with_frozen_head():
     first = next(iter(enumerate_subspaces(2, 4, 2)))
     assert [row.digits() for row in first.basis] == ["1000", "0100"]

@@ -38,8 +38,9 @@ from subuniform import (
     subspace_scan_count,
     uniformity_sup,
 )
-from subuniform import pipeline
+from subuniform import gf_core, pipeline
 from subuniform.pipeline import LOWER_BOUND_SQ
+from subuniform.spectra import wht2
 
 from conftest import (
     OMEGA_PAIRS,
@@ -233,24 +234,99 @@ def _oracle_inputs(kind: str, p: int, n: int, seed: int) -> list[PointSet]:
 # quadratic sets and coset unions reach their minimum, mostly 0, on many
 # subspaces at once, so they pin the tie-break: smaller codimension
 # first, then the earlier subspace
-@pytest.mark.parametrize(
-    "kind,p,n,max_codim,seed",
-    [
-        pytest.param("random", 2, 5, 2, 91, id="2-5-2-91"),
-        pytest.param("random", 3, 3, 1, 92, id="3-3-1-92"),
-        *[("quadratic", 2, n, c, 0) for n in (4, 6) for c in range(4)],
-        *[("planted", 2, 6, c, 97) for c in (1, 2, 3)],
-        ("random", 3, 4, 2, 98),
-        ("planted", 3, 4, 1, 99),
-        ("planted", 3, 4, 2, 99),
-    ],
-)
+ORACLE_CASES = [
+    pytest.param("random", 2, 5, 2, 91, id="2-5-2-91"),
+    pytest.param("random", 3, 3, 1, 92, id="3-3-1-92"),
+    *[("quadratic", 2, n, c, 0) for n in (4, 6) for c in range(4)],
+    *[("planted", 2, 6, c, 97) for c in (1, 2, 3)],
+    ("random", 3, 4, 2, 98),
+    ("planted", 3, 4, 1, 99),
+    ("planted", 3, 4, 2, 99),
+]
+
+
+@pytest.mark.parametrize("kind,p,n,max_codim,seed", ORACLE_CASES)
 def test_oracle_matches_transform_route(kind, p, n, max_codim, seed):
     for A in _oracle_inputs(kind, p, n, seed):
         winner, sup = exhaustive_best_subspace(A, max_codim)
         ref_space, ref_sup = _oracle_reference(A, max_codim)
         assert sup == ref_sup
         assert winner == ref_space
+
+
+# a tail of 4 gives many heads, so many blocks, per profile; a tail of 1
+# gives one-subspace blocks, which skip the F_2 list rounds altogether;
+# 128 span cells cap the F_2 blocks at 128 / 2^codim subspaces each
+@pytest.mark.parametrize(
+    "tail_size,span_cells",
+    [(4, pipeline._SPAN_CELLS), (1, pipeline._SPAN_CELLS), (gf_core._TAIL_SIZE, 128)],
+)
+@pytest.mark.parametrize("kind,p,n,max_codim,seed", ORACLE_CASES)
+def test_oracle_matches_transform_route_in_small_blocks(
+    monkeypatch, tail_size, span_cells, kind, p, n, max_codim, seed
+):
+    monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
+    monkeypatch.setattr(pipeline, "_SPAN_CELLS", span_cells)
+    test_oracle_matches_transform_route(kind, p, n, max_codim, seed)
+
+
+def test_oracle_through_profiles_of_several_blocks(monkeypatch):
+    # codim 3 in F_2^8 has profiles of up to 15 slots, so up to 8 blocks
+    # of 4096 subspaces each; one-subspace blocks are the per-subspace
+    # loop alone and serve as the reference
+    A = random_subset(words(101), 2, 8, Fraction(1, 2))
+    winner, sup = exhaustive_best_subspace(A, 3)
+    monkeypatch.setattr(gf_core, "_TAIL_SIZE", 1)
+    assert exhaustive_best_subspace(A, 3) == (winner, sup)
+    assert uniformity_sup(A, Coset.of(winner, GFVector.zero(2, 8))).sup_sq == sup
+
+
+def test_oracle_winner_annihilates_the_top_frequency():
+    # the set is a union of cosets of U, so its transform lives on U's
+    # annihilator and the winner's W holds the top frequency: the list
+    # rounds meet an r inside W on the winner's own block
+    for A in _oracle_inputs("planted", 2, 6, 97):
+        F = wht2(A.membership_table())
+        top = max(range(1, 64), key=lambda r: F[r] * F[r])
+        winner, sup = exhaustive_best_subspace(A, 3)
+        assert sup == 0
+        assert perp(winner).contains(GFVector.from_rank(2, 6, top))
+
+
+def test_f2_block_filter_keeps_r_in_w_and_drops_ties():
+    n = 6
+    A = random_subset(words(102), 2, n, Fraction(1, 2))
+    F = wht2(A.membership_table())
+    order = sorted(range(1, 1 << n), key=lambda r: F[r] * F[r], reverse=True)
+    # the first codim-2 profile, pivots 1..4: 8 slots, one block
+    start, tails = next(gf_core._rref_blocks(2, n, n - 2, annihilator=True))
+    rows = [[s + t for t in tail] for s, tail in zip(start, tails)]
+    spans = [tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)]
+    assert len(spans) == 256
+
+    def sq(span, r):
+        return sum(F[r ^ x] for x in span) ** 2
+
+    sups = [max(sq(span, r) for r in order if r not in span) for span in spans]
+
+    def survivors(best):
+        return list(pipeline._f2_survivors(F, order, best, rows))
+
+    # above every sup only an r inside W could rule a subspace out; the
+    # sum over such a coset is the one over W itself and does not count
+    assert any(r in span and sq(span, r) > max(sups) for span in spans for r in order)
+    assert survivors(max(sups) + 1) == spans
+    # a subspace whose sup is reached at the first r ties with best there
+    tied = [
+        j for j, span in enumerate(spans)
+        if order[0] not in span and sq(span, order[0]) == sups[j]
+    ]
+    assert tied
+    best = sups[tied[0]]
+    kept = survivors(best)
+    assert spans[tied[0]] not in kept
+    assert all(span in kept for span, sup in zip(spans, sups) if sup < best)
+    assert kept == [span for span in spans if span in kept]  # walk order
 
 
 def test_oracle_budget_accounting():
