@@ -15,10 +15,13 @@ Example:
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from fractions import Fraction
 
 from subuniform import (
+    BudgetExceededError,
+    InputError,
     PipelineParams,
     exhaustive_best_subspace,
     find_uniform_subspace,
@@ -49,20 +52,32 @@ def main() -> None:
         help="cross-check depth for the exhaustive scan (skipped when too big)",
     )
     args = parser.parse_args()
+    # refuse before the first line of output, not with a traceback
+    try:
+        A = random_point_set(2, args.n, args.density, args.seed)
+        params = PipelineParams(eps=args.eps, max_codim=args.max_codim)
+    except InputError as exc:
+        parser.error(str(exc))
+    if args.max_codim is not None and args.max_codim > args.n:
+        parser.error(f"--max-codim must lie in 0..{args.n}")
+    if not 0 <= args.oracle_codim <= args.n:
+        parser.error(f"--oracle-codim must lie in 0..{args.n}")
 
-    A = random_point_set(2, args.n, args.density, args.seed)
     print(
         f"set: {A.size} of {1 << args.n} points in F_2^{args.n}"
         f" (density {Fraction(A.size, 1 << args.n)}, seed {args.seed})"
     )
-    params = PipelineParams(eps=args.eps, max_codim=args.max_codim)
     print(
         f"params: eps={args.eps}, eta={params.eta}, d={params.resolved_d},"
         f" buckets={params.resolved_buckets}, slack={params.slack}"
     )
 
     start = time.monotonic()
-    report = find_uniform_subspace(A, params)
+    try:
+        report = find_uniform_subspace(A, params)
+    except BudgetExceededError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        sys.exit(3)
     elapsed = time.monotonic() - start
 
     for attempt in report.attempts:

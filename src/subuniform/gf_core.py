@@ -389,12 +389,6 @@ def _unpacked(bits: int, size: int) -> list[int]:
     return [d - 48 for d in format(bits, f"0{size}b")[::-1].encode()]
 
 
-def _packed(mem: Sequence[int], ranks: Sequence[int]) -> int:
-    """Inverse of _unpacked on a selection: bit i is mem[ranks[i]]."""
-    # read as a string of ASCII bits whose last digit is ranks[0]
-    return int(bytes([48 + mem[r] for r in reversed(ranks)]), 2)
-
-
 def _span_ranks(p: int, n: int, rows: tuple[int, ...], start: int = 0) -> list[int]:
     """Ranks of start + the span of rows, ordered by coefficient index.
 
@@ -580,41 +574,29 @@ def gaussian_binomial(p: int, n: int, k: int) -> int:
 
 
 def coset_reps(space: Subspace) -> list[GFVector]:
-    """Canonical representatives of all cosets, ordered by quotient index."""
+    """Canonical coset reps by quotient index (for tests and the bench tracer)."""
     return [
         GFVector.from_rank(space.p, space.n, r) for r in _coset_rep_ranks(space)
     ]
 
 
-def _coset_rep_ranks(space: Subspace) -> list[int]:
-    p, n = space.p, space.n
-    weights = _weights(p, n)
-    reps = [0]
-    free_weights = [weights[col - 1] for col in space.free_columns]
-    for w in reversed(free_weights):
-        reps = [x + c * w for c in range(p) for x in reps]
-    return reps
+def _coset_rep_ranks(space: Subspace, rows: tuple[int, ...] = ()) -> list[int]:
+    """Ranks of rep_q + the span of rows for each coset q, q-major.
 
-
-def _coset_memberships(mem: Sequence[int], space: Subspace) -> list[int]:
-    """Packed membership of every coset of `space`, in quotient-index order.
-
-    `mem` is a set's 0/1 membership table (PointSet.membership_table).
-    Entry q belongs to the coset with quotient index q; its bit i is set
-    when the i-th point of that coset, in point_ranks() order, lies in
-    the set, so bit_count() is the coset's member count and, for p = 2,
-    the entry is the packed restriction that spectra.packed_max_coef_sq
-    reads.
+    rep_q is point q of the span of the free columns' unit vectors.
     """
-    reps = _coset_rep_ranks(space)
-    if space.p == 3:
-        span = _trit_span([_trit_planes(row.rank) for row in space.basis])
-        return [
-            _packed(mem, _trit_ranks(space.n, _trit_add([_trit_planes(rep)], span)))
-            for rep in reps
-        ]
-    pts = space.point_ranks()
-    return [_packed(mem, [rep ^ v for v in pts]) for rep in reps]
+    weights = _weights(space.p, space.n)
+    units = tuple(weights[col - 1] for col in space.free_columns)
+    return _span_ranks(space.p, space.n, units + rows)
+
+
+def _coset_table(mem: Sequence[int], space: Subspace) -> list[int]:
+    """Entry q p^k + i is mem at point i (point_ranks order) of coset q.
+
+    `mem` is a 0/1 membership table; k = dim, q the quotient index.
+    """
+    rows = tuple(row.rank for row in space.basis)
+    return [mem[r] for r in _coset_rep_ranks(space, rows)]
 
 
 def quotient_index(space: Subspace, x: GFVector) -> int:

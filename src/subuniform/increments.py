@@ -15,6 +15,8 @@ Two classical ways to exploit a large nontrivial character coefficient:
   density (the partition energy) rises by more than eta*eps^2 per round.
   The energy is at most 1, bounding the number of rounds; the codimension
   also grows every round, so the loop terminates even when eta = 0.
+  Each round reads every coset's spectrum from one wht2 call on the
+  coset-major membership table, one block per coset.
 
 Both routines are specific to p = 2; no increment step is provided for
 p = 3, where a bounded-magnitude obstruction can block any such walk.
@@ -33,12 +35,12 @@ from .gf_core import (
     GFVector,
     PointSet,
     Subspace,
-    _coset_memberships,
     _coset_rep_ranks,
+    _coset_table,
     extend_span,
     perp,
 )
-from .spectra import lift_class, packed_max_coef_sq, restricted_spectrum
+from .spectra import lift_class, restricted_spectrum, wht2
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,9 @@ def partition_energy(points: PointSet, space: Subspace) -> Fraction:
     """Mean squared coset density of the set over the cosets of `space`."""
     if (points.p, points.n) != (space.p, space.n):
         raise InputError("point set and subspace live in different ambient spaces")
-    packed = _coset_memberships(points.membership_table(), space)
-    return _energy([x.bit_count() for x in packed], space.size)
+    table = _coset_table(points.membership_table(), space)
+    size = space.size
+    return _energy([sum(table[i : i + size]) for i in range(0, len(table), size)], size)
 
 
 @dataclass(frozen=True)
@@ -155,18 +158,23 @@ def coordinate_subspace(p: int, n: int, codim: int) -> Subspace:
 def _scan_cosets(
     mem: list[int], space: Subspace, eps: Fraction
 ) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
-    """One pass over the cosets: ([(rep rank, witness t) of bad cosets], counts)."""
-    k = space.dim
-    rhs = eps.numerator * eps.numerator << (2 * k)
+    """One pass over the cosets: ([(rep rank, witness t) of bad cosets], counts).
+
+    One wht2 call transforms the coset-major table block by block; lane
+    0 of block q is coset q's count, its witness the least t > 0 of
+    largest c^2.
+    """
+    size = space.size
+    rhs = eps.numerator * eps.numerator * size * size
     den_sq = eps.denominator * eps.denominator
-    packed = _coset_memberships(mem, space)
-    counts = tuple(x.bit_count() for x in packed)
+    coefs = wht2(_coset_table(mem, space), size)
+    squares = [c * c for c in coefs]
     bad: list[tuple[int, int]] = []
-    for rep, x, count in zip(_coset_rep_ranks(space), packed, counts):
-        max_sq, witness_t = packed_max_coef_sq(x, count, k)
-        if max_sq * den_sq > rhs:
-            bad.append((rep, witness_t))
-    return bad, counts
+    for start, rep in zip(range(0, len(coefs), size), _coset_rep_ranks(space)):
+        best = max(squares[start + 1 : start + size], default=0)
+        if best * den_sq > rhs:
+            bad.append((rep, squares.index(best, start + 1) - start))
+    return bad, tuple(coefs[::size])
 
 
 def regularity_decompose(

@@ -37,23 +37,28 @@ from .exact_arith import Eisenstein, magnitude_sq, omega_pow
 from .gf_core import Coset, GFVector, PointSet, Subspace, _unpacked, canonical_rep, perp
 
 
-def wht2(table: Sequence[int]) -> list[int]:
-    """Walsh transform F(t) = sum_x f(x) (-1)^(t.x) on F_2^k, exact.
+def wht2(table: Sequence[int], block: Optional[int] = None) -> list[int]:
+    """Walsh transform F(t) = sum_x f(x) (-1)^(t.x) of each block, exact.
 
-    Unnormalized: applying it twice multiplies the input by 2^k.  Table
-    length must be a power of two (index = rank).  Entry i sits in lane i
-    of one integer as its value plus a bias b, first the largest |entry|.
-    Level j maps each lane pair (x, y) at distance 2^j to (x + y,
-    x - y + 2b) by whole-integer masks, shifts and adds, and b doubles,
-    so lanes stay in [0, 2b] and never borrow or carry.  Lanes take 16,
-    32 or 64 bits, the least holding 2^(k+1) max|entry|; past 64 bits
-    the table is rejected with InputError.
+    Unnormalized: applying it twice multiplies the input by 2^k, where
+    2^k = block.  Table length and block (by default the length) are
+    powers of two, index = rank.  Only the levels at distance < block
+    run, so each block is transformed on its own.  Entry i sits in lane
+    i of one integer as its value plus a bias b, first the largest
+    |entry|.  Level j maps each lane pair (x, y) at distance 2^j to
+    (x + y, x - y + 2b) by whole-integer masks, shifts and adds, and b
+    doubles, so lanes stay in [0, 2b] and never borrow or carry.  Lanes
+    take 16, 32 or 64 bits, the least holding 2^(k+1) max|entry|; past
+    64 bits the table is rejected with InputError.
     """
     m = len(table)
     if m == 0 or m & (m - 1):
         raise InputError(f"table length {m} is not a power of two")
+    block = m if block is None else block
+    if not 0 < block <= m or block & (block - 1):
+        raise InputError(f"block {block} is not a power of two up to {m}")
     bias = max(map(abs, table))
-    top = bias << m.bit_length()  # 2^(k+1) * bias, the largest lane value
+    top = bias << block.bit_length()  # 2^(k+1) * bias, the largest lane value
     code = next((c for c in "HIQ" if top >> 8 * array(c).itemsize == 0), None)
     if code is None:
         raise InputError(f"transform of entries up to {bias} overflows 64-bit lanes")
@@ -62,10 +67,10 @@ def wht2(table: Sequence[int]) -> list[int]:
     biased = array(code, [v + bias for v in table])
     lanes = int.from_bytes(biased.tobytes(), sys.byteorder)
     h = 1
-    while h < m:
+    while h < block:
         # 1 in each lane whose index has bit j clear, 0 in the others
-        block = (1).to_bytes(size, sys.byteorder) * h + bytes(size * h)
-        units = int.from_bytes(block * (m // (2 * h)), sys.byteorder)
+        ones = (1).to_bytes(size, sys.byteorder) * h + bytes(size * h)
+        units = int.from_bytes(ones * (m // (2 * h)), sys.byteorder)
         mask = units * lane
         shift = 8 * size * h
         lo = lanes & mask
@@ -249,9 +254,9 @@ def uniformity_sup(points: PointSet, coset: Coset) -> UniformityReport:
 def packed_max_coef_sq(packed: int, count: int, k: int) -> tuple[int, int]:
     """(max coefficient^2 over t != 0, least witness index) for p = 2.
 
-    Bit i of `packed` is the i-th coset point's membership, as
-    _coset_memberships packs it.  The witness is 1 when every nontrivial
-    coefficient is 0; k = 0 gives (0, 0).  `count` is not read.
+    Bit i of `packed` is the i-th coset point's membership.  The witness
+    is 1 when every nontrivial coefficient is 0; k = 0 gives (0, 0).
+    `count` is not read.  Unused by the package; the bench tracer names it.
     """
     if k == 0:
         return 0, 0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import runpy
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -439,7 +441,34 @@ def test_module_entry_point_runs():
     assert report["exact"]["min_sup_sq"] == "1/9"
 
 
-F3_SCAN = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "f3_scan.py")
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def run_script(name, flags):
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, name), *flags],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+
+
+def example_flags(name):
+    """Flags of the first command under the script's `Example:` heading."""
+    with open(os.path.join(SCRIPTS, name)) as f:
+        lines = f.read().split("Example:", 1)[1].splitlines()
+    argv = shlex.split(next(line for line in lines if line.strip()), comments=True)
+    assert argv[:2] == ["python3", f"scripts/{name}"]
+    return argv[2:]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py"))
+)
+def test_script_example_runs(name):
+    proc = run_script(name, example_flags(name))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -447,13 +476,40 @@ F3_SCAN = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "f3_scan
 )
 def test_f3_scan_script_refuses_out_of_range_n(flags):
     # refused by argparse before any table row, not by a traceback
-    proc = subprocess.run(
-        [sys.executable, F3_SCAN, *flags],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
+    proc = run_script("f3_scan.py", flags)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "30"],
+        ["--eps", "0"],
+        ["--density", "2"],
+        ["--n", "6", "--max-codim", "9"],
+        ["--n", "6", "--oracle-codim", "9"],
+    ],
+)
+def test_pipeline_demo_refuses_out_of_range_input(flags):
+    # refused by argparse before the set is drawn, not by a traceback
+    proc = run_script("pipeline_demo.py", flags)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+
+
+def test_pipeline_demo_budget_exceeded_exits_three(capsys, monkeypatch):
+    # the search of test_search_budget_exceeded_exits_three, from the demo
+    monkeypatch.setattr(ramsey, "SEARCH_BUDGET", 1000)
+    demo = os.path.join(SCRIPTS, "pipeline_demo.py")
+    monkeypatch.setattr(sys, "argv", [demo, "--n", "10", "--seed", "1", "--eps", "1/16"])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(demo, run_name="__main__")
+    assert excinfo.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: subset-sum search tried more than 1000")
+    assert err.count("\n") == 1

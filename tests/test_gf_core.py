@@ -36,7 +36,7 @@ from subuniform import (
 )
 from subuniform import gf_core
 from subuniform.gf_core import (
-    _coset_memberships,
+    _coset_table,
     _span_ranks,
     _trit_add,
     _trit_planes,
@@ -500,8 +500,9 @@ def test_trit_span_and_coset_scan_match_tuple_span(n, dim, seed):
         return  # the coset scan below reads all 3^n points
     A = random_subset(stream, 3, n, Fraction(1, 2))
     mem = A.membership_table()
-    packed = _coset_memberships(mem, space)
-    assert [c.bit_count() for c in packed] == raw_coset_counts(A, space)
-    for q, bits in enumerate(packed):
+    table = _coset_table(mem, space)
+    blocks = [table[i : i + space.size] for i in range(0, len(table), space.size)]
+    assert [sum(block) for block in blocks] == raw_coset_counts(A, space)
+    for q, block in enumerate(blocks):
         coset = Coset(space, lift_from_quotient(space, q))
-        assert bits == sum(mem[r] << i for i, r in enumerate(coset.point_ranks()))
+        assert block == [mem[r] for r in coset.point_ranks()]

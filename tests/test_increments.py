@@ -26,8 +26,10 @@ from subuniform import (
     partition_energy,
     perp,
     regularity_decompose,
+    restricted_spectrum,
     rref_basis,
 )
+from subuniform.increments import _scan_cosets
 
 from conftest import raw_coset_counts, random_subset, random_subspace, rec_wht2, words
 
@@ -166,6 +168,64 @@ def test_energy_rejects_mismatched_spaces():
         partition_energy(PointSet.full(2, 3), Subspace.full(2, 4))
     with pytest.raises(InputError):
         partition_energy(PointSet.full(2, 3), Subspace.full(3, 3))
+
+
+# ---------------------------------------------------------------------------
+# batched coset scan
+
+
+def recount_scan(points: PointSet, space: Subspace, eps: Fraction):
+    """_scan_cosets redone one coset at a time through restricted_spectrum."""
+    bad, counts = [], []
+    for rep in coset_reps(space):
+        spectrum = restricted_spectrum(points, Coset(space, rep))
+        report = spectrum.uniformity()
+        counts.append(spectrum.count)
+        if report.sup_sq > eps * eps:
+            bad.append((rep.rank, report.witness_t))
+    return bad, tuple(counts)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_scan_cosets_matches_per_coset_recount(n):
+    stream = words(70 + n)
+    bad_seen = 0
+    for codim in range(n + 1):
+        space = random_subspace(stream, 2, n, n - codim)
+        for density in (Fraction(1, 2), Fraction(1, 8)):
+            A = random_subset(stream, 2, n, density)
+            for eps in (Fraction(1, 8), Fraction(1, 3), Fraction(1, 2)):
+                scan = _scan_cosets(A.membership_table(), space, eps)
+                assert scan == recount_scan(A, space, eps)
+                bad_seen += len(scan[0])
+    assert bad_seen
+
+
+def test_scan_cosets_of_points_has_no_bad_coset():
+    # dim W = 0: no nontrivial character, so every coset is uniform and
+    # the counts are the membership table itself
+    A = random_subset(words(78), 2, 5, Fraction(1, 2))
+    mem = A.membership_table()
+    assert _scan_cosets(mem, Subspace.zero(2, 5), Fraction(1, 64)) == ([], tuple(mem))
+
+
+def test_scan_witness_is_least_t_across_signs():
+    # restricted to a coset in point order, [0, 1, 0, 0] has coefficients
+    # [1, -1, 1, -1], where -1 at t = 1 ties +1 at t = 2, and [0, 1, 1, 1]
+    # has [3, -1, -1, -1], with no positive one; t = 1 is both witnesses
+    assert rec_wht2([0, 1, 0, 0]) == [1, -1, 1, -1]
+    assert rec_wht2([0, 1, 1, 1]) == [3, -1, -1, -1]
+    space = coordinate_subspace(2, 4, 2)
+    reps = coset_reps(space)
+    ranks = []
+    for q, restriction in ((1, [0, 1, 0, 0]), (2, [0, 1, 1, 1])):
+        points = Coset(space, reps[q]).point_ranks()
+        ranks += [r for r, m in zip(points, restriction) if m]
+    A = PointSet.from_ranks(2, 4, ranks)
+    bad, counts = _scan_cosets(A.membership_table(), space, Fraction(1, 8))
+    assert bad == [(reps[1].rank, 1), (reps[2].rank, 1)]
+    assert counts == (0, 1, 3, 0)
+    assert (bad, counts) == recount_scan(A, space, Fraction(1, 8))
 
 
 # ---------------------------------------------------------------------------

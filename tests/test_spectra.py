@@ -8,6 +8,7 @@ definition with their own digit handling.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from subuniform import (
     uniformity_sup,
     wht2,
 )
+from subuniform import spectra
 from subuniform.spectra import packed_max_coef_sq
 
 from conftest import (
@@ -130,6 +132,52 @@ def test_wht2_rejects_tables_past_64_bit_lanes():
     for table in ([1 << 62, 0], [0, -(1 << 62)], [1 << 48] + [0] * ((1 << 15) - 1)):
         with pytest.raises(InputError):
             wht2(table)
+    # lanes follow the block: blocks of 2 need only 2^2 * max|entry|
+    table = [1 << 48] + [0] * ((1 << 15) - 1)
+    assert wht2(table, 2)[:4] == [1 << 48, 1 << 48, 0, 0]
+
+
+def blockwise(transform, table, block):
+    return [c for i in range(0, len(table), block) for c in transform(table[i : i + block])]
+
+
+@pytest.mark.parametrize(
+    "k,b", [(0, 0), (1, 0), (1, 1), (3, 0), (3, 1), (3, 3), (6, 1), (6, 4), (6, 6), (9, 5)]
+)
+def test_wht2_transforms_each_block_on_its_own(k, b):
+    stream = words(103 + 10 * k + b)
+    table = random_int_table(stream, 1 << k)
+    coeffs = wht2(table, 1 << b)
+    assert coeffs == blockwise(bf_wht2, table, 1 << b)
+    assert coeffs == blockwise(rec_wht2, table, 1 << b)
+    if b == k:
+        assert coeffs == wht2(table)
+
+
+def test_wht2_block_alone_picks_16_bit_lanes(monkeypatch):
+    # a 0/1 table of 2^16 entries takes 32-bit lanes whole, but its
+    # blocks of 2^14 hold at most 2^15 and fit 16-bit lanes
+    codes = []
+
+    def spy(code, *args):
+        codes.append(code)
+        return array(code, *args)
+
+    monkeypatch.setattr(spectra, "array", spy)
+    stream = words(104)
+    table = [rand_below(stream, 2) for _ in range(1 << 16)]
+    coeffs = wht2(table, 1 << 14)
+    assert set(codes) == {"H"}
+    assert coeffs == blockwise(rec_wht2, table, 1 << 14)
+    codes.clear()
+    wht2(table)
+    assert codes[-1] == "I"
+
+
+def test_wht2_rejects_bad_blocks():
+    for block in (0, -2, 3, 6, 16):
+        with pytest.raises(InputError):
+            wht2([0] * 8, block)
 
 
 # ---------------------------------------------------------------------------
