@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -448,7 +449,13 @@ def run_command(argv: Sequence[str]) -> int:
         "approx": approx,
         "timing_s": round(time.monotonic() - start, 6),
     }
-    print(json.dumps(report, indent=2))
+    try:
+        print(json.dumps(report, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader left early; the exit-time flush must not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -365,11 +365,8 @@ class PointSet:
         return self.contains_rank(v.rank)
 
     def member_ranks(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        size = self.ambient_size
+        return compress(range(size), _unpacked(self.bits, size))
 
     def members(self) -> Iterator[GFVector]:
         for r in self.member_ranks():
@@ -377,16 +374,17 @@ class PointSet:
 
     def membership_table(self) -> list[int]:
         """0/1 list of length p^n indexed by rank."""
-        return _unpacked(self.bits, self.ambient_size)
+        return list(_unpacked(self.bits, self.ambient_size))
 
     def complement(self) -> PointSet:
         return PointSet(self.p, self.n, self.bits ^ ((1 << self.ambient_size) - 1))
 
 
-def _unpacked(bits: int, size: int) -> list[int]:
-    """0/1 list of the low `size` bits of `bits`; entry i is bit i."""
-    # the binary rendering reversed puts bit 0 first; 48 is ord("0")
-    return [d - 48 for d in format(bits, f"0{size}b")[::-1].encode()]
+def _unpacked(bits: int, size: int) -> bytes:
+    """0/1 bytes of the low `size` bits of `bits`; entry i is bit i."""
+    # the one mask decoder, as PointSet.from_ranks is the one encoder
+    digits = format(bits, f"0{size}b")[::-1].encode()  # bit 0 first
+    return digits.translate(bytes.maketrans(b"01", b"\0\1"))
 
 
 def _span_ranks(p: int, n: int, rows: tuple[int, ...], start: int = 0) -> list[int]:

@@ -71,8 +71,8 @@ def density_increment(points: PointSet, eps: Fraction) -> IncrementTrace:
 
     Each step halves the current coset along the witness hyperplane
     r.y = const and keeps the denser half.  The split is read off the
-    witness coefficient itself: its value at r is (members with r.y = 0
-    minus members with r.y = 1) / |coset|, so its sign names the denser
+    witness coefficient itself: it is (members in the anchor's half
+    minus members in the other half), so its sign names the denser
     half, and it cannot be 0 because its magnitude exceeds eps, which
     forces the two half densities apart by more than 2*eps.
     """
@@ -100,9 +100,8 @@ def density_increment(points: PointSet, eps: Fraction) -> IncrementTrace:
         steps.append(IncrementStep(coset, report.density, r))
         space = coset.subspace
         half_space = perp(extend_span(perp(space), [r]))
-        side = 0 if spectrum.signed_value_at(r) > 0 else 1
         anchor = coset.rep
-        if r.dot(anchor) != side:
+        if spectrum.coefficients[report.witness_t] < 0:
             # r is not in the annihilator of the coset's subspace, so
             # some basis row crosses over to the other half
             anchor = anchor + next(row for row in space.basis if r.dot(row))

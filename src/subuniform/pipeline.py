@@ -263,7 +263,7 @@ def exhaustive_best_subspace(
     abandoned at the first r with |S(r)|^2 >= the best so far (r is
     tried by descending |F(r)|^2), and the scan stops at the first V
     with sup_sq = 0.  Raises BudgetExceededError when the scan would
-    evaluate more than `budget` subspaces.
+    evaluate more than `budget` subspaces, InputError when budget < 0.
 
     For p = 2 the walk comes in blocks (gf_core._rref_blocks), and
     _f2_survivors first rules out whole blocks by list rounds against
@@ -275,6 +275,8 @@ def exhaustive_best_subspace(
     p, n = points.p, points.n
     if not 0 <= max_codim <= n:
         raise InputError(f"max_codim {max_codim} out of range 0..{n}")
+    if budget < 0:
+        raise InputError(f"budget must be at least 0, got {budget}")
     total = subspace_scan_count(p, n, max_codim)
     if total > budget:
         raise BudgetExceededError(
@@ -345,13 +347,9 @@ def leading_one_set(n: int) -> PointSet:
     """
     if not 1 <= n <= 6:
         raise InputError(f"leading_one_set supports 1 <= n <= 6, got {n}")
-    bits = 0
-    for rank in range(1, 3**n):
-        v = GFVector.from_rank(3, n, rank)
-        first = next(c for c in v.coords if c)
-        if first == 1:
-            bits |= 1 << rank
-    return PointSet(3, n, bits)
+    # the leading digit is 1 exactly for the ranks in [3^k, 2 * 3^k)
+    ranks = chain.from_iterable(range(3**k, 2 * 3**k) for k in range(n))
+    return PointSet.from_ranks(3, n, ranks)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ i = 0..p^n-1 in order and includes rank i iff u_i * b < a * 2^64
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator
 
 from .errors import InputError
@@ -46,9 +47,5 @@ def random_point_set(p: int, n: int, density: Fraction, seed: int) -> PointSet:
         raise InputError(f"density must lie in [0, 1], got {density}")
     threshold_num = density.numerator << 64
     den = density.denominator
-    bits = 0
-    stream = splitmix64(seed)
-    for rank in range(p**n):
-        if next(stream) * den < threshold_num:
-            bits |= 1 << rank
-    return PointSet(p, n, bits)
+    keep = (u * den < threshold_num for u in splitmix64(seed))
+    return PointSet.from_ranks(p, n, compress(range(p**n), keep))

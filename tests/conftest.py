@@ -2,9 +2,9 @@
 
 All random test data flows through splitmix64 so runs are byte-for-byte
 reproducible.  The oracle helpers here (`bf_wht2`, `bf_dft3`, `rec_wht2`,
-`tuple_span`, `add_rank`) are written from the definitions, independently
-of the library's transform and linear-algebra code paths, so they can
-serve as cross-checks.
+`tuple_span`, `add_rank`, and the `ref_*` set builders) are written from
+the definitions, independently of the library's transform, linear-algebra
+and set-codec code paths, so they can serve as cross-checks.
 """
 
 from __future__ import annotations
@@ -186,3 +186,39 @@ def signed_coset_sum(
         (1 if points.contains(y) else 0) * (-1 if (r.dot(y) & 1) else 1)
         for y in coset_points
     )
+
+
+# ---------------------------------------------------------------------------
+# reference set codec: one mask bit at a time, no bytes rendering
+
+
+def ref_random_point_set(p: int, n: int, density: Fraction, seed: int) -> PointSet:
+    """The documented splitmix64 membership rule, one `1 << rank` per member."""
+    threshold = density.numerator << 64
+    stream = splitmix64(seed)
+    bits = 0
+    for rank in range(p**n):
+        if next(stream) * density.denominator < threshold:
+            bits |= 1 << rank
+    return PointSet(p, n, bits)
+
+
+def ref_member_ranks(points: PointSet) -> list[int]:
+    """Member ranks by peeling the lowest set bit off the mask."""
+    bits = points.bits
+    ranks = []
+    while bits:
+        low = bits & -bits
+        ranks.append(low.bit_length() - 1)
+        bits ^= low
+    return ranks
+
+
+def ref_leading_one_set(n: int) -> PointSet:
+    """{x in F_3^n : the first nonzero coordinate of x is 1}, by coordinates."""
+    bits = 0
+    for rank in range(1, 3**n):
+        first = next(c for c in GFVector.from_rank(3, n, rank).coords if c)
+        if first == 1:
+            bits |= 1 << rank
+    return PointSet(3, n, bits)

@@ -267,6 +267,20 @@ def test_oracle_budget_exceeded_exits_three(capsys, tmp_path):
     )
 
 
+def test_oracle_negative_budget_is_an_input_error(capsys, set_path):
+    path = set_path(PointSet.from_ranks(2, 4, [3, 5, 6]))
+    oracle = ["oracle", "--set", path, "--max-codim", "2"]
+    code, report, err = run(capsys, [*oracle, "--budget", "-1"])
+    assert code == 2
+    assert report is None
+    assert err == "input error: budget must be at least 0, got -1\n"
+    # a budget of 0 is valid and too small: an overrun, not a bad flag
+    code, report, err = run(capsys, [*oracle, "--budget", "0"])
+    assert code == 3
+    assert report is None
+    assert err.startswith("budget exceeded:")
+
+
 def test_search_budget_exceeded_exits_three(capsys, set_path, monkeypatch):
     # without the budget this subset-sum search (d = 5) runs for hours
     monkeypatch.setattr(ramsey, "SEARCH_BUDGET", 1000)
@@ -441,7 +455,61 @@ def test_module_entry_point_runs():
     assert report["exact"]["min_sup_sq"] == "1/9"
 
 
+def test_reader_closing_early_keeps_exit_code():
+    # the embedded 2^13-line set outgrows the pipe buffer, so the report's
+    # print meets the closed pipe
+    gen = ["gen-random", "--p", "2", "--n", "14", "--density", "1/2", "--seed", "1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "subuniform.cli", *gen],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert head == b'{\n  "comma'
+    assert err == b""
+
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_block(heading, fence):
+    """The first `fence` code block after `heading` in the README."""
+    with open(README, encoding="utf-8") as f:
+        after = f.read().split(f"\n{heading}\n", 1)[1]
+    return after.split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    commands = [
+        shlex.split(line, comments=True)
+        for line in readme_block("## Quick start", "sh").splitlines()
+    ]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 4
+    for argv in commands:
+        assert argv[0] == "subuniform"
+        proc = subprocess.run(
+            [sys.executable, "-m", "subuniform.cli", *argv[1:]],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert json.loads(proc.stdout)["command"] == argv[1]
+
+
+def test_readme_library_use_runs(capsys):
+    code = readme_block("Library use mirrors the CLI:", "python")
+    exec(compile(code, README, "exec"), {})
+    assert capsys.readouterr().out
 
 
 def run_script(name, flags):

@@ -52,6 +52,7 @@ from conftest import (
     random_subspace,
     random_vector,
     raw_coset_counts,
+    ref_member_ranks,
     tuple_add,
     tuple_scale,
     tuple_span,
@@ -447,6 +448,23 @@ def test_pointset_membership_matches_rank_set(ranks):
     A = PointSet.from_ranks(2, 6, sorted(ranks))
     assert set(A.member_ranks()) == ranks
     assert A.size == len(ranks)
+
+
+def test_pointset_decoder_shapes():
+    stream = words(91)
+    for p, n in ((2, 1), (2, 7), (3, 1), (3, 4)):
+        A = random_subset(stream, p, n, Fraction(1, 2))
+        table = A.membership_table()
+        assert type(table) is list
+        assert table == [A.bits >> r & 1 for r in range(p**n)]
+        ranks = list(A.member_ranks())
+        assert ranks == sorted(ranks) == ref_member_ranks(A)
+    # the top and bottom ranks decode to the ends of the table
+    B = PointSet.from_ranks(2, 5, [0, 31])
+    assert B.membership_table() == [1] + [0] * 30 + [1]
+    assert list(B.member_ranks()) == [0, 31]
+    assert list(PointSet.empty(3, 3).member_ranks()) == []
+    assert PointSet.full(3, 2).membership_table() == [1] * 9
 
 
 # ---------------------------------------------------------------------------

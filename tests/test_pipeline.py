@@ -50,6 +50,7 @@ from conftest import (
     random_subset,
     random_subspace,
     random_vector,
+    ref_leading_one_set,
     words,
 )
 
@@ -443,6 +444,11 @@ def test_leading_one_set_shape():
         leading_one_set(0)
     with pytest.raises(InputError):
         leading_one_set(7)
+
+
+def test_leading_one_set_matches_coordinate_definition():
+    for n in range(1, 7):
+        assert leading_one_set(n) == ref_leading_one_set(n)
 
 
 def test_f3_scan_frozen_results():

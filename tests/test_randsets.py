@@ -7,11 +7,14 @@ algorithm reproduces the same sets.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from subuniform import InputError, random_point_set, splitmix64
+
+from conftest import ref_member_ranks, ref_random_point_set
 
 SEED0_REFERENCE = [
     0xE220A8397B1DCDAF,
@@ -58,3 +61,26 @@ def test_random_point_set_extremes_and_validation():
         random_point_set(2, 5, Fraction(-1, 2), seed=1)
     with pytest.raises(InputError):
         random_point_set(5, 2, Fraction(1, 2), seed=1)
+
+
+CODEC_DENSITIES = [Fraction(k, 6) for k in (0, 2, 3, 4, 6)]
+CODEC_SPACES = [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("p,n", CODEC_SPACES)
+def test_random_point_set_matches_per_bit_reference(p, n):
+    for density in CODEC_DENSITIES:
+        for seed in range(5):
+            points = random_point_set(p, n, density, seed)
+            assert points == ref_random_point_set(p, n, density, seed)
+            assert list(points.member_ranks()) == ref_member_ranks(points)
+            table = points.membership_table()
+            assert table == [points.bits >> r & 1 for r in range(p**n)]
+
+
+def test_random_point_set_scales_to_two_to_the_twenty():
+    # the per-bit mask build and bit-peel decode took 50-80 s at this size
+    start = time.perf_counter()
+    points = random_point_set(2, 20, Fraction(1, 2), seed=1)
+    assert sum(1 for _ in points.member_ranks()) == points.size
+    assert time.perf_counter() - start < 20
