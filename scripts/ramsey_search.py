@@ -29,6 +29,10 @@ def main() -> None:
     parser.add_argument("--d", type=int, default=2, help="independent vectors required")
     parser.add_argument("--max-m", type=int, default=3)
     args = parser.parse_args()
+    if args.d < 1:
+        parser.error("--d must be at least 1")
+    if args.max_m < 1:
+        parser.error("--max-m must be at least 1")
     if args.max_m > 4:
         parser.error("exhaustive enumeration above m = 4 is not feasible here")
 

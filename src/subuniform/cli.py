@@ -36,6 +36,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from . import pipeline
@@ -115,8 +116,17 @@ def parse_set_file(text: str) -> PointSet:
 
 def serialize_set_file(points: PointSet) -> str:
     """Canonical SetFile text: header plus members in rank order."""
-    lines = [f"p={points.p} n={points.n}"]
-    lines.extend(v.digits() for v in points.members())
+    n = points.n
+    lines = [f"p={points.p} n={n}"]
+    if points.p == 2:
+        lines += [format(r, f"0{n}b") for r in points.member_ranks()]
+    else:
+        # a rank's digit string is its high half's then its low half's;
+        # product counts in base 3, first digit most significant
+        low = 3 ** (n // 2)
+        highs = ["".join(d) for d in product("012", repeat=n - n // 2)]
+        lows = ["".join(d) for d in product("012", repeat=n // 2)]
+        lines += [highs[r // low] + lows[r % low] for r in points.member_ranks()]
     return "\n".join(lines) + "\n"
 
 

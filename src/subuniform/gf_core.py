@@ -458,6 +458,36 @@ def _trit_span(
     return pts
 
 
+def _trit_block_spans(
+    n: int,
+    rows: Sequence[Sequence[tuple[int, int]]],
+    keys: Sequence[tuple[int, int]],
+) -> list[list[int]]:
+    """The spans of a block of subspaces of F_3^n, as rank lists.
+
+    rows[f][j] is row f of the block's j-th subspace as trit planes
+    (there is at least one row), and keys[x] is rank x as trit planes.
+    Entry j of list i is the rank of point i of subspace j's span, in
+    the order of _trit_span: the same adds, zipped across the block.
+    Only ranks are kept; a point's planes are read back through keys.
+    """
+    T = _trit_table(n)
+    spans = [[0] * len(rows[0])]
+    for row in reversed(rows):
+        added = []
+        for shift in (row, [(hi, lo) for lo, hi in row]):  # row, then 2 row = -row
+            added.append(_trit_ranks(n, shift))  # shift + the zero point
+            for span in spans[1:]:
+                pts = []
+                for (dl, dh), x in zip(shift, span):
+                    xl, xh = keys[x]
+                    t = (dl | xh) ^ (dh | xl)
+                    pts.append(T[(dh | xh) ^ t] + 2 * T[(dl | xl) ^ t])
+                added.append(pts)
+        spans += added
+    return spans
+
+
 # A profile's trailing slots, at most this many subspaces' worth, form
 # the tail lists of one block; its leading slots run in an outer product.
 _TAIL_SIZE = 1 << 12

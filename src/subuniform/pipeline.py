@@ -30,9 +30,9 @@ counts, budget-guarded) and returns the minimizer of sup_sq.  It
 transforms the set once over the whole space and reads each V through
 its annihilator W (dim W = codim V): by Poisson summation the sum of
 the full transform over a coset r + W is |W| times V's coefficient at
-the character r induces on V.  Over F_2 the walk comes in blocks that
-share a pivot profile, and _f2_survivors rules out whole blocks by list
-gathers before the per-subspace loop.
+the character r induces on V.  Over both fields the walk comes in
+blocks that share a pivot profile, and _f2_survivors or _f3_survivors
+rules out whole blocks by list gathers before the per-subspace loop.
 
 Over F_3 no analogous search can succeed: leading_one_set builds the
 set whose members have first nonzero coordinate 1, and
@@ -65,6 +65,7 @@ from .gf_core import (
     _rref_blocks,
     _rref_walk,
     _trit_add,
+    _trit_block_spans,
     _trit_planes,
     _trit_ranks,
     _trit_span,
@@ -85,7 +86,7 @@ from .spectra import (
 )
 
 ORACLE_BUDGET = 10**7
-# The F_2 oracle cuts its blocks so that their span lists hold at most
+# The oracle cuts its blocks so that their span lists hold at most
 # _SPAN_CELLS ranks, about 0.5 MB of list slots.
 _SPAN_CELLS = 1 << 16
 
@@ -248,6 +249,60 @@ def _f2_survivors(
     return zip(*spans)
 
 
+def _f3_survivors(
+    n: int,
+    parts: tuple[list[int], list[int]],
+    keys: list[tuple[int, int]],
+    order: Sequence[int],
+    best: int,
+    rows: list[list[tuple[int, int]]],
+) -> Iterator[list[tuple[int, int]]]:
+    """W's span for each subspace of a block of F_3^n that no r rules out.
+
+    The F_3 twin of _f2_survivors.  rows[f][j] is annihilator row f of
+    the block's j-th subspace as trit planes, keys[x] is rank x as trit
+    planes, and with parts = (A, B) the transform at rank x is
+    A[x] + B[x] w.  The span lists are ranks, from
+    gf_core._trit_block_spans.  For r in `order`, one trit-plane add of
+    r to every point gives the shifted table x -> rank(r + x); the a-
+    and b-parts of S(r) are summed for every kept subspace by list
+    gathers through it, and a subspace is dropped when
+    |S(r)|^2 = a^2 - ab + b^2 >= best unless r lies in its W.  The
+    rounds stop when kept * 3^c < 3^n, as over F_2, and the survivors'
+    spans are yielded as trit planes, in walk order.
+    """
+    spans = _trit_block_spans(n, rows, keys)
+    # w_f's lowest nonzero digit is a 1 at its free column f, the lowest
+    # set bit of its lo plane; r's digits there pick the one span point
+    # that can equal r
+    lows = [row[0][0] & -row[0][0] for row in rows]
+    FA, FB = parts
+    for r in order:
+        if len(spans[0]) * len(spans) < len(keys):
+            break
+        shifted = _trit_ranks(n, _trit_add([keys[r]], keys))
+        fa = [FA[x] for x in shifted]
+        fb = [FB[x] for x in shifted]
+        a0, b0 = fa[0], fb[0]
+        sa = [a0 + fa[x] + fa[y] for x, y in zip(spans[1], spans[2])]
+        sb = [b0 + fb[x] + fb[y] for x, y in zip(spans[1], spans[2])]
+        for one, two in zip(spans[3::2], spans[4::2]):
+            sa = [s + fa[x] + fa[y] for s, x, y in zip(sa, one, two)]
+            sb = [s + fb[x] + fb[y] for s, x, y in zip(sb, one, two)]
+        rl, rh = keys[r]
+        at = 0
+        for low in lows:
+            at = 3 * at + (rl & low > 0) + 2 * (rh & low > 0)
+        keep = [
+            a * a - a * b + b * b < best or x == r
+            for a, b, x in zip(sa, sb, spans[at])
+        ]
+        if not all(keep):
+            for i, span in enumerate(spans):
+                spans[i] = list(compress(span, keep))
+    return ([keys[x] for x in span] for span in zip(*spans))
+
+
 def exhaustive_best_subspace(
     points: PointSet, max_codim: int, budget: int = ORACLE_BUDGET
 ) -> tuple[Subspace, Fraction]:
@@ -265,12 +320,13 @@ def exhaustive_best_subspace(
     with sup_sq = 0.  Raises BudgetExceededError when the scan would
     evaluate more than `budget` subspaces, InputError when budget < 0.
 
-    For p = 2 the walk comes in blocks (gf_core._rref_blocks), and
-    _f2_survivors first rules out whole blocks by list rounds against
-    the best at the block's start.  That is exact because best only
-    falls: an r outside W with |S(r)|^2 >= best proves that V cannot
-    win, as ties go to the earlier subspace.  The survivors then go
-    through the per-subspace loop above, in walk order.
+    The walk comes in blocks (gf_core._rref_blocks), and _f2_survivors
+    (p = 2) or _f3_survivors (p = 3) first rules out whole blocks by
+    list rounds against the best at the block's start.  That is exact
+    because best only falls: an r outside W with |S(r)|^2 >= best
+    proves that V cannot win, as ties go to the earlier subspace.  The
+    survivors then go through the per-subspace loop above, in walk
+    order.
     """
     p, n = points.p, points.n
     if not 0 <= max_codim <= n:
@@ -286,6 +342,7 @@ def exhaustive_best_subspace(
     if p == 2:
         F = wht2(mem)
         keys = range(2**n)
+        sq = [f * f for f in F]
 
         def coset_sq(r: int, span: Sequence[int]) -> int:
             s = 0
@@ -298,6 +355,8 @@ def exhaustive_best_subspace(
         F3 = _dft3_pairs([(m, 0) for m in mem])
         T = _trit_table(n)
         keys = [_trit_planes(r) for r in range(3**n)]
+        parts = [a for a, _ in F3], [b for _, b in F3]
+        sq = [a * a - a * b + b * b for a, b in F3]
 
         def coset_sq(r: tuple[int, int], span: Sequence[tuple[int, int]]) -> int:
             a = b = 0
@@ -307,31 +366,33 @@ def exhaustive_best_subspace(
                 b += fb
             return a * a - a * b + b * b
 
-    order = sorted(keys[1:], key=lambda r: coset_sq(r, [keys[0]]), reverse=True)
+    order = sorted(range(1, p**n), key=sq.__getitem__, reverse=True)
 
     def candidates(c: int) -> Iterator[Sequence]:
         """W's span for each codim-c subspace still in the running."""
-        if p == 3:
-            for rows in _rref_walk(3, n, n - c, annihilator=True):
-                yield _trit_span([keys[w] for w in rows])
-            return
         if c == 0:
-            yield (0,)  # W = {0}: V is the whole space
+            yield [keys[0]]  # W = {0}: V is the whole space
             return
-        most = max(1, _SPAN_CELLS >> c)
-        for start, tails in _rref_blocks(2, n, n - c, annihilator=True, most=most):
-            rows = [[s + t for t in tail] for s, tail in zip(start, tails)]
+        most = max(1, _SPAN_CELLS // p**c)
+        for start, tails in _rref_blocks(p, n, n - c, annihilator=True, most=most):
             # best is read here, as the block starts
-            yield from _f2_survivors(F, order, best, rows)
+            if p == 2:
+                rows = [[s + t for t in tail] for s, tail in zip(start, tails)]
+                yield from _f2_survivors(F, order, best, rows)
+            else:
+                rows = [[keys[s + t] for t in tail] for s, tail in zip(start, tails)]
+                yield from _f3_survivors(n, parts, keys, order, best, rows)
 
+    # the per-subspace loop reads r as the span does: a rank, or trit planes
+    tried = order if p == 2 else [keys[r] for r in order]
     best = p ** (2 * n) + 1  # above every |S|^2, since |S| <= p^n
     best_span: Sequence = [keys[0]]
     for span in chain.from_iterable(map(candidates, range(max_codim + 1))):
-        for r in order:
+        for r in tried:
             if r not in span and coset_sq(r, span) >= best:
                 break  # V cannot win: ties go to the earlier subspace
         else:
-            best = max((coset_sq(r, span) for r in order if r not in span), default=0)
+            best = max((coset_sq(r, span) for r in tried if r not in span), default=0)
             best_span = span
             if best == 0:
                 break

@@ -214,6 +214,14 @@ def ref_member_ranks(points: PointSet) -> list[int]:
     return ranks
 
 
+def ref_serialize_set_file(points: PointSet) -> str:
+    """SetFile text with one `GFVector.digits()` string per member."""
+    lines = [f"p={points.p} n={points.n}"]
+    for rank in ref_member_ranks(points):
+        lines.append(GFVector.from_rank(points.p, points.n, rank).digits())
+    return "\n".join(lines) + "\n"
+
+
 def ref_leading_one_set(n: int) -> PointSet:
     """{x in F_3^n : the first nonzero coordinate of x is 1}, by coordinates."""
     bits = 0

@@ -26,7 +26,7 @@ from subuniform import (
 )
 from subuniform.cli import parse_set_file, run_command, serialize_set_file
 
-from conftest import random_subset, words
+from conftest import random_subset, ref_serialize_set_file, words
 
 
 def run(capsys, args):
@@ -57,6 +57,18 @@ def half_minus_point() -> PointSet:
 def test_serialize_is_canonical():
     points = PointSet.from_ranks(2, 2, [2, 0])
     assert serialize_set_file(points) == "p=2 n=2\n00\n10\n"
+
+
+def test_serialize_matches_digit_reference():
+    stream = words(107)
+    for p, top in ((2, 8), (3, 5)):
+        for n in range(1, top + 1):
+            for points in (
+                random_subset(stream, p, n, Fraction(1, 2)),
+                PointSet.full(p, n),
+                PointSet.empty(p, n),
+            ):
+                assert serialize_set_file(points) == ref_serialize_set_file(points)
 
 
 def test_parse_round_trips_random_sets():
@@ -545,6 +557,18 @@ def test_script_example_runs(name):
 def test_f3_scan_script_refuses_out_of_range_n(flags):
     # refused by argparse before any table row, not by a traceback
     proc = run_script("f3_scan.py", flags)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flags", [["--d", "0"], ["--d", "-1"], ["--max-m", "0"], ["--max-m", "5"]]
+)
+def test_ramsey_search_script_refuses_bad_flags(flags):
+    # refused by argparse before the table header, not by a traceback
+    proc = run_script("ramsey_search.py", flags)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr

@@ -39,6 +39,7 @@ from subuniform.gf_core import (
     _coset_table,
     _span_ranks,
     _trit_add,
+    _trit_block_spans,
     _trit_planes,
     _trit_ranks,
     _trit_span,
@@ -524,3 +525,19 @@ def test_trit_span_and_coset_scan_match_tuple_span(n, dim, seed):
     for q, block in enumerate(blocks):
         coset = Coset(space, lift_from_quotient(space, q))
         assert block == [mem[r] for r in coset.point_ranks()]
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 2), (5, 3)])
+def test_trit_block_spans_match_tuple_span(n, k):
+    # every annihilator block of the walk, zipped, against one span each;
+    # codim 2 in F_3^5 has profiles of up to 6 slots, 729 subspaces
+    keys = [_trit_planes(x) for x in range(3**n)]
+    for start, tails in gf_core._rref_blocks(3, n, k, annihilator=True):
+        rows = [[s + t for t in tail] for s, tail in zip(start, tails)]
+        spans = _trit_block_spans(n, [[keys[w] for w in row] for row in rows], keys)
+        assert len(spans) == 3 ** len(rows)
+        for j, col in enumerate(zip(*rows)):
+            ranks = [span[j] for span in spans]
+            assert ranks == _span_ranks(3, n, col)
+        vectors = [GFVector.from_rank(3, n, w).coords for w in col]
+        assert {GFVector.from_rank(3, n, r).coords for r in ranks} == tuple_span(3, vectors)

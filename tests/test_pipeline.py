@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 import pytest
@@ -40,10 +41,11 @@ from subuniform import (
 )
 from subuniform import gf_core, pipeline
 from subuniform.pipeline import LOWER_BOUND_SQ
-from subuniform.spectra import wht2
+from subuniform.spectra import _dft3_pairs, wht2
 
 from conftest import (
     OMEGA_PAIRS,
+    add_rank,
     pair_add,
     rand_below,
     raw_coset_counts,
@@ -191,8 +193,9 @@ def test_oracle_early_exit_on_whole_space():
     assert sup == 0
 
 
+@lru_cache(maxsize=None)
 def _oracle_reference(points: PointSet, max_codim: int):
-    """Same scan through the per-coset transform route."""
+    """Same scan through the per-coset transform route (once per input)."""
     p, n = points.p, points.n
     zero = GFVector.zero(p, n)
     best = None
@@ -243,6 +246,8 @@ ORACLE_CASES = [
     ("random", 3, 4, 2, 98),
     ("planted", 3, 4, 1, 99),
     ("planted", 3, 4, 2, 99),
+    ("random", 3, 5, 2, 103),
+    ("planted", 3, 5, 2, 104),
 ]
 
 
@@ -256,8 +261,8 @@ def test_oracle_matches_transform_route(kind, p, n, max_codim, seed):
 
 
 # a tail of 4 gives many heads, so many blocks, per profile; a tail of 1
-# gives one-subspace blocks, which skip the F_2 list rounds altogether;
-# 128 span cells cap the F_2 blocks at 128 / 2^codim subspaces each
+# gives one-subspace blocks, which skip the list rounds altogether;
+# 128 span cells cap the blocks at 128 / p^codim subspaces each
 @pytest.mark.parametrize(
     "tail_size,span_cells",
     [(4, pipeline._SPAN_CELLS), (1, pipeline._SPAN_CELLS), (gf_core._TAIL_SIZE, 128)],
@@ -273,13 +278,16 @@ def test_oracle_matches_transform_route_in_small_blocks(
 
 def test_oracle_through_profiles_of_several_blocks(monkeypatch):
     # codim 3 in F_2^8 has profiles of up to 15 slots, so up to 8 blocks
-    # of 4096 subspaces each; one-subspace blocks are the per-subspace
-    # loop alone and serve as the reference
-    A = random_subset(words(101), 2, 8, Fraction(1, 2))
-    winner, sup = exhaustive_best_subspace(A, 3)
-    monkeypatch.setattr(gf_core, "_TAIL_SIZE", 1)
-    assert exhaustive_best_subspace(A, 3) == (winner, sup)
-    assert uniformity_sup(A, Coset.of(winner, GFVector.zero(2, 8))).sup_sq == sup
+    # of 4096 subspaces each; codim 2 in F_3^6 has profiles of up to 8
+    # slots, so up to 3 blocks of 2,187; one-subspace blocks are the
+    # per-subspace loop alone and serve as the reference
+    for p, n, codim, seed in ((2, 8, 3, 101), (3, 6, 2, 105)):
+        A = random_subset(words(seed), p, n, Fraction(1, 2))
+        monkeypatch.setattr(gf_core, "_TAIL_SIZE", 1 << 12)
+        winner, sup = exhaustive_best_subspace(A, codim)
+        monkeypatch.setattr(gf_core, "_TAIL_SIZE", 1)
+        assert exhaustive_best_subspace(A, codim) == (winner, sup)
+        assert uniformity_sup(A, Coset.of(winner, GFVector.zero(p, n))).sup_sq == sup
 
 
 def test_oracle_winner_annihilates_the_top_frequency():
@@ -312,6 +320,51 @@ def test_f2_block_filter_keeps_r_in_w_and_drops_ties():
 
     def survivors(best):
         return list(pipeline._f2_survivors(F, order, best, rows))
+
+    # above every sup only an r inside W could rule a subspace out; the
+    # sum over such a coset is the one over W itself and does not count
+    assert any(r in span and sq(span, r) > max(sups) for span in spans for r in order)
+    assert survivors(max(sups) + 1) == spans
+    # a subspace whose sup is reached at the first r ties with best there
+    tied = [
+        j for j, span in enumerate(spans)
+        if order[0] not in span and sq(span, order[0]) == sups[j]
+    ]
+    assert tied
+    best = sups[tied[0]]
+    kept = survivors(best)
+    assert spans[tied[0]] not in kept
+    assert all(span in kept for span, sup in zip(spans, sups) if sup < best)
+    assert kept == [span for span in spans if span in kept]  # walk order
+
+
+def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
+    n = 4
+    A = random_subset(words(106), 3, n, Fraction(1, 2))
+    F3 = _dft3_pairs([(m, 0) for m in A.membership_table()])
+    parts = [a for a, _ in F3], [b for _, b in F3]
+    keys = [gf_core._trit_planes(r) for r in range(3**n)]
+    order = sorted(
+        range(1, 3**n), key=lambda r: F3[r][0] ** 2 - F3[r][0] * F3[r][1] + F3[r][1] ** 2,
+        reverse=True,
+    )
+    # the first codim-2 profile, pivots 1 and 2: 4 slots, one block
+    start, tails = next(gf_core._rref_blocks(3, n, n - 2, annihilator=True))
+    rows = [[s + t for t in tail] for s, tail in zip(start, tails)]
+    spans = [tuple(gf_core._span_ranks(3, n, col)) for col in zip(*rows)]
+    assert len(spans) == 81
+    rows = [[keys[w] for w in row] for row in rows]
+
+    def sq(span, r):
+        a = sum(F3[add_rank(3, n, r, x)][0] for x in span)
+        b = sum(F3[add_rank(3, n, r, x)][1] for x in span)
+        return a * a - a * b + b * b
+
+    sups = [max(sq(span, r) for r in order if r not in span) for span in spans]
+
+    def survivors(best):
+        kept = pipeline._f3_survivors(n, parts, keys, order, best, rows)
+        return [tuple(gf_core._trit_ranks(n, span)) for span in kept]
 
     # above every sup only an r inside W could rule a subspace out; the
     # sum over such a coset is the one over W itself and does not count
