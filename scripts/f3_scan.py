@@ -37,6 +37,8 @@ def main() -> None:
     # refuse before the first row, not with a traceback halfway down the table
     if not (1 <= args.min_n <= MAX_N and 1 <= args.max_n <= MAX_N):
         parser.error(f"--min-n and --max-n must lie in 1..{MAX_N}")
+    if args.min_n > args.max_n:
+        parser.error("--min-n must not exceed --max-n")
     if args.max_n >= 5 and not args.long_run:
         parser.error("n = 5 and 6 need --long-run")
 

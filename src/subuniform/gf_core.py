@@ -394,8 +394,10 @@ def _span_ranks(p: int, n: int, rows: tuple[int, ...], start: int = 0) -> list[i
     row is the most significant digit, so rows are folded in reverse.
     """
     if p == 3:
-        span = _trit_span([_trit_planes(r) for r in rows], _trit_planes(start))
-        return _trit_ranks(n, span)
+        pts = [_trit_planes(start)]
+        for lo, hi in map(_trit_planes, reversed(rows)):
+            pts += _trit_add([(lo, hi), (hi, lo)], pts)  # row, then 2 row = -row
+        return _trit_ranks(n, pts)
     pts = [start]
     for r in reversed(rows):
         for x in pts[:]:  # faster than a comprehension on small spans
@@ -426,6 +428,12 @@ def _trit_planes(rank: int) -> tuple[int, int]:
     return lo, hi
 
 
+@lru_cache(maxsize=None)
+def _trit_keys(n: int) -> tuple[tuple[int, int], ...]:
+    """K[x] = the trit planes of rank x, for x < 3^n."""
+    return tuple(map(_trit_planes, range(3**n)))
+
+
 def _trit_ranks(n: int, pts: Iterable[tuple[int, int]]) -> list[int]:
     """Ranks of vectors of F_3^n given as trit planes."""
     table = _trit_table(n)
@@ -437,8 +445,11 @@ def _trit_add(
 ) -> list[tuple[int, int]]:
     """d + x for every d in shifts, then every x in pts, as trit planes.
 
-    This is the package's one F_3 vector add.  A loop, because on the
-    3 to 9 points of a small span it beats a comprehension.
+    The F_3 vector add.  _trit_block_spans repeats its six operations
+    inline, reading each x's planes from _trit_keys and writing ranks,
+    because a call per point there would cost more than the add.  A
+    loop, because on the 3 to 9 points of a small span it beats a
+    comprehension.
     """
     out = []
     for dl, dh in shifts:
@@ -448,34 +459,22 @@ def _trit_add(
     return out
 
 
-def _trit_span(
-    rows: Sequence[tuple[int, int]], start: tuple[int, int] = (0, 0)
-) -> list[tuple[int, int]]:
-    """start + the span of rows over F_3 as trit planes, as in _span_ranks."""
-    pts = [start]
-    for lo, hi in reversed(rows):
-        pts += _trit_add([(lo, hi), (hi, lo)], pts)  # row, then 2 row = -row
-    return pts
-
-
-def _trit_block_spans(
-    n: int,
-    rows: Sequence[Sequence[tuple[int, int]]],
-    keys: Sequence[tuple[int, int]],
-) -> list[list[int]]:
+def _trit_block_spans(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """The spans of a block of subspaces of F_3^n, as rank lists.
 
-    rows[f][j] is row f of the block's j-th subspace as trit planes
-    (there is at least one row), and keys[x] is rank x as trit planes.
-    Entry j of list i is the rank of point i of subspace j's span, in
-    the order of _trit_span: the same adds, zipped across the block.
-    Only ranks are kept; a point's planes are read back through keys.
+    rows[f][j] is the rank of row f of the block's j-th subspace (there
+    is at least one row), as _rref_blocks yields them.  Entry j of list
+    i is the rank of point i of subspace j's span, in the order of
+    _span_ranks: the same adds, zipped across the block.  Only ranks are
+    kept; a point's planes are read back through _trit_keys.
     """
     T = _trit_table(n)
+    keys = _trit_keys(n)
     spans = [[0] * len(rows[0])]
     for row in reversed(rows):
+        planes = [keys[w] for w in row]
         added = []
-        for shift in (row, [(hi, lo) for lo, hi in row]):  # row, then 2 row = -row
+        for shift in (planes, [(hi, lo) for lo, hi in planes]):  # row, then 2 row = -row
             added.append(_trit_ranks(n, shift))  # shift + the zero point
             for span in spans[1:]:
                 pts = []
@@ -495,7 +494,7 @@ _TAIL_SIZE = 1 << 12
 
 def _rref_blocks(
     p: int, n: int, k: int, annihilator: bool = False, most: int = 0
-) -> Iterator[tuple[list[int], list[list[int]]]]:
+) -> Iterator[list[list[int]]]:
     """The canonical walk of the k-dim subspaces V, one block at a time.
 
     Profiles are emitted in lexicographic order of the pivot-column
@@ -508,13 +507,14 @@ def _rref_blocks(
     One block is yielded per (profile, head): the head fixes the leading
     slots, the trailing slots run inside the block.  A block holds at
     most _TAIL_SIZE subspaces, and at most `most` when that is positive
-    (never fewer than one).  A block is (start, tails): row f of the block's j-th
-    subspace has rank start[f] + tails[f][j].  Each slot owns one
-    coordinate of one row, so start and tail touch disjoint digits and
-    the sum never carries.  The tail lists are built by doubling over
-    the tail slots, last slot first, and are shared by the profile's
-    blocks.  A block without rows holds exactly one subspace (k = 0, or
-    k = n with annihilator=True).
+    (never fewer than one).  A block is its rows: rows[f][j] is the rank
+    of row f of the block's j-th subspace, and every subspace of a
+    block shares its pivot profile.  Row f's ranks are the head's start
+    rank plus the profile's tail list for row f, built once by doubling
+    over the tail slots, last slot first; each slot owns one coordinate
+    of one row, so head and tail touch disjoint digits and the sum never
+    carries.  A block without rows holds exactly one subspace (k = 0,
+    or k = n with annihilator=True).
     """
     weights = _weights(p, n)
     for pivots in combinations(range(1, n + 1), k):
@@ -546,21 +546,7 @@ def _rref_blocks(
             start = base[:]
             for row, v in zip(head_rows, head):
                 start[row] += v
-            yield start, tails
-
-
-def _rref_walk(
-    p: int, n: int, k: int, annihilator: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """Row ranks for every k-dim subspace, in the canonical order.
-
-    The flattened view of _rref_blocks: one tuple of rows per subspace.
-    """
-    for start, tails in _rref_blocks(p, n, k, annihilator):
-        if start:
-            yield from zip(*[[s + t for t in tail] for s, tail in zip(start, tails)])
-        else:
-            yield ()
+            yield [[s + t for t in tail] for s, tail in zip(start, tails)]
 
 
 def enumerate_subspaces(p: int, n: int, k: int) -> Iterator[Subspace]:
@@ -572,10 +558,9 @@ def enumerate_subspaces(p: int, n: int, k: int) -> Iterator[Subspace]:
     _check_space(p, n)
     if not 0 <= k <= n:
         raise InputError(f"subspace dimension {k} out of range 0..{n}")
-    for rows in _rref_walk(p, n, k):
-        yield Subspace(
-            p, n, tuple(GFVector.from_rank(p, n, r) for r in rows)
-        )
+    for rows in _rref_blocks(p, n, k):
+        for basis in zip(*rows) if rows else [()]:
+            yield Subspace(p, n, tuple(GFVector.from_rank(p, n, r) for r in basis))
 
 
 def extend_span(space: Subspace, vectors: Sequence[GFVector]) -> Subspace:

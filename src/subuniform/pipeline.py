@@ -40,8 +40,9 @@ scan_leading_one_set certifies, for every positive-dimensional subspace
 V, a nontrivial coefficient of squared magnitude >= 1/12.  Writing the
 coefficient at the first pivot frequency as a + b*w, its imaginary part
 is pinned by the exact identity 3*b = -|V|, which the scan checks
-together with the structural inclusions behind it.  The scan streams
-over the canonical walk with one transform per subspace and keeps only
+together with the structural inclusions behind it.  The scan walks the
+same blocks as the oracle, spans each block at once with the oracle's
+gf_core._trit_block_spans, transforms each subspace once and keeps only
 the count, the exact minimum and the failing subspaces.  Both F_3 loops,
 the oracle's and the scan's, add vectors as trit planes (see gf_core).
 """
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, compress
 from math import isqrt
 from operator import xor
@@ -63,12 +65,10 @@ from .gf_core import (
     Subspace,
     _coset_rep_ranks,
     _rref_blocks,
-    _rref_walk,
     _trit_add,
     _trit_block_spans,
-    _trit_planes,
+    _trit_keys,
     _trit_ranks,
-    _trit_span,
     _trit_table,
     extend_span,
     gaussian_binomial,
@@ -86,8 +86,8 @@ from .spectra import (
 )
 
 ORACLE_BUDGET = 10**7
-# The oracle cuts its blocks so that their span lists hold at most
-# _SPAN_CELLS ranks, about 0.5 MB of list slots.
+# The oracle and the ternary scan cut their blocks so that their span
+# lists hold at most _SPAN_CELLS ranks, about 0.5 MB of list slots.
 _SPAN_CELLS = 1 << 16
 
 
@@ -252,30 +252,28 @@ def _f2_survivors(
 def _f3_survivors(
     n: int,
     parts: tuple[list[int], list[int]],
-    keys: list[tuple[int, int]],
     order: Sequence[int],
     best: int,
-    rows: list[list[tuple[int, int]]],
+    rows: list[list[int]],
 ) -> Iterator[list[tuple[int, int]]]:
     """W's span for each subspace of a block of F_3^n that no r rules out.
 
-    The F_3 twin of _f2_survivors.  rows[f][j] is annihilator row f of
-    the block's j-th subspace as trit planes, keys[x] is rank x as trit
-    planes, and with parts = (A, B) the transform at rank x is
-    A[x] + B[x] w.  The span lists are ranks, from
-    gf_core._trit_block_spans.  For r in `order`, one trit-plane add of
-    r to every point gives the shifted table x -> rank(r + x); the a-
-    and b-parts of S(r) are summed for every kept subspace by list
-    gathers through it, and a subspace is dropped when
-    |S(r)|^2 = a^2 - ab + b^2 >= best unless r lies in its W.  The
+    The F_3 twin of _f2_survivors, with the same rows.  With
+    parts = (A, B) the transform at rank x is A[x] + B[x] w.  The span
+    lists are ranks, from gf_core._trit_block_spans.  For r in `order`,
+    one trit-plane add of r to every point gives the shifted table
+    x -> rank(r + x); the a- and b-parts of S(r) are summed for every
+    kept subspace by list gathers through it, and a subspace is dropped
+    when |S(r)|^2 = a^2 - ab + b^2 >= best unless r lies in its W.  The
     rounds stop when kept * 3^c < 3^n, as over F_2, and the survivors'
     spans are yielded as trit planes, in walk order.
     """
-    spans = _trit_block_spans(n, rows, keys)
+    keys = _trit_keys(n)
+    spans = _trit_block_spans(n, rows)
     # w_f's lowest nonzero digit is a 1 at its free column f, the lowest
     # set bit of its lo plane; r's digits there pick the one span point
     # that can equal r
-    lows = [row[0][0] & -row[0][0] for row in rows]
+    lows = [lo & -lo for lo, _ in (keys[row[0]] for row in rows)]
     FA, FB = parts
     for r in order:
         if len(spans[0]) * len(spans) < len(keys):
@@ -350,12 +348,14 @@ def exhaustive_best_subspace(
                 s += F[r ^ x]
             return s * s
 
+        screen = partial(_f2_survivors, F)
     else:
         # r and W's span are trit planes; every r + x is read by its rank
         F3 = _dft3_pairs([(m, 0) for m in mem])
         T = _trit_table(n)
-        keys = [_trit_planes(r) for r in range(3**n)]
+        keys = _trit_keys(n)
         parts = [a for a, _ in F3], [b for _, b in F3]
+        screen = partial(_f3_survivors, n, parts)
         sq = [a * a - a * b + b * b for a, b in F3]
 
         def coset_sq(r: tuple[int, int], span: Sequence[tuple[int, int]]) -> int:
@@ -374,14 +374,8 @@ def exhaustive_best_subspace(
             yield [keys[0]]  # W = {0}: V is the whole space
             return
         most = max(1, _SPAN_CELLS // p**c)
-        for start, tails in _rref_blocks(p, n, n - c, annihilator=True, most=most):
-            # best is read here, as the block starts
-            if p == 2:
-                rows = [[s + t for t in tail] for s, tail in zip(start, tails)]
-                yield from _f2_survivors(F, order, best, rows)
-            else:
-                rows = [[keys[s + t] for t in tail] for s, tail in zip(start, tails)]
-                yield from _f3_survivors(n, parts, keys, order, best, rows)
+        for rows in _rref_blocks(p, n, n - c, annihilator=True, most=most):
+            yield from screen(order, best, rows)  # best is read as the block starts
 
     # the per-subspace loop reads r as the span does: a rank, or trit planes
     tried = order if p == 2 else [keys[r] for r in order]
@@ -441,9 +435,11 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
     """Certify the LOWER_BOUND_SQ = 1/12 floor on every subspace of F_3^n.
 
     Walks every subspace V with dim V >= 1 in the canonical enumeration
-    order, reads V's membership table through its trit-plane span, and
-    transforms it once.  With j the first pivot coordinate of V, V
-    fails when any of these does not hold:
+    order, in the blocks of gf_core._rref_blocks, cut by _SPAN_CELLS as
+    the oracle's are.  Each block is spanned at once by
+    gf_core._trit_block_spans; V's membership table is read through its
+    span, and transformed once.  With j the first pivot coordinate of V,
+    shared by its block, V fails when any of these does not hold:
 
     * sup_sq >= LOWER_BOUND_SQ;
     * the coefficient at frequency e_j is a + b*w with 3*b = -|V|,
@@ -463,35 +459,36 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
             f"n = {n} scans every subspace of F_3^{n}; pass long_run=True"
         )
     mem = leading_one_set(n).membership_table()
+    keys = _trit_keys(n)
     floor = LOWER_BOUND_SQ
     minimum = Fraction(1)  # no coefficient exceeds |V| in magnitude
     total = 0
     failures: list[Subspace] = []
     for k in range(1, n + 1):
         size = 3**k
-        for rows in _rref_walk(3, n, k):
-            planes = [_trit_planes(r) for r in rows]
-            span = _trit_span(planes)
-            table = [mem[r] for r in _trit_ranks(n, span)]
-            coefs = _dft3_pairs([(m, 0) for m in table])
-            # sup_sq is best / size^2; fractions compare by cross-multiplying
-            best = max(a * a - a * b + b * b for a, b in coefs[1:])
-            if best * minimum.denominator < minimum.numerator * size * size:
-                minimum = Fraction(best, size * size)
-            # e_j is 1 on V's first row and 0 on the others: index 3^(k-1)
-            identity = 3 * coefs[size // 3][1] == -size
-            # the first row's leading trit is its pivot, coordinate j
-            bit = 1 << (planes[0][0] | planes[0][1]).bit_length() - 1
-            ones = [m for (x_lo, _), m in zip(span, table) if x_lo & bit]
-            twos = [m for (_, x_hi), m in zip(span, table) if x_hi & bit]
-            total += 1
-            if (
-                best * floor.denominator < floor.numerator * size * size
-                or not identity
-                or not (all(ones) and not any(twos))
-                or not 3 * len(ones) == 3 * len(twos) == size
-            ):
-                failures.append(
-                    Subspace(3, n, tuple(GFVector.from_rank(3, n, r) for r in rows))
-                )
+        for rows in _rref_blocks(3, n, k, most=max(1, _SPAN_CELLS // size)):
+            # the first row's leading trit is its pivot, coordinate j, and
+            # the block shares its pivots
+            lo, hi = keys[rows[0][0]]
+            bit = 1 << (lo | hi).bit_length() - 1
+            for col, span in enumerate(zip(*_trit_block_spans(n, rows))):
+                table = [mem[x] for x in span]
+                coefs = _dft3_pairs([(m, 0) for m in table])
+                # sup_sq is best / size^2; fractions compare by cross-multiplying
+                best = max(a * a - a * b + b * b for a, b in coefs[1:])
+                if best * minimum.denominator < minimum.numerator * size * size:
+                    minimum = Fraction(best, size * size)
+                # e_j is 1 on V's first row and 0 on the others: index 3^(k-1)
+                identity = 3 * coefs[size // 3][1] == -size
+                ones = [m for x, m in zip(span, table) if keys[x][0] & bit]
+                twos = [m for x, m in zip(span, table) if keys[x][1] & bit]
+                total += 1
+                if (
+                    best * floor.denominator < floor.numerator * size * size
+                    or not identity
+                    or not (all(ones) and not any(twos))
+                    or not 3 * len(ones) == 3 * len(twos) == size
+                ):
+                    basis = (GFVector.from_rank(3, n, row[col]) for row in rows)
+                    failures.append(Subspace(3, n, tuple(basis)))
     return F3Report(n, total, minimum, tuple(failures))

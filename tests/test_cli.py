@@ -552,7 +552,13 @@ def test_script_example_runs(name):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--max-n", "7", "--long-run"], ["--min-n", "0"], ["--max-n", "5"]]
+    "flags",
+    [
+        ["--max-n", "7", "--long-run"],
+        ["--min-n", "0"],
+        ["--max-n", "5"],
+        ["--min-n", "4", "--max-n", "2"],
+    ],
 )
 def test_f3_scan_script_refuses_out_of_range_n(flags):
     # refused by argparse before any table row, not by a traceback

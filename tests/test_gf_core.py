@@ -42,7 +42,6 @@ from subuniform.gf_core import (
     _trit_block_spans,
     _trit_planes,
     _trit_ranks,
-    _trit_span,
 )
 
 from conftest import (
@@ -347,6 +346,11 @@ def _slot_entries(space: Subspace) -> tuple[int, ...]:
     )
 
 
+def _flat(blocks):
+    """One tuple of rows per subspace, from _rref_blocks' row blocks."""
+    return [basis for rows in blocks for basis in (zip(*rows) if rows else [()])]
+
+
 # a tail table of 1 puts every slot in the outer product, 4 splits them
 @pytest.mark.parametrize("tail_size", [gf_core._TAIL_SIZE, 1, 4])
 @pytest.mark.parametrize("p,n", [(2, 5), (3, 3)])
@@ -357,7 +361,7 @@ def test_enumeration_order_and_annihilator_rows(monkeypatch, tail_size, p, n):
         # canonical order: pivot profile, then free entries lexicographically
         keys = [(s.pivots, _slot_entries(s)) for s in spaces]
         assert keys == sorted(keys)
-        walk = list(gf_core._rref_walk(p, n, k, annihilator=True))
+        walk = _flat(gf_core._rref_blocks(p, n, k, annihilator=True))
         assert len(walk) == len(spaces)
         for space, rows in zip(spaces, walk):
             dual = [GFVector.from_rank(p, n, r) for r in rows]
@@ -372,15 +376,10 @@ def test_enumeration_order_and_annihilator_rows(monkeypatch, tail_size, p, n):
 @pytest.mark.parametrize("most", [1, 3, 8, 1 << 20])
 def test_rref_blocks_cap_keeps_the_walk(most):
     p, n, k = 2, 7, 3
-    whole = list(gf_core._rref_walk(p, n, k, annihilator=True))
+    whole = _flat(gf_core._rref_blocks(p, n, k, annihilator=True))
     blocks = list(gf_core._rref_blocks(p, n, k, annihilator=True, most=most))
-    assert all(len(tails[0]) <= min(most, gf_core._TAIL_SIZE) for _, tails in blocks)
-    flat = [
-        rows
-        for start, tails in blocks
-        for rows in zip(*[[s + t for t in tail] for s, tail in zip(start, tails)])
-    ]
-    assert flat == whole
+    assert all(len(rows[0]) <= min(most, gf_core._TAIL_SIZE) for rows in blocks)
+    assert _flat(blocks) == whole
 
 
 def test_enumeration_is_deterministic_with_frozen_head():
@@ -512,7 +511,6 @@ def test_trit_span_and_coset_scan_match_tuple_span(n, dim, seed):
     rows = tuple(row.rank for row in space.basis)
     span = tuple_span(3, [row.coords for row in space.basis])
     ranks = _span_ranks(3, n, rows)
-    assert ranks == _trit_ranks(n, _trit_span([_trit_planes(r) for r in rows]))
     assert {GFVector.from_rank(3, n, r).coords for r in ranks} == span
     assert len(ranks) == len(span) == space.size
     if n > 6:
@@ -527,14 +525,18 @@ def test_trit_span_and_coset_scan_match_tuple_span(n, dim, seed):
         assert block == [mem[r] for r in coset.point_ranks()]
 
 
-@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 2), (5, 3)])
-def test_trit_block_spans_match_tuple_span(n, k):
-    # every annihilator block of the walk, zipped, against one span each;
-    # codim 2 in F_3^5 has profiles of up to 6 slots, 729 subspaces
-    keys = [_trit_planes(x) for x in range(3**n)]
-    for start, tails in gf_core._rref_blocks(3, n, k, annihilator=True):
-        rows = [[s + t for t in tail] for s, tail in zip(start, tails)]
-        spans = _trit_block_spans(n, [[keys[w] for w in row] for row in rows], keys)
+# annihilator blocks, as the oracle walks them, and blocks of V's own
+# rows, as the ternary scan does
+@pytest.mark.parametrize(
+    "n,k,annihilator",
+    [(3, 1, True), (4, 2, True), (5, 2, True), (5, 3, True), (4, 2, False), (5, 3, False)],
+    ids=["3-1", "4-2", "5-2", "5-3", "4-2-rows", "5-3-rows"],
+)
+def test_trit_block_spans_match_tuple_span(n, k, annihilator):
+    # every block of the walk, zipped, against one span each; codim 2 in
+    # F_3^5 has profiles of up to 6 slots, 729 subspaces
+    for rows in gf_core._rref_blocks(3, n, k, annihilator=annihilator):
+        spans = _trit_block_spans(n, rows)
         assert len(spans) == 3 ** len(rows)
         for j, col in enumerate(zip(*rows)):
             ranks = [span[j] for span in spans]

@@ -308,8 +308,7 @@ def test_f2_block_filter_keeps_r_in_w_and_drops_ties():
     F = wht2(A.membership_table())
     order = sorted(range(1, 1 << n), key=lambda r: F[r] * F[r], reverse=True)
     # the first codim-2 profile, pivots 1..4: 8 slots, one block
-    start, tails = next(gf_core._rref_blocks(2, n, n - 2, annihilator=True))
-    rows = [[s + t for t in tail] for s, tail in zip(start, tails)]
+    rows = next(gf_core._rref_blocks(2, n, n - 2, annihilator=True))
     spans = [tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)]
     assert len(spans) == 256
 
@@ -343,17 +342,14 @@ def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
     A = random_subset(words(106), 3, n, Fraction(1, 2))
     F3 = _dft3_pairs([(m, 0) for m in A.membership_table()])
     parts = [a for a, _ in F3], [b for _, b in F3]
-    keys = [gf_core._trit_planes(r) for r in range(3**n)]
     order = sorted(
         range(1, 3**n), key=lambda r: F3[r][0] ** 2 - F3[r][0] * F3[r][1] + F3[r][1] ** 2,
         reverse=True,
     )
     # the first codim-2 profile, pivots 1 and 2: 4 slots, one block
-    start, tails = next(gf_core._rref_blocks(3, n, n - 2, annihilator=True))
-    rows = [[s + t for t in tail] for s, tail in zip(start, tails)]
+    rows = next(gf_core._rref_blocks(3, n, n - 2, annihilator=True))
     spans = [tuple(gf_core._span_ranks(3, n, col)) for col in zip(*rows)]
     assert len(spans) == 81
-    rows = [[keys[w] for w in row] for row in rows]
 
     def sq(span, r):
         a = sum(F3[add_rank(3, n, r, x)][0] for x in span)
@@ -363,7 +359,7 @@ def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
     sups = [max(sq(span, r) for r in order if r not in span) for span in spans]
 
     def survivors(best):
-        kept = pipeline._f3_survivors(n, parts, keys, order, best, rows)
+        kept = pipeline._f3_survivors(n, parts, order, best, rows)
         return [tuple(gf_core._trit_ranks(n, span)) for span in kept]
 
     # above every sup only an r inside W could rule a subspace out; the
@@ -618,3 +614,21 @@ def test_f3_scan_flags_broken_slices_and_identity(monkeypatch):
     assert report.failures == tuple(expected)
     assert x in report.failures[0].points()
     assert any(sup_ok)  # some V fails only on the structural checks
+
+
+# the default blocks hold whole profiles; a tail of 4 or 1 splits the
+# profiles of F_3^3 into several blocks, and so do 9 span cells, which cap
+# the blocks at 9 / 3^k subspaces each (81 cells would leave every
+# profile whole: the largest holds 9 subspaces of 9 points)
+@pytest.mark.parametrize(
+    "tail_size,span_cells",
+    [(4, pipeline._SPAN_CELLS), (1, pipeline._SPAN_CELLS), (gf_core._TAIL_SIZE, 9)],
+)
+def test_f3_scan_across_block_boundaries(monkeypatch, tail_size, span_cells):
+    monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
+    monkeypatch.setattr(pipeline, "_SPAN_CELLS", span_cells)
+    test_f3_scan_frozen_results()
+    with monkeypatch.context() as patch:
+        test_f3_scan_failure_path(patch)
+    with monkeypatch.context() as patch:
+        test_f3_scan_flags_broken_slices_and_identity(patch)
