@@ -25,7 +25,7 @@ exceeded.
 Set file format ("SetFile"): first meaningful line "p=<2|3> n=<int>",
 then one vector per line as n digits (coordinate 1 first).  "#" starts
 a comment, blank lines are skipped, duplicate vectors are rejected.
-Parse errors carry 1-based line numbers.
+Parse errors carry 1-based line numbers.  A set file must be UTF-8.
 """
 
 from __future__ import annotations
@@ -36,13 +36,21 @@ import os
 import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from typing import Optional, Sequence
 
 from . import pipeline
 from .errors import BudgetExceededError, InputError
 from .exact_arith import format_rational, parse_rational
-from .gf_core import Coset, GFVector, PointSet, Subspace, canonical_rep, rref_basis
+from .gf_core import (
+    MAX_N,
+    Coset,
+    GFVector,
+    PointSet,
+    Subspace,
+    canonical_rep,
+    rref_basis,
+)
 from .increments import (
     IncrementTrace,
     PipelineParams,
@@ -68,12 +76,52 @@ EXIT_BUDGET = 3
 
 
 def parse_set_file(text: str) -> PointSet:
-    """Parse the SetFile format; errors carry 1-based line numbers."""
+    """Parse the SetFile format; errors carry 1-based line numbers.
+
+    Text in the canonical layout (the header on line 1, then one n-digit
+    vector per line, with no comment, blank line or whitespace, as
+    serialize_set_file writes it) is read in bulk.  Any other text, and
+    any text with an error, goes through the line loop, the one place
+    that handles comments, blanks and whitespace and words the errors.
+    """
+    lines = text.splitlines()
+    points = _parse_canonical(lines)
+    return _parse_lines(lines) if points is None else points
+
+
+def _parse_canonical(lines: list[str]) -> Optional[PointSet]:
+    """The set that canonical SetFile lines hold, or None for the line loop."""
+    if not lines:
+        return None
+    p_field, _, n_field = lines[0].partition(" ")
+    digits = n_field[2:]
+    if (
+        p_field not in ("p=2", "p=3")
+        or n_field[:2] != "n="
+        or not (digits.isascii() and digits.isdigit())
+    ):
+        return None
+    p, n = int(p_field[2:]), int(digits)
+    body = lines[1:]
+    if not 1 <= n <= MAX_N[p] or set(map(len, body)) - {n}:
+        return None
+    # deleting the digits of F_p leaves nothing exactly when every line
+    # holds only those digits; a character past ASCII leaves its bytes
+    if "".join(body).encode().translate(None, b"012"[:p]):
+        return None
+    ranks = list(map(int, body, repeat(p)))
+    points = PointSet.from_ranks(p, n, ranks)
+    # a duplicate line sets its bit twice
+    return points if points.size == len(ranks) else None
+
+
+def _parse_lines(lines: list[str]) -> PointSet:
+    """Read SetFile lines one by one, skipping comments, blanks and spaces."""
     p: Optional[int] = None
     n = 0
     seen: dict[str, int] = {}
     ranks: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -148,10 +196,19 @@ def _parse_basis(text: str, p: int, n: int) -> Subspace:
 
 def _load_set(path: str) -> PointSet:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_set_file(handle.read())
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read set file {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read set file {path}: not UTF-8 (byte {exc.start}: {exc.reason})"
+        ) from None
+    # splitlines ends lines at \r\n and \r as text mode's newline
+    # translation would
+    return parse_set_file(text)
 
 
 def _vec_json(v: Optional[GFVector]) -> Optional[str]:

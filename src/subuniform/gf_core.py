@@ -603,13 +603,15 @@ def _coset_rep_ranks(space: Subspace, rows: tuple[int, ...] = ()) -> list[int]:
     return _span_ranks(space.p, space.n, units + rows)
 
 
-def _coset_table(mem: Sequence[int], space: Subspace) -> list[int]:
+def _coset_table(mem: Sequence[int], space: Subspace) -> bytes:
     """Entry q p^k + i is mem at point i (point_ranks order) of coset q.
 
-    `mem` is a 0/1 membership table; k = dim, q the quotient index.
+    `mem` is a 0/1 membership table, such as _unpacked's bytes; k = dim,
+    q the quotient index.  The 0/1 entries come back as bytes, the form
+    wht2 packs in one step.
     """
     rows = tuple(row.rank for row in space.basis)
-    return [mem[r] for r in _coset_rep_ranks(space, rows)]
+    return bytes([mem[r] for r in _coset_rep_ranks(space, rows)])
 
 
 def quotient_index(space: Subspace, x: GFVector) -> int:

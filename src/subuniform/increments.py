@@ -37,6 +37,7 @@ from .gf_core import (
     Subspace,
     _coset_rep_ranks,
     _coset_table,
+    _unpacked,
     extend_span,
     perp,
 )
@@ -118,7 +119,7 @@ def partition_energy(points: PointSet, space: Subspace) -> Fraction:
     """Mean squared coset density of the set over the cosets of `space`."""
     if (points.p, points.n) != (space.p, space.n):
         raise InputError("point set and subspace live in different ambient spaces")
-    table = _coset_table(points.membership_table(), space)
+    table = _coset_table(_unpacked(points.bits, points.ambient_size), space)
     size = space.size
     return _energy([sum(table[i : i + size]) for i in range(0, len(table), size)], size)
 
@@ -155,24 +156,24 @@ def coordinate_subspace(p: int, n: int, codim: int) -> Subspace:
 
 
 def _scan_cosets(
-    mem: list[int], space: Subspace, eps: Fraction
+    mem: Sequence[int], space: Subspace, eps: Fraction
 ) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
     """One pass over the cosets: ([(rep rank, witness t) of bad cosets], counts).
 
     One wht2 call transforms the coset-major table block by block; lane
     0 of block q is coset q's count, its witness the least t > 0 of
-    largest c^2.
+    largest |c|, whatever the sign of c.
     """
     size = space.size
-    rhs = eps.numerator * eps.numerator * size * size
-    den_sq = eps.denominator * eps.denominator
+    # sup_sq > eps^2 reads |c| > eps |V|, and |c| is an integer
+    limit = eps.numerator * size // eps.denominator
     coefs = wht2(_coset_table(mem, space), size)
-    squares = [c * c for c in coefs]
+    mags = list(map(abs, coefs))
     bad: list[tuple[int, int]] = []
     for start, rep in zip(range(0, len(coefs), size), _coset_rep_ranks(space)):
-        best = max(squares[start + 1 : start + size], default=0)
-        if best * den_sq > rhs:
-            bad.append((rep, squares.index(best, start + 1) - start))
+        top = max(mags[start + 1 : start + size], default=0)
+        if top > limit:
+            bad.append((rep, mags.index(top, start + 1) - start))
     return bad, tuple(coefs[::size])
 
 
@@ -206,7 +207,7 @@ def regularity_decompose(
             f"need 0 <= min_codim <= max_codim <= n, got {min_codim}, {max_codim}, {n}"
         )
     space = coordinate_subspace(2, n, min_codim)
-    mem = points.membership_table()
+    mem = _unpacked(points.bits, points.ambient_size)
     energy_trace: list[Fraction] = []
     rounds = 0
     # codim grows strictly every round, so n + 1 scans always suffice

@@ -44,12 +44,17 @@ def wht2(table: Sequence[int], block: Optional[int] = None) -> list[int]:
     2^k = block.  Table length and block (by default the length) are
     powers of two, index = rank.  Only the levels at distance < block
     run, so each block is transformed on its own.  Entry i sits in lane
-    i of one integer as its value plus a bias b, first the largest
-    |entry|.  Level j maps each lane pair (x, y) at distance 2^j to
-    (x + y, x - y + 2b) by whole-integer masks, shifts and adds, and b
-    doubles, so lanes stay in [0, 2b] and never borrow or carry.  Lanes
-    take 16, 32 or 64 bits, the least holding 2^(k+1) max|entry|; past
-    64 bits the table is rejected with InputError.
+    i of one integer as its value plus a bias b >= max|entry|.  Level j
+    maps each lane pair (x, y) at distance 2^j to (x + y, x - y + 2b)
+    by whole-integer masks, shifts and adds, and b doubles, so lanes
+    stay in [0, 2b] and never borrow or carry.  Lanes take 16, 32 or 64
+    bits, the least holding 2^(k+1) b; past 64 bits the table is
+    rejected with InputError.
+
+    A bytes table (entries 0..255, as _coset_table returns) is packed
+    in one step: its entries go to the lanes' low-order bytes and b to
+    every lane as one integer add, b = 1 when every entry is 0 or 1.
+    Any other sequence is biased entry by entry with b = max|entry|.
     """
     m = len(table)
     if m == 0 or m & (m - 1):
@@ -57,19 +62,31 @@ def wht2(table: Sequence[int], block: Optional[int] = None) -> list[int]:
     block = m if block is None else block
     if not 0 < block <= m or block & (block - 1):
         raise InputError(f"block {block} is not a power of two up to {m}")
-    bias = max(map(abs, table))
+    byte_table = isinstance(table, bytes)
+    if byte_table:
+        # deleting the 0 and 1 bytes leaves nothing exactly on a 0/1 table
+        bias = max(table) if table.translate(None, b"\0\1") else 1
+    else:
+        bias = max(map(abs, table))
     top = bias << block.bit_length()  # 2^(k+1) * bias, the largest lane value
     code = next((c for c in "HIQ" if top >> 8 * array(c).itemsize == 0), None)
     if code is None:
         raise InputError(f"transform of entries up to {bias} overflows 64-bit lanes")
     size = array(code).itemsize
     lane = (1 << 8 * size) - 1
-    biased = array(code, [v + bias for v in table])
-    lanes = int.from_bytes(biased.tobytes(), sys.byteorder)
+    one = (1).to_bytes(size, sys.byteorder)
+    if byte_table:
+        buf = bytearray(m * size)
+        buf[one.index(1) :: size] = table  # each lane's low-order byte
+        lanes = int.from_bytes(buf, sys.byteorder)
+        lanes += bias * int.from_bytes(one * m, sys.byteorder)
+    else:
+        biased = array(code, [v + bias for v in table])
+        lanes = int.from_bytes(biased.tobytes(), sys.byteorder)
     h = 1
     while h < block:
         # 1 in each lane whose index has bit j clear, 0 in the others
-        ones = (1).to_bytes(size, sys.byteorder) * h + bytes(size * h)
+        ones = one * h + bytes(size * h)
         units = int.from_bytes(ones * (m // (2 * h)), sys.byteorder)
         mask = units * lane
         shift = 8 * size * h
@@ -194,8 +211,8 @@ def restricted_spectrum(points: PointSet, coset: Coset) -> Spectrum:
     space = coset.subspace
     if (points.p, points.n) != (space.p, space.n):
         raise InputError("point set and coset live in different ambient spaces")
-    mem = points.membership_table()
-    table = [mem[r] for r in coset.point_ranks()]
+    mem = _unpacked(points.bits, points.ambient_size)
+    table = bytes([mem[r] for r in coset.point_ranks()])
     return Spectrum(
         p=points.p,
         k=space.dim,

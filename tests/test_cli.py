@@ -24,9 +24,10 @@ from subuniform import (
     ramsey,
     uniformity_sup,
 )
+from subuniform import cli
 from subuniform.cli import parse_set_file, run_command, serialize_set_file
 
-from conftest import random_subset, ref_serialize_set_file, words
+from conftest import rand_below, random_subset, ref_serialize_set_file, words
 
 
 def run(capsys, args):
@@ -105,6 +106,87 @@ def test_parse_errors_carry_line_numbers(text, message):
     with pytest.raises(InputError) as excinfo:
         parse_set_file(text)
     assert str(excinfo.value) == message
+
+
+def _mutate(stream, p: int, text: str, kind: str) -> str:
+    """One departure from the canonical layout, at a random place."""
+    lines = text.splitlines()
+    n = int(lines[0].split("n=")[1])
+    if len(lines) == 1 and kind not in ("empty", "blank", "comment"):
+        lines.append("0" * n)  # the mutation needs a vector to act on
+    at = 1 + rand_below(stream, max(len(lines) - 1, 1))  # a vector line
+    if kind == "comment":
+        lines.insert(rand_below(stream, len(lines) + 1), "# note")
+    elif kind == "trailing comment":
+        lines[at] += " # note"
+    elif kind == "blank":
+        lines.insert(rand_below(stream, len(lines) + 1), "")
+    elif kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif kind == "leading space":
+        lines[at] = " " + lines[at]
+    elif kind == "trailing space":
+        lines[at] += " "
+    elif kind == "short":
+        lines[at] = lines[at][:-1]
+    elif kind == "long":
+        lines[at] += "0"
+    elif kind == "digit":
+        j = rand_below(stream, n)
+        lines[at] = lines[at][:j] + str(p) + lines[at][j + 1 :]
+    elif kind == "duplicate":
+        lines.insert(at + rand_below(stream, len(lines) - at + 1), lines[at])
+    elif kind == "empty":
+        lines = lines[:1]
+    elif kind == "header on line 2":
+        lines[0], lines[1] = lines[1], lines[0]
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return str(exc)
+
+
+MUTATIONS = (
+    "comment", "trailing comment", "blank", "crlf", "leading space",
+    "trailing space", "short", "long", "digit", "duplicate", "empty",
+    "header on line 2",
+)
+
+
+def test_parse_routes_agree_on_mutated_canonical_text():
+    # the bulk route either returns what the line loop would or leaves
+    # the text to it, so every result and every message is the loop's
+    stream = words(108)
+    for p, top in ((2, 8), (3, 4)):
+        for n in range(1, top + 1):
+            for kind in MUTATIONS:
+                points = random_subset(stream, p, n, Fraction(1, 2))
+                text = _mutate(stream, p, serialize_set_file(points), kind)
+                expected = _outcome(lambda t: cli._parse_lines(t.splitlines()), text)
+                assert _outcome(parse_set_file, text) == expected, (kind, text)
+
+
+def test_canonical_text_takes_the_bulk_route(monkeypatch, capsys, tmp_path):
+    def refuse(lines):
+        raise AssertionError("canonical text reached the line loop")
+
+    stream = words(109)
+    cases = [PointSet.empty(2, 3), PointSet.full(3, 2)]
+    for p, top in ((2, 12), (3, 6)):
+        for n in range(1, top + 1):
+            cases.append(random_subset(stream, p, n, Fraction(1, 2)))
+    out = tmp_path / "random.set"
+    argv = ["gen-random", "--p", "2", "--n", "10", "--density", "1/3", "--seed", "5"]
+    assert run(capsys, argv + ["--out", str(out)])[0] == 0
+    monkeypatch.setattr(cli, "_parse_lines", refuse)
+    for points in cases:
+        assert parse_set_file(serialize_set_file(points)) == points
+    expected = random_point_set(2, 10, Fraction(1, 3), seed=5)
+    assert parse_set_file(out.read_text()) == expected
 
 
 def test_parse_rejects_unsupported_field():
@@ -426,6 +508,21 @@ def test_missing_set_file_exits_two(capsys):
     assert code == 2
     assert report is None
     assert err.startswith("input error: cannot read set file /no/such/file")
+
+
+@pytest.mark.parametrize(
+    "argv", [["wht"], ["pipeline", "--eps", "1/4"]], ids=["wht", "pipeline"]
+)
+def test_set_file_not_utf8_exits_two(capsys, tmp_path, argv):
+    path = tmp_path / "bad.set"
+    path.write_bytes(b"p=2 n=2\n0\xff\n")
+    code, report, err = run(capsys, [argv[0], "--set", str(path)] + argv[1:])
+    assert code == 2
+    assert report is None
+    assert err == (
+        f"input error: cannot read set file {path}: "
+        "not UTF-8 (byte 9: invalid start byte)\n"
+    )
 
 
 def test_bad_rational_exits_two(capsys, set_path):

@@ -522,7 +522,7 @@ def test_trit_span_and_coset_scan_match_tuple_span(n, dim, seed):
     assert [sum(block) for block in blocks] == raw_coset_counts(A, space)
     for q, block in enumerate(blocks):
         coset = Coset(space, lift_from_quotient(space, q))
-        assert block == [mem[r] for r in coset.point_ranks()]
+        assert list(block) == [mem[r] for r in coset.point_ranks()]
 
 
 # annihilator blocks, as the oracle walks them, and blocks of V's own

@@ -174,6 +174,24 @@ def test_wht2_block_alone_picks_16_bit_lanes(monkeypatch):
     assert codes[-1] == "I"
 
 
+@pytest.mark.parametrize("k", range(11))
+def test_wht2_bytes_route_matches_list_route(k):
+    stream = words(110 + k)
+    size = 1 << k
+    tables = [
+        [rand_below(stream, 2) for _ in range(size)],
+        [0] * size,
+        [1] * size,
+        # entries past 1 need their max as the bias, and wider lanes
+        [rand_below(stream, 256) for _ in range(size - 1)] + [255],
+    ]
+    for table in tables:
+        for b in range(k + 1):
+            coeffs = wht2(bytes(table), 1 << b)
+            assert coeffs == wht2(table, 1 << b)
+            assert coeffs == blockwise(rec_wht2, table, 1 << b)
+
+
 def test_wht2_rejects_bad_blocks():
     for block in (0, -2, 3, 6, 16):
         with pytest.raises(InputError):
