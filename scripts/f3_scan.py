@@ -10,7 +10,7 @@ grows; any failing subspace is listed under its row.
 Example:
 
     python3 scripts/f3_scan.py --max-n 4
-    python3 scripts/f3_scan.py --min-n 5 --max-n 6 --long-run  # about 4 s
+    python3 scripts/f3_scan.py --min-n 5 --max-n 6 --long-run  # about 2 s
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ import argparse
 import time
 
 from subuniform import scan_leading_one_set
-from subuniform.pipeline import LOWER_BOUND_SQ
-
-MAX_N = 6  # scan_leading_one_set refuses larger n
+from subuniform.pipeline import LOWER_BOUND_SQ, MAX_TERNARY_N
 
 
 def main() -> None:
@@ -35,8 +33,8 @@ def main() -> None:
     )
     args = parser.parse_args()
     # refuse before the first row, not with a traceback halfway down the table
-    if not (1 <= args.min_n <= MAX_N and 1 <= args.max_n <= MAX_N):
-        parser.error(f"--min-n and --max-n must lie in 1..{MAX_N}")
+    if not (1 <= args.min_n <= MAX_TERNARY_N and 1 <= args.max_n <= MAX_TERNARY_N):
+        parser.error(f"--min-n and --max-n must lie in 1..{MAX_TERNARY_N}")
     if args.min_n > args.max_n:
         parser.error("--min-n must not exceed --max-n")
     if args.max_n >= 5 and not args.long_run:
@@ -47,7 +45,7 @@ def main() -> None:
         start = time.monotonic()
         report = scan_leading_one_set(n, long_run=args.long_run)
         elapsed = time.monotonic() - start
-        min_sq = report.min_sup_sq()
+        min_sq = report.minimum
         sup = float(min_sq) ** 0.5
         verdict = "all passed" if report.all_passed else "FLOOR VIOLATED"
         print(

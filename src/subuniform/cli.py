@@ -133,11 +133,10 @@ def _parse_lines(lines: list[str]) -> PointSet:
                 or not parts[1].startswith("n=")
             ):
                 raise InputError(f"line {lineno}: expected header 'p=<2|3> n=<int>'")
-            try:
-                p = int(parts[0][2:])
-                n = int(parts[1][2:])
-            except ValueError:
-                raise InputError(f"line {lineno}: malformed header {line!r}") from None
+            fields = parts[0][2:], parts[1][2:]
+            if not all(field.isascii() and field.isdigit() for field in fields):
+                raise InputError(f"line {lineno}: malformed header {line!r}")
+            p, n = int(fields[0]), int(fields[1])
             try:
                 PointSet.empty(p, n)
             except InputError as exc:
@@ -367,7 +366,7 @@ def _f3_json(report: F3Report) -> dict:
         "n": report.n,
         "total_subspaces": report.total_subspaces,
         "all_passed": report.all_passed,
-        "min_sup_sq": _fraction_json(report.min_sup_sq()),
+        "min_sup_sq": _fraction_json(report.minimum),
         # the floor the scan checked, read from its module at call time
         "lower_bound_sq": _fraction_json(pipeline.LOWER_BOUND_SQ),
         "failures": [_space_json(space) for space in report.failures],
@@ -377,7 +376,7 @@ def _f3_json(report: F3Report) -> dict:
 def _cmd_f3_verify(args: argparse.Namespace) -> tuple[int, dict, dict]:
     report = scan_leading_one_set(args.n, long_run=args.long_run)
     exact = _f3_json(report)
-    approx = {"min_sup_sq": _approx(report.min_sup_sq())}
+    approx = {"min_sup_sq": _approx(report.minimum)}
     code = EXIT_OK if report.all_passed else EXIT_VERIFICATION
     return code, exact, approx
 

@@ -26,25 +26,22 @@ stage itself runs out of room.
 
 exhaustive_best_subspace is the independent ground-truth oracle: it
 scans every subspace V of codimension <= max_codim (Gaussian-binomial
-counts, budget-guarded) and returns the minimizer of sup_sq.  It
-transforms the set once over the whole space and reads each V through
-its annihilator W (dim W = codim V): by Poisson summation the sum of
-the full transform over a coset r + W is |W| times V's coefficient at
-the character r induces on V.  Over both fields the walk comes in
-blocks that share a pivot profile, and _f2_survivors or _f3_survivors
-rules out whole blocks by list gathers before the per-subspace loop.
+counts, budget-guarded) and returns the minimizer of sup_sq.  Its
+scores come from _scores_below, which transforms the set once over the
+whole space and reads each V through its annihilator W (dim W = codim
+V): by Poisson summation the sum of the full transform over a coset
+r + W is |W| times V's coefficient at the character r induces on V.
+Over both fields the walk comes in blocks that share a pivot profile,
+and _f2_survivors or _f3_survivors rules out whole blocks by list
+gathers before the per-subspace loop.
 
 Over F_3 no analogous search can succeed: leading_one_set builds the
 set whose members have first nonzero coordinate 1, and
 scan_leading_one_set certifies, for every positive-dimensional subspace
-V, a nontrivial coefficient of squared magnitude >= 1/12.  Writing the
-coefficient at the first pivot frequency as a + b*w, its imaginary part
-is pinned by the exact identity 3*b = -|V|, which the scan checks
-together with the structural inclusions behind it.  The scan walks the
-same blocks as the oracle, spans each block at once with the oracle's
-gf_core._trit_block_spans, transforms each subspace once and keeps only
-the count, the exact minimum and the failing subspaces.  Both F_3 loops,
-the oracle's and the scan's, add vectors as trit planes (see gf_core).
+V, a nontrivial coefficient of squared magnitude >= 1/12.  It reads
+sup_sq through _scores_below, as the oracle does, and reads V's points
+for the identity 3*b = -|V| on the coefficient a + b*w at the first
+pivot frequency and the slice inclusions behind it.
 """
 
 from __future__ import annotations
@@ -53,9 +50,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, compress
-from math import isqrt
+from math import ceil, isqrt
 from operator import xor
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError
 from .gf_core import (
@@ -301,41 +298,23 @@ def _f3_survivors(
     return ([keys[x] for x in span] for span in zip(*spans))
 
 
-def exhaustive_best_subspace(
-    points: PointSet, max_codim: int, budget: int = ORACLE_BUDGET
-) -> tuple[Subspace, Fraction]:
-    """Ground-truth oracle: the subspace minimizing uniformity sup_sq.
+def _scores_below(
+    points: PointSet, max_codim: int, threshold: Callable[[], int]
+) -> Iterator[tuple[Sequence[int], int]]:
+    """(W's span as ranks, score) for each V that scores below threshold().
 
-    Scans every subspace V of codimension 0..max_codim in the canonical
-    enumeration order and scores the set's uniformity on it (coset of
-    the zero vector) through its annihilator W: with F the full
-    transform, computed once, and S(r) the sum of F(r + s) over s in W,
-    sup_sq(V) = max over r outside W of |S(r)|^2 / p^(2n).  Every score
-    has that denominator, so all comparisons are on integers.  Ties
-    prefer smaller codimension, then earlier enumeration order, so V is
-    abandoned at the first r with |S(r)|^2 >= the best so far (r is
-    tried by descending |F(r)|^2), and the scan stops at the first V
-    with sup_sq = 0.  Raises BudgetExceededError when the scan would
-    evaluate more than `budget` subspaces, InputError when budget < 0.
-
-    The walk comes in blocks (gf_core._rref_blocks), and _f2_survivors
-    (p = 2) or _f3_survivors (p = 3) first rules out whole blocks by
-    list rounds against the best at the block's start.  That is exact
-    because best only falls: an r outside W with |S(r)|^2 >= best
-    proves that V cannot win, as ties go to the earlier subspace.  The
-    survivors then go through the per-subspace loop above, in walk
-    order.
+    Walks the subspaces V of codimension 0..max_codim in the canonical
+    order, in blocks (gf_core._rref_blocks), and reads the set on each
+    through its annihilator W: with F the full transform, computed once,
+    and S(r) the sum of F(r + s) over s in W, V's score is the integer
+    p^(2n) * sup_sq(V) = max over r outside W of |S(r)|^2.  r is tried
+    by descending |F(r)|^2, and V is dropped at the first r with
+    |S(r)|^2 >= threshold(): first by _f2_survivors or _f3_survivors,
+    which rule out whole blocks by list gathers against the threshold at
+    the block's start, then in the per-subspace loop.  That is exact
+    because no caller ever raises its threshold.
     """
     p, n = points.p, points.n
-    if not 0 <= max_codim <= n:
-        raise InputError(f"max_codim {max_codim} out of range 0..{n}")
-    if budget < 0:
-        raise InputError(f"budget must be at least 0, got {budget}")
-    total = subspace_scan_count(p, n, max_codim)
-    if total > budget:
-        raise BudgetExceededError(
-            f"scan of {total} subspaces exceeds budget {budget}"
-        )
     mem = points.membership_table()
     if p == 2:
         F = wht2(mem)
@@ -375,24 +354,52 @@ def exhaustive_best_subspace(
             return
         most = max(1, _SPAN_CELLS // p**c)
         for rows in _rref_blocks(p, n, n - c, annihilator=True, most=most):
-            yield from screen(order, best, rows)  # best is read as the block starts
+            yield from screen(order, threshold(), rows)
 
     # the per-subspace loop reads r as the span does: a rank, or trit planes
     tried = order if p == 2 else [keys[r] for r in order]
-    best = p ** (2 * n) + 1  # above every |S|^2, since |S| <= p^n
-    best_span: Sequence = [keys[0]]
     for span in chain.from_iterable(map(candidates, range(max_codim + 1))):
+        bound = threshold()
         for r in tried:
-            if r not in span and coset_sq(r, span) >= best:
-                break  # V cannot win: ties go to the earlier subspace
-        else:
-            best = max((coset_sq(r, span) for r in tried if r not in span), default=0)
-            best_span = span
-            if best == 0:
+            if r not in span and coset_sq(r, span) >= bound:
                 break
-    ranks = best_span if p == 2 else _trit_ranks(n, best_span)
-    winner = perp(rref_basis([GFVector.from_rank(p, n, r) for r in ranks]))
+        else:
+            score = max((coset_sq(r, span) for r in tried if r not in span), default=0)
+            yield span if p == 2 else _trit_ranks(n, span), score
+
+
+def exhaustive_best_subspace(
+    points: PointSet, max_codim: int, budget: int = ORACLE_BUDGET
+) -> tuple[Subspace, Fraction]:
+    """Ground-truth oracle: the subspace minimizing uniformity sup_sq.
+
+    Scores every subspace of codimension 0..max_codim by _scores_below
+    against the best so far.  Ties prefer smaller codimension, then
+    earlier enumeration order, and the scan stops at the first V with
+    sup_sq = 0.  Raises BudgetExceededError when the scan would evaluate
+    more than `budget` subspaces, InputError when budget < 0.
+    """
+    p, n = points.p, points.n
+    if not 0 <= max_codim <= n:
+        raise InputError(f"max_codim {max_codim} out of range 0..{n}")
+    if budget < 0:
+        raise InputError(f"budget must be at least 0, got {budget}")
+    total = subspace_scan_count(p, n, max_codim)
+    if total > budget:
+        raise BudgetExceededError(
+            f"scan of {total} subspaces exceeds budget {budget}"
+        )
+    best = p ** (2 * n) + 1  # above every |S|^2, since |S| <= p^n
+    # the whole space comes first and scores below that, so best_span is set
+    for best_span, best in _scores_below(points, max_codim, lambda: best):
+        if best == 0:
+            break
+    winner = perp(rref_basis([GFVector.from_rank(p, n, r) for r in best_span]))
     return winner, Fraction(best, p ** (2 * n))
+
+
+# leading_one_set and scan_leading_one_set refuse larger n
+MAX_TERNARY_N = 6
 
 
 def leading_one_set(n: int) -> PointSet:
@@ -400,8 +407,8 @@ def leading_one_set(n: int) -> PointSet:
 
     Contains (3^n - 1)/2 points: exactly one of x, -x for each nonzero x.
     """
-    if not 1 <= n <= 6:
-        raise InputError(f"leading_one_set supports 1 <= n <= 6, got {n}")
+    if not 1 <= n <= MAX_TERNARY_N:
+        raise InputError(f"leading_one_set supports 1 <= n <= {MAX_TERNARY_N}, got {n}")
     # the leading digit is 1 exactly for the ranks in [3^k, 2 * 3^k)
     ranks = chain.from_iterable(range(3**k, 2 * 3**k) for k in range(n))
     return PointSet.from_ranks(3, n, ranks)
@@ -424,9 +431,6 @@ class F3Report:
     def all_passed(self) -> bool:
         return not self.failures
 
-    def min_sup_sq(self) -> Fraction:
-        return self.minimum
-
 
 LOWER_BOUND_SQ = Fraction(1, 12)
 
@@ -434,34 +438,44 @@ LOWER_BOUND_SQ = Fraction(1, 12)
 def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
     """Certify the LOWER_BOUND_SQ = 1/12 floor on every subspace of F_3^n.
 
-    Walks every subspace V with dim V >= 1 in the canonical enumeration
-    order, in the blocks of gf_core._rref_blocks, cut by _SPAN_CELLS as
-    the oracle's are.  Each block is spanned at once by
-    gf_core._trit_block_spans; V's membership table is read through its
-    span, and transformed once.  With j the first pivot coordinate of V,
-    shared by its block, V fails when any of these does not hold:
+    Covers every subspace V with dim V >= 1.  sup_sq comes from the
+    oracle's _scores_below over codimension 0..n-1, against the
+    threshold max(best, ceil(9^n * LOWER_BOUND_SQ)), which never rises:
+    it yields the exact minimum and every V below the floor.  The other
+    checks read V's points, in the canonical enumeration order, by the
+    blocks of gf_core._rref_blocks spanned by _trit_block_spans.  With j
+    the first pivot coordinate of V, shared by its block, V fails when
+    any of these does not hold:
 
-    * sup_sq >= LOWER_BOUND_SQ;
+    * sup_sq >= LOWER_BOUND_SQ (V is matched by its RREF basis ranks);
     * the coefficient at frequency e_j is a + b*w with 3*b = -|V|,
-      which alone forces a squared magnitude >= 1/12;
+      which alone forces a squared magnitude >= 1/12 (b counts the
+      members at x_j = 2 less those at x_j = 1);
     * the slice {x in V : x_j = 1} lies inside the set and the slice
       {x in V : x_j = 2} misses it (coordinate j is one bit of each plane);
     * each slice holds |V|/3 points.
 
-    Only failing subspaces are kept; the report carries the count and
-    the exact minimum sup_sq.  n = 5 (2,663 subspaces) and n = 6 (56,631)
-    sit behind long_run; n >= 7 is refused.
+    The report keeps the count, the exact minimum and the failures.
+    n = 5 (2,663 subspaces) and n = 6 (56,631) sit behind long_run.
     """
-    if not 1 <= n <= 6:
-        raise InputError(f"scan supports 1 <= n <= 6, got {n}")
+    if not 1 <= n <= MAX_TERNARY_N:
+        raise InputError(f"scan supports 1 <= n <= {MAX_TERNARY_N}, got {n}")
     if n >= 5 and not long_run:
         raise InputError(
             f"n = {n} scans every subspace of F_3^{n}; pass long_run=True"
         )
-    mem = leading_one_set(n).membership_table()
+    A = leading_one_set(n)
+    # scores are integers: below 9^n * LOWER_BOUND_SQ means below its ceiling
+    floor = ceil(9**n * LOWER_BOUND_SQ)
+    best = 9**n + 1  # above every score
+    below = set()
+    for span, score in _scores_below(A, n - 1, lambda: max(best, floor)):
+        best = min(best, score)
+        if score < floor:
+            V = perp(rref_basis([GFVector.from_rank(3, n, r) for r in span]))
+            below.add(tuple(v.rank for v in V.basis))
+    mem = A.membership_table()
     keys = _trit_keys(n)
-    floor = LOWER_BOUND_SQ
-    minimum = Fraction(1)  # no coefficient exceeds |V| in magnitude
     total = 0
     failures: list[Subspace] = []
     for k in range(1, n + 1):
@@ -471,24 +485,16 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
             # the block shares its pivots
             lo, hi = keys[rows[0][0]]
             bit = 1 << (lo | hi).bit_length() - 1
-            for col, span in enumerate(zip(*_trit_block_spans(n, rows))):
-                table = [mem[x] for x in span]
-                coefs = _dft3_pairs([(m, 0) for m in table])
-                # sup_sq is best / size^2; fractions compare by cross-multiplying
-                best = max(a * a - a * b + b * b for a, b in coefs[1:])
-                if best * minimum.denominator < minimum.numerator * size * size:
-                    minimum = Fraction(best, size * size)
-                # e_j is 1 on V's first row and 0 on the others: index 3^(k-1)
-                identity = 3 * coefs[size // 3][1] == -size
-                ones = [m for x, m in zip(span, table) if keys[x][0] & bit]
-                twos = [m for x, m in zip(span, table) if keys[x][1] & bit]
+            for basis, span in zip(zip(*rows), zip(*_trit_block_spans(n, rows))):
+                ones = [mem[x] for x in span if keys[x][0] & bit]
+                twos = [mem[x] for x in span if keys[x][1] & bit]
                 total += 1
                 if (
-                    best * floor.denominator < floor.numerator * size * size
-                    or not identity
+                    basis in below
+                    or 3 * (sum(twos) - sum(ones)) != -size
                     or not (all(ones) and not any(twos))
                     or not 3 * len(ones) == 3 * len(twos) == size
                 ):
-                    basis = (GFVector.from_rank(3, n, row[col]) for row in rows)
-                    failures.append(Subspace(3, n, tuple(basis)))
-    return F3Report(n, total, minimum, tuple(failures))
+                    vectors = (GFVector.from_rank(3, n, r) for r in basis)
+                    failures.append(Subspace(3, n, tuple(vectors)))
+    return F3Report(n, total, Fraction(best, 9**n), tuple(failures))

@@ -222,12 +222,10 @@ def parse_colouring(text: str) -> AlmostColouring:
                 or not parts[1].startswith("C=")
             ):
                 raise InputError(f"line {lineno}: expected header 'm=<int> C=<int>'")
-            try:
-                header = (int(parts[0][2:]), int(parts[1][2:]))
-            except ValueError:
-                raise InputError(f"line {lineno}: malformed header {line!r}") from None
-            if header[0] < 0 or header[1] < 0:
-                raise InputError(f"line {lineno}: negative header values")
+            fields = parts[0][2:], parts[1][2:]
+            if not all(field.isascii() and field.isdigit() for field in fields):
+                raise InputError(f"line {lineno}: malformed header {line!r}")
+            header = (int(fields[0]), int(fields[1]))
             if header[0] > MAX_COLOURING_M:
                 raise InputError(
                     f"line {lineno}: m={header[0]} exceeds the cap {MAX_COLOURING_M}"
@@ -238,24 +236,21 @@ def parse_colouring(text: str) -> AlmostColouring:
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected '<bitstring> <colour|->'")
         bitstring, colour_text = parts
-        if len(bitstring) != max(m, 1) or any(ch not in "01" for ch in bitstring):
+        # strip() leaves something behind exactly when a character is not
+        # a digit; F_2^0's one point is "0", as serialize_colouring writes it
+        if len(bitstring) != max(m, 1) or bitstring.strip("01"[: m + 1]):
             raise InputError(f"line {lineno}: bad point {bitstring!r} for m={m}")
-        rank = int(bitstring, 2) if m else 0
-        if rank >= 1 << m:
-            raise InputError(f"line {lineno}: point {bitstring!r} out of range")
+        rank = int(bitstring, 2)
         if rank in entries:
             raise InputError(f"line {lineno}: duplicate point {bitstring!r}")
         if colour_text == "-":
             entries[rank] = None
+        elif not (colour_text.isascii() and colour_text.isdigit()):
+            raise InputError(f"line {lineno}: bad colour {colour_text!r}")
+        elif int(colour_text) > C:
+            raise InputError(f"line {lineno}: colour {colour_text} out of 0..{C}")
         else:
-            try:
-                entries[rank] = int(colour_text)
-            except ValueError:
-                raise InputError(
-                    f"line {lineno}: bad colour {colour_text!r}"
-                ) from None
-            if not 0 <= entries[rank] <= C:
-                raise InputError(f"line {lineno}: colour {colour_text} out of 0..{C}")
+            entries[rank] = int(colour_text)
     if header is None:
         raise InputError("line 1: missing header 'm=<int> C=<int>'")
     m, C = header

@@ -95,6 +95,9 @@ def test_parse_accepts_comments_blanks_and_any_order():
         ("x=2 n=2\n", "line 1: expected header 'p=<2|3> n=<int>'"),
         ("p=2\n", "line 1: expected header 'p=<2|3> n=<int>'"),
         ("p=a n=2\n", "line 1: malformed header 'p=a n=2'"),
+        # int() would read these as p = 2 and n = 3
+        ("p=0_2 n=3\n", "line 1: malformed header 'p=0_2 n=3'"),
+        ("p=2 n=+3\n", "line 1: malformed header 'p=2 n=+3'"),
         # length is checked before digit values
         ("p=2 n=2\n102\n", "line 2: vector '102' has length 3, expected 2"),
         ("p=2 n=2\n12\n", "line 2: vector '12' has digits not in F_2"),

@@ -507,7 +507,7 @@ def test_f3_scan_frozen_results():
         assert report.all_passed
         assert report.failures == ()
         assert report.total_subspaces == total
-        assert report.min_sup_sq() == min_sup
+        assert report.minimum == min_sup
         assert min_sup >= LOWER_BOUND_SQ
 
 
@@ -528,7 +528,7 @@ def test_f3_scan_minimum_closed_form(n):
     closed = Fraction(9**n + 3, 12 * 9**n)
     assert closed == Fraction(1, 12) + Fraction(1, 4 * 9**n)
     report = scan_leading_one_set(n, long_run=True)
-    assert report.min_sup_sq() == closed
+    assert report.minimum == closed
     totals = {1: 1, 2: 5, 3: 27, 4: 211, 5: 2663, 6: 56631}
     assert report.total_subspaces == totals[n]
     assert report.total_subspaces == subspace_scan_count(3, n, n - 1)
@@ -556,7 +556,43 @@ def test_f3_scan_failure_path(monkeypatch):
     assert report.failures == tuple(below)
     assert not report.all_passed
     assert report.total_subspaces == 27
-    assert report.min_sup_sq() == Fraction(61, 729)
+    assert report.minimum == Fraction(61, 729)
+
+
+def test_f3_scan_floor_boundary(monkeypatch):
+    # the scan compares integer scores with ceil(9^n * floor): a floor
+    # equal to the n = 3 minimum fails nothing, and one just above it
+    # fails exactly the subspaces that uniformity_sup puts below it
+    A = leading_one_set(3)
+    spaces = [V for k in range(1, 4) for V in enumerate_subspaces(3, 3, k)]
+    sups = [uniformity_sup(A, Coset(V, GFVector.zero(3, 3))).sup_sq for V in spaces]
+    low = Fraction(61, 729)
+    above = low + Fraction(1, 2 * 729)  # 9^3 * above = 61.5
+    assert min(sups) == low
+    assert above < min(sup for sup in sups if sup > low)
+    monkeypatch.setattr(pipeline, "LOWER_BOUND_SQ", low)
+    assert scan_leading_one_set(3).failures == ()
+    monkeypatch.setattr(pipeline, "LOWER_BOUND_SQ", above)
+    report = scan_leading_one_set(3)
+    below = tuple(V for V, sup in zip(spaces, sups) if sup < above)
+    assert len(below) == 1
+    assert report.failures == below
+    assert report.minimum == low
+
+
+def test_f3_scan_transforms_once(monkeypatch):
+    # one transform of the whole set serves every subspace of the scan
+    sizes = []
+
+    def counted(pairs):
+        sizes.append(len(pairs))
+        return _dft3_pairs(pairs)
+
+    monkeypatch.setattr(pipeline, "_dft3_pairs", counted)
+    for n in (1, 3, 4):
+        sizes.clear()
+        scan_leading_one_set(n)
+        assert sizes == [3**n]
 
 
 def test_f3_witness_identity_recomputed_directly():
@@ -632,3 +668,5 @@ def test_f3_scan_across_block_boundaries(monkeypatch, tail_size, span_cells):
         test_f3_scan_failure_path(patch)
     with monkeypatch.context() as patch:
         test_f3_scan_flags_broken_slices_and_identity(patch)
+    with monkeypatch.context() as patch:
+        test_f3_scan_floor_boundary(patch)

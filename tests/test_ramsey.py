@@ -310,3 +310,20 @@ def test_colouring_parse_errors_carry_line_numbers():
     for text, fragment in cases:
         with pytest.raises(InputError, match=fragment):
             parse_colouring(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # serialize_colouring writes the one point of F_2^0 as "0"
+        ("m=0 C=2\n1 2\n", "line 2: bad point '1' for m=0"),
+        # int() would read these as 10, 1 and 2
+        ("m=2 C=20\n01 1_0\n", "line 2: bad colour '1_0'"),
+        ("m=2 C=2\n01 +1\n", "line 2: bad colour '+1'"),
+        ("m=+2 C=1\n", "line 1: malformed header 'm=+2 C=1'"),
+    ],
+)
+def test_colouring_parse_takes_only_decimal_digits(text, message):
+    with pytest.raises(InputError) as excinfo:
+        parse_colouring(text)
+    assert str(excinfo.value) == message
