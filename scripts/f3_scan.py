@@ -3,14 +3,15 @@
 
 For each n the scan walks every positive-dimensional subspace V of
 F_3^n, computes the exact uniformity sup of the leading-one set on V,
-and checks it never drops below the 1/12 squared-magnitude floor.  The
+and checks it never drops below the 1/12 squared-magnitude floor
+(n = 7, with --long-run, takes about 20 s).  The
 table printed here shows how close the minimum gets to the floor as n
 grows; any failing subspace is listed under its row.
 
 Example:
 
     python3 scripts/f3_scan.py --max-n 4
-    python3 scripts/f3_scan.py --min-n 5 --max-n 6 --long-run  # about 2 s
+    python3 scripts/f3_scan.py --min-n 5 --max-n 6 --long-run  # about 0.6 s
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def main() -> None:
     parser.add_argument(
         "--long-run",
         action="store_true",
-        help="allow n = 5 and 6 (every subspace of F_3^6 takes a few seconds)",
+        help="allow n = 5 to 7 (every subspace of F_3^7 takes about 20 s)",
     )
     args = parser.parse_args()
     # refuse before the first row, not with a traceback halfway down the table
@@ -38,7 +39,7 @@ def main() -> None:
     if args.min_n > args.max_n:
         parser.error("--min-n must not exceed --max-n")
     if args.max_n >= 5 and not args.long_run:
-        parser.error("n = 5 and 6 need --long-run")
+        parser.error("n = 5 to 7 need --long-run")
 
     print(f"{'n':>2} {'subspaces':>10} {'min sup^2':>12} {'~sup':>8}  verdict")
     for n in range(args.min_n, args.max_n + 1):

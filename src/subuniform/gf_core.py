@@ -15,11 +15,12 @@ Conventions used throughout the package:
   representative is the lexicographically least element of the coset.
   That canonical representative is the unique coset element whose pivot
   coordinates are all zero.
-* Inner loops over F_3^n add vectors as trit planes (lo, hi): bit i of
-  lo (of hi) is set when the digit of weight 3^i is 1 (is 2).  One add
-  is six whole-int operations (Harrison, Page and Smart, "Software
-  implementation of finite fields of characteristic three", 2002), and
-  the rank of (lo, hi) is T[lo] + 2 T[hi] with T = _trit_table(n).
+* F_3 vectors add as trit planes (lo, hi): bit i of lo (of hi) is set
+  when the digit of weight 3^i is 1 (is 2).  One add is six whole-int
+  operations (Harrison, Page and Smart, "Software implementation of
+  finite fields of characteristic three", 2002), and the rank of
+  (lo, hi) is T[lo] + 2 T[hi] with T = _trit_table(n).  The per-point
+  hot loops stay on ranks: they sum digit-disjoint parts instead.
 
 Ambient sizes are capped so tables of p^n entries stay addressable:
 n <= 24 for p = 2 and n <= 12 for p = 3.
@@ -428,12 +429,6 @@ def _trit_planes(rank: int) -> tuple[int, int]:
     return lo, hi
 
 
-@lru_cache(maxsize=None)
-def _trit_keys(n: int) -> tuple[tuple[int, int], ...]:
-    """K[x] = the trit planes of rank x, for x < 3^n."""
-    return tuple(map(_trit_planes, range(3**n)))
-
-
 def _trit_ranks(n: int, pts: Iterable[tuple[int, int]]) -> list[int]:
     """Ranks of vectors of F_3^n given as trit planes."""
     table = _trit_table(n)
@@ -445,10 +440,10 @@ def _trit_add(
 ) -> list[tuple[int, int]]:
     """d + x for every d in shifts, then every x in pts, as trit planes.
 
-    The F_3 vector add.  _trit_block_spans repeats its six operations
-    inline, reading each x's planes from _trit_keys and writing ranks,
-    because a call per point there would cost more than the add.  A
-    loop, because on the 3 to 9 points of a small span it beats a
+    The F_3 vector add, for _span_ranks and the tests.  The per-point
+    hot loops add by ranks instead: _trit_shifts sums digits of a
+    whole-space shift, and _trit_block_spans sums digit-disjoint parts.
+    A loop, because on the 3 to 9 points of a small span it beats a
     comprehension.
     """
     out = []
@@ -459,31 +454,93 @@ def _trit_add(
     return out
 
 
-def _trit_block_spans(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The spans of a block of subspaces of F_3^n, as rank lists.
+def _trit_shifts(n: int, r: int) -> list[int]:
+    """Ranks of r + x for x = 0 .. 3^n - 1, in that order.
 
-    rows[f][j] is the rank of row f of the block's j-th subspace (there
-    is at least one row), as _rref_blocks yields them.  Entry j of list
-    i is the rank of point i of subspace j's span, in the order of
-    _span_ranks: the same adds, zipped across the block.  Only ranks are
-    kept; a point's planes are read back through _trit_keys.
+    Digit i of r + x is (r_i + x_i) mod 3, so the list is built digit by
+    digit, most significant first, as sums of one value per digit.
     """
-    T = _trit_table(n)
-    keys = _trit_keys(n)
-    spans = [[0] * len(rows[0])]
-    for row in reversed(rows):
-        planes = [keys[w] for w in row]
-        added = []
-        for shift in (planes, [(hi, lo) for lo, hi in planes]):  # row, then 2 row = -row
-            added.append(_trit_ranks(n, shift))  # shift + the zero point
-            for span in spans[1:]:
-                pts = []
-                for (dl, dh), x in zip(shift, span):
-                    xl, xh = keys[x]
-                    t = (dl | xh) ^ (dh | xl)
-                    pts.append(T[(dh | xh) ^ t] + 2 * T[(dl | xl) ^ t])
-                added.append(pts)
-        spans += added
+    out = [0]
+    for w in _weights(3, n):
+        d = r // w % 3
+        column = [(d + e) % 3 * w for e in range(3)]
+        out = [o + v for o in out for v in column]
+    return out
+
+
+def _free_columns(n: int, rows: Sequence[Sequence[int]]) -> list[int]:
+    """The free columns of V for a block of its annihilator rows over F_3.
+
+    Row f, w_f = e_f - sum_g A[g][f] e_g, has nonzero digits only at
+    pivot columns left of f, so its last nonzero digit is the 1 at f.
+    """
+    free = []
+    for row in rows:
+        col, x = n, row[0]
+        while x % 3 == 0:
+            col, x = col - 1, x // 3
+        free.append(col)
+    return free
+
+
+@lru_cache(maxsize=1 << 12)
+def _pivot_digits(head: int, coeffs: tuple[int, ...], weight: int) -> tuple[int, ...]:
+    """weight * ((head - sum_s coeffs[s] d_s) mod 3) for every d in {0, 1, 2}^s.
+
+    The values a pivot digit takes over one pivot group's tail slots,
+    first slot most significant (_trit_block_spans).
+    """
+    vals = [head]
+    for c in coeffs:
+        vals = [v - c * d for v in vals for d in range(3)]
+    digit = (0, weight, 2 * weight)
+    return tuple(digit[v % 3] for v in vals)
+
+
+def _trit_block_spans(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The spans of a block of annihilators in F_3^n, as rank lists.
+
+    rows[f][j] is the rank of row w_f of the block's j-th annihilator W
+    (there is at least one row), as _rref_blocks(3, n, k,
+    annihilator=True) yields them.  Entry j of list i is the rank of
+    point i of W, in the order of _span_ranks.
+
+    Point i is the sum of c_f w_f over the rows, c_f the base-3 digits
+    of i with the first row most significant.  As w_f = e_f - sum over
+    pivots g of A[g][f] e_g, the point has digit c_f at each free column
+    f and -sum_f c_f A[g][f] at each pivot column g: every digit is one
+    column's, so the point is an integer sum of digit-disjoint parts and
+    nothing carries.  The free digits and the head slots are fixed for
+    the block; a tail slot (g, f) moves only the digit at pivot g.  So
+    point i of every subspace is one constant plus one entry per tail
+    pivot group, from a small list over that group's tail slots.
+    """
+    weights = _weights(3, n)
+    digits = [[row[0] // w % 3 for w in weights] for row in rows]
+    free = _free_columns(n, rows)
+    pivots = [col for col in range(1, n + 1) if col not in free]
+    slots = [
+        (g, f) for g, pivot in enumerate(pivots) for f, col in enumerate(free) if col > pivot
+    ]
+    # the block runs the last t slots, 3^t subspaces (_rref_blocks)
+    t = 0
+    while 3**t < len(rows[0]):
+        t += 1
+    groups: dict[int, list[int]] = {}
+    for g, f in slots[len(slots) - t :]:
+        groups.setdefault(g, []).append(f)
+    spans = []
+    for coeffs in product(range(3), repeat=len(rows)):
+        point = [sum(c * weights[col - 1] for c, col in zip(coeffs, free))]
+        # the digit that the block's first subspace puts at each pivot
+        heads = [sum(c * ds[pivot - 1] for c, ds in zip(coeffs, digits)) % 3 for pivot in pivots]
+        for g, pivot in enumerate(pivots):
+            if g not in groups:
+                point[0] += heads[g] * weights[pivot - 1]
+        for g, tail in groups.items():
+            part = _pivot_digits(heads[g], tuple(coeffs[f] for f in tail), weights[pivots[g] - 1])
+            point = [u + v for u in point for v in part]
+        spans.append(point)
     return spans
 
 

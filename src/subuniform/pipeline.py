@@ -33,15 +33,19 @@ V): by Poisson summation the sum of the full transform over a coset
 r + W is |W| times V's coefficient at the character r induces on V.
 Over both fields the walk comes in blocks that share a pivot profile,
 and _f2_survivors or _f3_survivors rules out whole blocks by list
-gathers before the per-subspace loop.
+gathers before the per-subspace loop.  Over F_3 every sum is rank
+arithmetic on one packed list (_F3Sums): entry x holds both parts of
+F(x) = a + b*w, so one gather sums both, through shifted tables
+x -> F(r + x) that are built once per r and shared by every block.
 
 Over F_3 no analogous search can succeed: leading_one_set builds the
 set whose members have first nonzero coordinate 1, and
 scan_leading_one_set certifies, for every positive-dimensional subspace
-V, a nontrivial coefficient of squared magnitude >= 1/12.  It reads
-sup_sq through _scores_below, as the oracle does, and reads V's points
-for the identity 3*b = -|V| on the coefficient a + b*w at the first
-pivot frequency and the slice inclusions behind it.
+V, a nontrivial coefficient of squared magnitude >= 1/12.  It is one
+walk: _scores_below gives sup_sq, and on each block the same spans give
+S(0) and S(e_j), j the first pivot, which are |W| times |A n V| and
+V's coefficient a + b*w at e_j.  From those follow the identity
+3*b = -|V| and the slice counts behind it.
 """
 
 from __future__ import annotations
@@ -61,12 +65,10 @@ from .gf_core import (
     PointSet,
     Subspace,
     _coset_rep_ranks,
+    _free_columns,
     _rref_blocks,
-    _trit_add,
     _trit_block_spans,
-    _trit_keys,
-    _trit_ranks,
-    _trit_table,
+    _trit_shifts,
     extend_span,
     gaussian_binomial,
     lift_from_quotient,
@@ -86,6 +88,10 @@ ORACLE_BUDGET = 10**7
 # The oracle and the ternary scan cut their blocks so that their span
 # lists hold at most _SPAN_CELLS ranks, about 0.5 MB of list slots.
 _SPAN_CELLS = 1 << 16
+# The F_3 block screen runs at most this many rounds, and the walk keeps
+# one shifted table of 3^n entries per round; past n = 6 the tables are
+# held to _SPAN_CELLS entries in all, so fewer rounds run.
+_F3_ROUNDS = 32
 
 
 @dataclass(frozen=True)
@@ -246,60 +252,161 @@ def _f2_survivors(
     return zip(*spans)
 
 
+def _f3_pack(F3: Sequence[tuple[int, int]], most: int) -> tuple[list[int], int, int]:
+    """(packed, K, B): the transform as one int per point, for sums of <= most.
+
+    Entry x is (a + B) 2^K + (b + B) for F(x) = a + b w, where B is the
+    largest |a| or |b| and K the bit length of 2 B most.  A sum s of m
+    entries, m <= most, keeps each half in [0, 2 B m], below 2^K, so it
+    never carries from the low half into the high one, and it unpacks as
+    a = (s >> K) - m B and b = (s & (2^K - 1)) - m B.
+    """
+    bias = max(max(abs(a), abs(b)) for a, b in F3)
+    shift = (2 * bias * most).bit_length()
+    return [((a + bias) << shift) + b + bias for a, b in F3], shift, bias
+
+
+def _shifted_table(n: int, packed: list[int], r: int) -> list[int]:
+    """x -> packed[r + x] for every rank x of F_3^n."""
+    return [packed[y] for y in _trit_shifts(n, r)]
+
+
+Sums = tuple[list[int], list[int]]  # the a- and b-parts of one S per subspace
+
+
+class _F3Sums:
+    """Coset sums S(r) of one set's transform over F_3^n, read by rank.
+
+    The transform is computed once and packed (_f3_pack), so one gather
+    sums both parts of S(r) = sum over s in W of F(r + s): a sum over
+    r + W reads the shifted table x -> F(r + x) at W's span ranks.  The
+    table of order[i], the i-th r by descending |F(r)|^2, is built on
+    first use and kept for the whole walk, shared by every block, for i
+    below `rounds`, so the tables never cover all of order.  The tables
+    of the few r that a visit reads on every block (the scan's e_j) are
+    kept by r.
+    """
+
+    def __init__(self, points: PointSet, max_codim: int) -> None:
+        n = points.n
+        F3 = _dft3_pairs([(m, 0) for m in points.membership_table()])
+        sq = [a * a - a * b + b * b for a, b in F3]
+        self.n = n
+        self.order = sorted(range(1, 3**n), key=sq.__getitem__, reverse=True)
+        self.packed, self.shift, self.bias = _f3_pack(F3, 3**max_codim)
+        self.rounds = max(1, min(_F3_ROUNDS, len(self.order) - 1, _SPAN_CELLS // 3**n))
+        self.tables: list[list[int]] = []
+        self.paired: dict[int, list[int]] = {}
+
+    def table(self, i: int) -> list[int]:
+        """The shifted table of order[i], for i < rounds."""
+        while len(self.tables) <= i:
+            r = self.order[len(self.tables)]
+            self.tables.append(_shifted_table(self.n, self.packed, r))
+        return self.tables[i]
+
+    def gather(self, table: list[int], spans: list[list[int]]) -> list[int]:
+        """The sum of table over each span of a block."""
+        sums = [table[0]] * len(spans[0])  # span point 0 is 0
+        for one, two in zip(spans[1::2], spans[2::2]):
+            sums = [s + table[x] + table[y] for s, x, y in zip(sums, one, two)]
+        return sums
+
+    def unpack(self, sums: list[int], count: int) -> Sums:
+        """The a- and b-parts of packed sums of `count` entries each."""
+        mask = (1 << self.shift) - 1
+        off = count * self.bias
+        return [(s >> self.shift) - off for s in sums], [(s & mask) - off for s in sums]
+
+    def pair(self, r: int, spans: list[list[int]]) -> tuple[Sums, Sums]:
+        """S(0) and S(r), unpacked, on every span of a block, by one gather."""
+        # a packed sum has 2K bits, so packed[x] sits clear above packed[r + x]
+        width = 2 * self.shift
+        if r not in self.paired:
+            shifted = _shifted_table(self.n, self.packed, r)
+            self.paired[r] = [(x << width) + y for x, y in zip(self.packed, shifted)]
+        both = self.gather(self.paired[r], spans)
+        low = (1 << width) - 1
+        zero = self.unpack([s >> width for s in both], len(spans))
+        return zero, self.unpack([s & low for s in both], len(spans))
+
+    def reaches(self, span: Sequence[int], bound: int) -> bool:
+        """Whether |S(r)|^2 >= bound for an r outside W among order[:rounds]."""
+        mask = (1 << self.shift) - 1
+        off = len(span) * self.bias
+        for i in range(self.rounds):
+            if self.order[i] in span:
+                continue
+            table = self.table(i)
+            s = 0
+            for x in span:
+                s += table[x]
+            a, b = (s >> self.shift) - off, (s & mask) - off
+            if a * a - a * b + b * b >= bound:
+                return True
+        return False
+
+    def score(self, span: Sequence[int]) -> int:
+        """max over r outside W of |S(r)|^2, W's span given as ranks.
+
+        The sums over all cosets come at once, folding W's generators
+        (span points 1, 3, 9, ...) into the table: G(r) + G(r + w) +
+        G(r + 2 w), each shift read through _trit_shifts.
+        """
+        sums = self.packed
+        w = 1
+        while w < len(span):
+            shift = _trit_shifts(self.n, span[w])
+            once = [sums[y] for y in shift]
+            sums = [x + y + once[z] for x, y, z in zip(sums, once, shift)]
+            w *= 3
+        inside = set(span)
+        A, B = self.unpack(sums, len(span))
+        norms = (a * a - a * b + b * b for r, a, b in zip(range(len(A)), A, B) if r not in inside)
+        return max(norms, default=0)
+
+
 def _f3_survivors(
-    n: int,
-    parts: tuple[list[int], list[int]],
-    order: Sequence[int],
+    sums: _F3Sums,
     best: int,
     rows: list[list[int]],
-) -> Iterator[list[tuple[int, int]]]:
+    spans: list[list[int]],
+) -> Iterator[tuple[int, ...]]:
     """W's span for each subspace of a block of F_3^n that no r rules out.
 
-    The F_3 twin of _f2_survivors, with the same rows.  With
-    parts = (A, B) the transform at rank x is A[x] + B[x] w.  The span
-    lists are ranks, from gf_core._trit_block_spans.  For r in `order`,
-    one trit-plane add of r to every point gives the shifted table
-    x -> rank(r + x); the a- and b-parts of S(r) are summed for every
-    kept subspace by list gathers through it, and a subspace is dropped
-    when |S(r)|^2 = a^2 - ab + b^2 >= best unless r lies in its W.  The
-    rounds stop when kept * 3^c < 3^n, as over F_2, and the survivors'
-    spans are yielded as trit planes, in walk order.
+    The F_3 twin of _f2_survivors.  rows are the block's annihilator
+    rows and spans their rank lists (gf_core._trit_block_spans), for the
+    subspaces still in the running.  Round i takes r = order[i] and sums
+    S(r) for every kept subspace by one gather through the shared table
+    of order[i], both parts at once; a subspace is dropped when
+    |S(r)|^2 = a^2 - ab + b^2 >= best unless r lies in its W.  The
+    rounds stop when kept * 3^c < 3^n, as over F_2, or after
+    sums.rounds rounds, and the survivors' spans are yielded as rank
+    tuples, in walk order.
     """
-    keys = _trit_keys(n)
-    spans = _trit_block_spans(n, rows)
-    # w_f's lowest nonzero digit is a 1 at its free column f, the lowest
-    # set bit of its lo plane; r's digits there pick the one span point
-    # that can equal r
-    lows = [lo & -lo for lo, _ in (keys[row[0]] for row in rows)]
-    FA, FB = parts
-    for r in order:
-        if len(spans[0]) * len(spans) < len(keys):
+    n = sums.n
+    c = len(rows)
+    # r's digits at the free columns pick the one span point that can
+    # equal r: point sum_f r_f 3^(c-1-f)
+    free = _free_columns(n, rows)
+    digit_weights = [(3 ** (n - col), 3 ** (c - 1 - f)) for f, col in enumerate(free)]
+    for i in range(sums.rounds):
+        if len(spans[0]) * len(spans) < 3**n:
             break
-        shifted = _trit_ranks(n, _trit_add([keys[r]], keys))
-        fa = [FA[x] for x in shifted]
-        fb = [FB[x] for x in shifted]
-        a0, b0 = fa[0], fb[0]
-        sa = [a0 + fa[x] + fa[y] for x, y in zip(spans[1], spans[2])]
-        sb = [b0 + fb[x] + fb[y] for x, y in zip(spans[1], spans[2])]
-        for one, two in zip(spans[3::2], spans[4::2]):
-            sa = [s + fa[x] + fa[y] for s, x, y in zip(sa, one, two)]
-            sb = [s + fb[x] + fb[y] for s, x, y in zip(sb, one, two)]
-        rl, rh = keys[r]
-        at = 0
-        for low in lows:
-            at = 3 * at + (rl & low > 0) + 2 * (rh & low > 0)
-        keep = [
-            a * a - a * b + b * b < best or x == r
-            for a, b, x in zip(sa, sb, spans[at])
-        ]
+        r = sums.order[i]
+        at = sum(r // w % 3 * step for w, step in digit_weights)
+        A, B = sums.unpack(sums.gather(sums.table(i), spans), len(spans))
+        keep = [a * a - a * b + b * b < best or x == r for a, b, x in zip(A, B, spans[at])]
         if not all(keep):
-            for i, span in enumerate(spans):
-                spans[i] = list(compress(span, keep))
-    return ([keys[x] for x in span] for span in zip(*spans))
+            spans = [list(compress(span, keep)) for span in spans]
+    return zip(*spans)
 
 
 def _scores_below(
-    points: PointSet, max_codim: int, threshold: Callable[[], int]
+    points: PointSet,
+    max_codim: int,
+    threshold: Callable[[], int],
+    visit: Optional[Callable[..., list[bool]]] = None,
 ) -> Iterator[tuple[Sequence[int], int]]:
     """(W's span as ranks, score) for each V that scores below threshold().
 
@@ -313,59 +420,75 @@ def _scores_below(
     which rule out whole blocks by list gathers against the threshold at
     the block's start, then in the per-subspace loop.  That is exact
     because no caller ever raises its threshold.
+
+    Over F_3 every sum is read by rank from one packed transform
+    (_F3Sums); a V that the first rounds' r leave in the running is
+    scored from all its coset sums at once.  visit(rows, spans, at), for
+    p = 3 only, sees each block before its screen, with at(r) giving the
+    block's (a, b) lists of S(0) and S(r); it returns which subspaces
+    stay in the running, and may drop only ones that score at least
+    threshold().
     """
-    p, n = points.p, points.n
-    mem = points.membership_table()
-    if p == 2:
-        F = wht2(mem)
-        keys = range(2**n)
-        sq = [f * f for f in F]
+    if points.p == 3:
+        yield from _f3_scores_below(points, max_codim, threshold, visit)
+        return
+    n = points.n
+    F = wht2(points.membership_table())
+    sq = [f * f for f in F]
+    order = sorted(range(1, 2**n), key=sq.__getitem__, reverse=True)
 
-        def coset_sq(r: int, span: Sequence[int]) -> int:
-            s = 0
-            for x in span:
-                s += F[r ^ x]
-            return s * s
-
-        screen = partial(_f2_survivors, F)
-    else:
-        # r and W's span are trit planes; every r + x is read by its rank
-        F3 = _dft3_pairs([(m, 0) for m in mem])
-        T = _trit_table(n)
-        keys = _trit_keys(n)
-        parts = [a for a, _ in F3], [b for _, b in F3]
-        screen = partial(_f3_survivors, n, parts)
-        sq = [a * a - a * b + b * b for a, b in F3]
-
-        def coset_sq(r: tuple[int, int], span: Sequence[tuple[int, int]]) -> int:
-            a = b = 0
-            for lo, hi in _trit_add([r], span):
-                fa, fb = F3[T[lo] + 2 * T[hi]]
-                a += fa
-                b += fb
-            return a * a - a * b + b * b
-
-    order = sorted(range(1, p**n), key=sq.__getitem__, reverse=True)
-
-    def candidates(c: int) -> Iterator[Sequence]:
+    def candidates(c: int) -> Iterator[Sequence[int]]:
         """W's span for each codim-c subspace still in the running."""
         if c == 0:
-            yield [keys[0]]  # W = {0}: V is the whole space
+            yield [0]  # W = {0}: V is the whole space
             return
-        most = max(1, _SPAN_CELLS // p**c)
-        for rows in _rref_blocks(p, n, n - c, annihilator=True, most=most):
-            yield from screen(order, threshold(), rows)
+        most = max(1, _SPAN_CELLS // 2**c)
+        for rows in _rref_blocks(2, n, n - c, annihilator=True, most=most):
+            yield from _f2_survivors(F, order, threshold(), rows)
 
-    # the per-subspace loop reads r as the span does: a rank, or trit planes
-    tried = order if p == 2 else [keys[r] for r in order]
+    def coset_sq(r: int, span: Sequence[int]) -> int:
+        s = 0
+        for x in span:
+            s += F[r ^ x]
+        return s * s
+
     for span in chain.from_iterable(map(candidates, range(max_codim + 1))):
         bound = threshold()
-        for r in tried:
+        for r in order:
             if r not in span and coset_sq(r, span) >= bound:
                 break
         else:
-            score = max((coset_sq(r, span) for r in tried if r not in span), default=0)
-            yield span if p == 2 else _trit_ranks(n, span), score
+            score = max((coset_sq(r, span) for r in order if r not in span), default=0)
+            yield span, score
+
+
+def _f3_scores_below(
+    points: PointSet,
+    max_codim: int,
+    threshold: Callable[[], int],
+    visit: Optional[Callable[..., list[bool]]],
+) -> Iterator[tuple[Sequence[int], int]]:
+    """_scores_below over F_3."""
+    n = points.n
+    sums = _F3Sums(points, max_codim)
+
+    def candidates(c: int) -> Iterator[Sequence[int]]:
+        """W's span for each codim-c subspace still in the running."""
+        most = max(1, _SPAN_CELLS // 3**c)
+        for rows in _rref_blocks(3, n, n - c, annihilator=True, most=most):
+            spans = _trit_block_spans(n, rows) if rows else [[0]]  # W = {0} at c = 0
+            if visit is not None:
+                keep = visit(rows, spans, partial(sums.pair, spans=spans))
+                if not all(keep):
+                    spans = [list(compress(span, keep)) for span in spans]
+            yield from _f3_survivors(sums, threshold(), rows, spans)
+
+    for span in chain.from_iterable(map(candidates, range(max_codim + 1))):
+        bound = threshold()
+        if not sums.reaches(span, bound):
+            score = sums.score(span)
+            if score < bound:
+                yield span, score
 
 
 def exhaustive_best_subspace(
@@ -399,7 +522,7 @@ def exhaustive_best_subspace(
 
 
 # leading_one_set and scan_leading_one_set refuse larger n
-MAX_TERNARY_N = 6
+MAX_TERNARY_N = 7
 
 
 def leading_one_set(n: int) -> PointSet:
@@ -435,28 +558,75 @@ class F3Report:
 LOWER_BOUND_SQ = Fraction(1, 12)
 
 
+def _f3_checks(
+    n: int,
+    j: int,
+    rows: list[list[int]],
+    spans: list[list[int]],
+    zero: Sums,
+    unit: Sums,
+) -> list[tuple[bool, bool, bool]]:
+    """The ternary scan's checks at coordinate j, on each V of a block.
+
+    rows and spans are the block's annihilator rows and span lists, and
+    zero and unit the (a, b) lists of S(0) and S(e_j).  As S(r) is |W|
+    times V's coefficient sum over x in A and V of w^(-r.x), S(0) / |W|
+    is m = |A n V| and S(e_j) / |W| is a + b w with a the members at
+    x_j = 0 less those at x_j = 1 and b those at x_j = 2 less those at
+    x_j = 1.  So (m - a - b) / 3 members lie at x_j = 1 and
+    (m - a + 2b) / 3 at x_j = 2.  Each slice {x in V : x_j = t} holds
+    |V| / 3 points exactly when e_j is not in W; e_j can lie in W only
+    when j is a free column f, as W's point 3^(c-1-f), the row w_f.
+    Per V the result is (3b = -|V|, the x_j = 1 slice inside A and the
+    x_j = 2 slice outside it, e_j not in W).
+    """
+    c = len(rows)
+    scale, size = 3**c, 3 ** (n - c)  # |W| and |V|
+    unit_rank = 3 ** (n - j)
+    free = _free_columns(n, rows)
+    if j in free:
+        inside = [x == unit_rank for x in spans[3 ** (c - 1 - free.index(j))]]
+    else:
+        inside = [False] * len(spans[0])  # j is a pivot: e_j is in no W
+    checks = []
+    for m, a, b, in_w in zip(zero[0], unit[0], unit[1], inside):
+        m, a, b = m // scale, a // scale, b // scale
+        ones, twos = (m - a - b) // 3, (m - a + 2 * b) // 3
+        slice_size = 0 if in_w else size // 3
+        checks.append((3 * b == -size, ones == slice_size and twos == 0, not in_w))
+    return checks
+
+
+def _annihilated(n: int, ranks: Sequence[int]) -> Subspace:
+    """V, the subspace of F_3^n that the span of the given ranks annihilates."""
+    return perp(rref_basis([GFVector.from_rank(3, n, r) for r in ranks]))
+
+
 def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
     """Certify the LOWER_BOUND_SQ = 1/12 floor on every subspace of F_3^n.
 
-    Covers every subspace V with dim V >= 1.  sup_sq comes from the
-    oracle's _scores_below over codimension 0..n-1, against the
-    threshold max(best, ceil(9^n * LOWER_BOUND_SQ)), which never rises:
-    it yields the exact minimum and every V below the floor.  The other
-    checks read V's points, in the canonical enumeration order, by the
-    blocks of gf_core._rref_blocks spanned by _trit_block_spans.  With j
-    the first pivot coordinate of V, shared by its block, V fails when
-    any of these does not hold:
+    Covers every subspace V with dim V >= 1, in one walk: the oracle's
+    _scores_below over codimension 0..n-1, against the threshold
+    max(best, ceil(9^n * LOWER_BOUND_SQ)), which never rises, so it
+    yields the exact minimum and every V below the floor.  Its visit
+    reads, on each block, S(0) and S(e_j) for every V, with j the
+    block's first pivot (the first column free in none of its rows),
+    and V fails when any of these does not hold (_f3_checks):
 
-    * sup_sq >= LOWER_BOUND_SQ (V is matched by its RREF basis ranks);
+    * sup_sq >= LOWER_BOUND_SQ;
     * the coefficient at frequency e_j is a + b*w with 3*b = -|V|,
-      which alone forces a squared magnitude >= 1/12 (b counts the
-      members at x_j = 2 less those at x_j = 1);
+      which alone forces a squared magnitude >= 1/12;
     * the slice {x in V : x_j = 1} lies inside the set and the slice
-      {x in V : x_j = 2} misses it (coordinate j is one bit of each plane);
-    * each slice holds |V|/3 points.
+      {x in V : x_j = 2} misses it;
+    * each slice holds |V|/3 points (e_j is not in W).
 
-    The report keeps the count, the exact minimum and the failures.
-    n = 5 (2,663 subspaces) and n = 6 (56,631) sit behind long_run.
+    A V whose |S(e_j)|^2 already reaches the threshold scores at least
+    that, so the visit drops it before the block screen; on the
+    leading-one set that is every V but the whole space.  Failures come
+    in the canonical enumeration order: dim V ascending, then walk
+    order.  The report keeps the count, the exact minimum and the
+    failures.  n = 5 (2,663 subspaces), n = 6 (56,631) and n = 7
+    (2,052,655) sit behind long_run.
     """
     if not 1 <= n <= MAX_TERNARY_N:
         raise InputError(f"scan supports 1 <= n <= {MAX_TERNARY_N}, got {n}")
@@ -468,33 +638,31 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
     # scores are integers: below 9^n * LOWER_BOUND_SQ means below its ceiling
     floor = ceil(9**n * LOWER_BOUND_SQ)
     best = 9**n + 1  # above every score
-    below = set()
-    for span, score in _scores_below(A, n - 1, lambda: max(best, floor)):
+    total = 0
+    failures: dict[tuple, Subspace] = {}
+
+    def fail(V: Subspace) -> None:
+        # the walk order within a dimension is that of pivots, then basis ranks
+        failures[V.dim, V.pivots, tuple(v.rank for v in V.basis)] = V
+
+    def visit(rows, spans, at) -> list[bool]:
+        nonlocal total
+        total += len(spans[0])
+        free = _free_columns(n, rows)
+        j = next(col for col in range(1, n + 1) if col not in free)
+        zero, unit = at(3 ** (n - j))
+        bound = max(best, floor)
+        keep = []
+        checks = _f3_checks(n, j, rows, spans, zero, unit)
+        for i, (passed, a, b) in enumerate(zip(checks, *unit)):
+            if not all(passed):
+                fail(_annihilated(n, [span[i] for span in spans]))
+            keep.append(a * a - a * b + b * b < bound or not passed[2])
+        return keep
+
+    for span, score in _scores_below(A, n - 1, lambda: max(best, floor), visit):
         best = min(best, score)
         if score < floor:
-            V = perp(rref_basis([GFVector.from_rank(3, n, r) for r in span]))
-            below.add(tuple(v.rank for v in V.basis))
-    mem = A.membership_table()
-    keys = _trit_keys(n)
-    total = 0
-    failures: list[Subspace] = []
-    for k in range(1, n + 1):
-        size = 3**k
-        for rows in _rref_blocks(3, n, k, most=max(1, _SPAN_CELLS // size)):
-            # the first row's leading trit is its pivot, coordinate j, and
-            # the block shares its pivots
-            lo, hi = keys[rows[0][0]]
-            bit = 1 << (lo | hi).bit_length() - 1
-            for basis, span in zip(zip(*rows), zip(*_trit_block_spans(n, rows))):
-                ones = [mem[x] for x in span if keys[x][0] & bit]
-                twos = [mem[x] for x in span if keys[x][1] & bit]
-                total += 1
-                if (
-                    basis in below
-                    or 3 * (sum(twos) - sum(ones)) != -size
-                    or not (all(ones) and not any(twos))
-                    or not 3 * len(ones) == 3 * len(twos) == size
-                ):
-                    vectors = (GFVector.from_rank(3, n, r) for r in basis)
-                    failures.append(Subspace(3, n, tuple(vectors)))
-    return F3Report(n, total, Fraction(best, 9**n), tuple(failures))
+            fail(_annihilated(n, span))
+    ordered = tuple(failures[key] for key in sorted(failures))
+    return F3Report(n, total, Fraction(best, 9**n), ordered)

@@ -49,7 +49,9 @@ def wht2(table: Sequence[int], block: Optional[int] = None) -> list[int]:
     by whole-integer masks, shifts and adds, and b doubles, so lanes
     stay in [0, 2b] and never borrow or carry.  Lanes take 16, 32 or 64
     bits, the least holding 2^(k+1) b; past 64 bits the table is
-    rejected with InputError.
+    rejected with InputError.  At the end every lane moves from F + b to
+    F + 2^(w-1) by one add, and one XOR of the lanes' top bits leaves F
+    as w-bit two's complement, read out by a signed memoryview.
 
     A bytes table (entries 0..255, as _coset_table returns) is packed
     in one step: its entries go to the lanes' low-order bytes and b to
@@ -95,9 +97,12 @@ def wht2(table: Sequence[int], block: Optional[int] = None) -> list[int]:
         lanes = (lo + hi) | (lo + units * (2 * bias) - hi) << shift
         bias *= 2
         h *= 2
-    out = array(code)
-    out.frombytes(lanes.to_bytes(m * size, sys.byteorder))
-    return [v - bias for v in out]
+    # F + 2^(w-1) in every w-bit lane, then each top bit flipped, leaves F
+    # in two's complement, which a signed view reads
+    half = 1 << (8 * size - 1)
+    units = int.from_bytes(one * m, sys.byteorder)
+    lanes = (lanes + (half - bias) * units) ^ (half * units)
+    return memoryview(lanes.to_bytes(m * size, sys.byteorder)).cast(code.lower()).tolist()
 
 
 def dft3(table: Sequence[int | Eisenstein]) -> list[Eisenstein]:

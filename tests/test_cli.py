@@ -654,7 +654,7 @@ def test_script_example_runs(name):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--max-n", "7", "--long-run"],
+        ["--max-n", "8", "--long-run"],
         ["--min-n", "0"],
         ["--max-n", "5"],
         ["--min-n", "4", "--max-n", "2"],

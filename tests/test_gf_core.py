@@ -42,6 +42,7 @@ from subuniform.gf_core import (
     _trit_block_spans,
     _trit_planes,
     _trit_ranks,
+    _trit_shifts,
 )
 
 from conftest import (
@@ -525,17 +526,12 @@ def test_trit_span_and_coset_scan_match_tuple_span(n, dim, seed):
         assert list(block) == [mem[r] for r in coset.point_ranks()]
 
 
-# annihilator blocks, as the oracle walks them, and blocks of V's own
-# rows, as the ternary scan does
-@pytest.mark.parametrize(
-    "n,k,annihilator",
-    [(3, 1, True), (4, 2, True), (5, 2, True), (5, 3, True), (4, 2, False), (5, 3, False)],
-    ids=["3-1", "4-2", "5-2", "5-3", "4-2-rows", "5-3-rows"],
-)
-def test_trit_block_spans_match_tuple_span(n, k, annihilator):
+# annihilator blocks, as the oracle and the ternary scan walk them
+@pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 2), (5, 3)], ids=["3-1", "4-2", "5-2", "5-3"])
+def test_trit_block_spans_match_tuple_span(n, k):
     # every block of the walk, zipped, against one span each; codim 2 in
     # F_3^5 has profiles of up to 6 slots, 729 subspaces
-    for rows in gf_core._rref_blocks(3, n, k, annihilator=annihilator):
+    for rows in gf_core._rref_blocks(3, n, k, annihilator=True):
         spans = _trit_block_spans(n, rows)
         assert len(spans) == 3 ** len(rows)
         for j, col in enumerate(zip(*rows)):
@@ -543,3 +539,48 @@ def test_trit_block_spans_match_tuple_span(n, k, annihilator):
             assert ranks == _span_ranks(3, n, col)
         vectors = [GFVector.from_rank(3, n, w).coords for w in col]
         assert {GFVector.from_rank(3, n, r).coords for r in ranks} == tuple_span(3, vectors)
+
+
+def _cut_groups(n, rows):
+    """Pivots of a block with one slot fixed by its head and one in its tail."""
+    spaces = [perp(rref_basis([GFVector.from_rank(3, n, w) for w in col])) for col in zip(*rows)]
+    cut = []
+    for g, pivot in enumerate(spaces[0].pivots):
+        slots = [col for col in spaces[0].free_columns if col > pivot]
+        moves = [len({V.basis[g].coords[col - 1] for V in spaces}) > 1 for col in slots]
+        if any(moves) and not all(moves):
+            cut.append(pivot)
+    return cut
+
+
+# every annihilator block of F_3^n and every codim: up to n = 6 at the
+# default tail and under a cap of 30 subspaces, up to n = 5 at tails of 4
+# and 1 and under a cap of 5; tails of 4 and caps of 5 and 30 cut pivot
+# groups between head and tail, a tail of 1 leaves one subspace a block
+@pytest.mark.parametrize(
+    "tail_size,most,top,cuts",
+    [
+        (4096, 0, 6, False),
+        (4096, 30, 6, True),
+        (4, 0, 5, True),
+        (1, 0, 5, False),
+        (4096, 5, 5, True),
+    ],
+)
+def test_trit_block_spans_on_every_annihilator_block(monkeypatch, tail_size, most, top, cuts):
+    monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
+    cut = []
+    for n in range(1, top + 1):
+        for c in range(1, n + 1):
+            for rows in gf_core._rref_blocks(3, n, n - c, annihilator=True, most=most):
+                spans = _trit_block_spans(n, rows)
+                assert list(zip(*spans)) == [tuple(_span_ranks(3, n, col)) for col in zip(*rows)]
+                if n == 4:
+                    cut += _cut_groups(n, rows)
+    assert bool(cut) == cuts
+
+
+def test_trit_shifts_match_digit_loop():
+    for n in range(1, 5):
+        for r in range(3**n):
+            assert _trit_shifts(n, r) == [add_rank(3, n, r, x) for x in range(3**n)]

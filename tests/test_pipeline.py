@@ -341,11 +341,12 @@ def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
     n = 4
     A = random_subset(words(106), 3, n, Fraction(1, 2))
     F3 = _dft3_pairs([(m, 0) for m in A.membership_table()])
-    parts = [a for a, _ in F3], [b for _, b in F3]
     order = sorted(
         range(1, 3**n), key=lambda r: F3[r][0] ** 2 - F3[r][0] * F3[r][1] + F3[r][1] ** 2,
         reverse=True,
     )
+    sums = pipeline._F3Sums(A, 2)
+    assert sums.order == order
     # the first codim-2 profile, pivots 1 and 2: 4 slots, one block
     rows = next(gf_core._rref_blocks(3, n, n - 2, annihilator=True))
     spans = [tuple(gf_core._span_ranks(3, n, col)) for col in zip(*rows)]
@@ -359,8 +360,8 @@ def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
     sups = [max(sq(span, r) for r in order if r not in span) for span in spans]
 
     def survivors(best):
-        kept = pipeline._f3_survivors(n, parts, order, best, rows)
-        return [tuple(gf_core._trit_ranks(n, span)) for span in kept]
+        block = gf_core._trit_block_spans(n, rows)
+        return list(pipeline._f3_survivors(sums, best, rows, block))
 
     # above every sup only an r inside W could rule a subspace out; the
     # sum over such a coset is the one over W itself and does not count
@@ -377,6 +378,105 @@ def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
     assert spans[tied[0]] not in kept
     assert all(span in kept for span, sup in zip(spans, sups) if sup < best)
     assert kept == [span for span in spans if span in kept]  # walk order
+
+
+def test_f3_packed_sums_at_the_packing_extremes():
+    # W = the span of the last c unit vectors, whose cosets r + W are the
+    # rank ranges [r, r + 3^c); the one-point set {e_1} puts F = w on
+    # every point of 2 e_1 + W, the largest low half a sum can reach
+    n = 6
+    sets = {
+        "empty": PointSet.empty(3, n),
+        "full": PointSet.full(3, n),
+        "point": PointSet.from_ranks(3, n, [3 ** (n - 1)]),
+    }
+    for name, A in sets.items():
+        F3 = _dft3_pairs([(m, 0) for m in A.membership_table()])
+        for max_codim in range(n + 1):
+            sums = pipeline._F3Sums(A, max_codim)
+            size = 3**max_codim
+            assert sums.shift == (2 * sums.bias * size).bit_length()
+            spans = [[x] for x in range(size)]
+            for r in range(0, 3**n, size):
+                table = pipeline._shifted_table(n, sums.packed, r)
+                (a,), (b,) = sums.unpack(sums.gather(table, spans), size)
+                assert (a, b) == (
+                    sum(F3[r + x][0] for x in range(size)),
+                    sum(F3[r + x][1] for x in range(size)),
+                ), (name, max_codim, r)
+        if name == "point":
+            # B = 1, and 2 e_1 + W for W of dim n - 1 reaches 2 B 3^(n-1)
+            top = pipeline._F3Sums(A, n - 1)
+            assert top.bias == 1
+            table = pipeline._shifted_table(n, top.packed, 2 * 3 ** (n - 1))
+            low = top.gather(table, [[x] for x in range(3 ** (n - 1))])[0]
+            assert low & ((1 << top.shift) - 1) == 2 * 3 ** (n - 1)
+
+
+def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
+    # at most one shifted table per screen round for the whole walk, the
+    # tables of a prefix of order, each built once; with tails of 27 the
+    # codim-3 walk of F_3^5 screens many blocks, which run more rounds
+    # between them than there are tables
+    built, gathers = [], []
+    shifted, gather = pipeline._shifted_table, pipeline._F3Sums.gather
+    monkeypatch.setattr(
+        pipeline, "_shifted_table", lambda n, packed, r: built.append(r) or shifted(n, packed, r)
+    )
+    monkeypatch.setattr(
+        pipeline._F3Sums, "gather", lambda self, t, s: gathers.append(t) or gather(self, t, s)
+    )
+    n = 5
+    for tail_size, max_codim in ((gf_core._TAIL_SIZE, 2), (27, 3)):
+        monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
+        for seed in (120, 121):
+            A = random_subset(words(seed), 3, n, Fraction(1, 2))
+            sums = pipeline._F3Sums(A, max_codim)
+            built.clear()
+            gathers.clear()
+            exhaustive_best_subspace(A, max_codim)
+            assert 0 < len(built) <= sums.rounds < 3**n - 1
+            assert built == sums.order[: len(built)]
+            if tail_size == 27:
+                assert len(gathers) > len(built)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_f3_checks_read_each_check(n):
+    # every block of F_3^n, with j every coordinate, not only the first
+    # pivot: each of the three checks read from S(0) and S(e_j) equals
+    # its count over V's points
+    stream = words(130 + n)
+    lead = leading_one_set(n)
+    sets = [
+        lead,
+        PointSet(3, n, lead.bits | 1 << 2 * 3 ** (n - 1)),
+        random_subset(stream, 3, n, Fraction(1, 2)),
+    ]
+    seen = set()
+    for A in sets:
+        sums = pipeline._F3Sums(A, n)
+        for c in range(n):
+            for rows in gf_core._rref_blocks(3, n, n - c, annihilator=True):
+                spans = gf_core._trit_block_spans(n, rows) if rows else [[0]]
+                for j in range(1, n + 1):
+                    zero, unit = sums.pair(3 ** (n - j), spans)
+                    checks = pipeline._f3_checks(n, j, rows, spans, zero, unit)
+                    for i, got in enumerate(checks):
+                        V = pipeline._annihilated(n, [span[i] for span in spans])
+                        pts = list(V.points())
+                        ones = [A.contains(v) for v in pts if v.coords[j - 1] == 1]
+                        twos = [A.contains(v) for v in pts if v.coords[j - 1] == 2]
+                        expected = (
+                            3 * (sum(twos) - sum(ones)) == -V.size,
+                            all(ones) and not any(twos),
+                            3 * len(ones) == 3 * len(twos) == V.size,
+                        )
+                        assert got == expected, (A, V, j)
+                        seen.add(expected)
+    # with e_j outside W the first two checks stand or fall together
+    # (3b = -|V| forces both slices); e_j in W fails the first and the last
+    assert seen == {(True, True, True), (False, False, True), (False, True, False)}
 
 
 def test_oracle_budget_accounting():
@@ -472,8 +572,8 @@ def test_decomposition_identity_and_vanishing_product(seed, d):
 # F_3 lower-bound scans
 
 LONG_RUN = os.environ.get("SUBUNIFORM_LONG_RUN") == "1"
-# the n = 6 scan takes a few seconds
-F3_SIZES = (1, 2, 3, 4, 5, 6) if LONG_RUN else (1, 2, 3, 4, 5)
+# the n = 7 scan takes about 20 s
+F3_SIZES = (1, 2, 3, 4, 5, 6, 7) if LONG_RUN else (1, 2, 3, 4, 5, 6)
 
 
 def test_leading_one_set_shape():
@@ -492,7 +592,7 @@ def test_leading_one_set_shape():
     with pytest.raises(InputError):
         leading_one_set(0)
     with pytest.raises(InputError):
-        leading_one_set(7)
+        leading_one_set(8)
 
 
 def test_leading_one_set_matches_coordinate_definition():
@@ -519,7 +619,7 @@ def test_f3_scan_gating():
     with pytest.raises(InputError):
         scan_leading_one_set(0)
     with pytest.raises(InputError):
-        scan_leading_one_set(7, long_run=True)
+        scan_leading_one_set(8, long_run=True)
 
 
 @pytest.mark.parametrize("n", F3_SIZES)
@@ -529,7 +629,7 @@ def test_f3_scan_minimum_closed_form(n):
     assert closed == Fraction(1, 12) + Fraction(1, 4 * 9**n)
     report = scan_leading_one_set(n, long_run=True)
     assert report.minimum == closed
-    totals = {1: 1, 2: 5, 3: 27, 4: 211, 5: 2663, 6: 56631}
+    totals = {1: 1, 2: 5, 3: 27, 4: 211, 5: 2663, 6: 56631, 7: 2052655}
     assert report.total_subspaces == totals[n]
     assert report.total_subspaces == subspace_scan_count(3, n, n - 1)
     assert report.failures == ()
@@ -537,6 +637,8 @@ def test_f3_scan_minimum_closed_form(n):
     assert whole.sup_sq == closed
     if n == 6:
         assert closed == Fraction(44287, 531441)
+    if n == 7:
+        assert closed == Fraction(398581, 4782969)
 
 
 def test_f3_scan_failure_path(monkeypatch):
