@@ -42,7 +42,7 @@ Over F_3 no analogous search can succeed: leading_one_set builds the
 set whose members have first nonzero coordinate 1, and
 scan_leading_one_set certifies, for every positive-dimensional subspace
 V, a nontrivial coefficient of squared magnitude >= 1/12.  It is one
-walk: _scores_below gives sup_sq, and on each block the same spans give
+walk: _f3_scores_below gives sup_sq, and on each block the same spans give
 S(0) and S(e_j), j the first pivot, which are |W| times |A n V| and
 V's coefficient a + b*w at e_j.  From those follow the identity
 3*b = -|V| and the slice counts behind it.
@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from math import ceil, isqrt
 from operator import xor
 from typing import Callable, Iterator, Optional, Sequence
@@ -92,6 +92,10 @@ _SPAN_CELLS = 1 << 16
 # one shifted table of 3^n entries per round; past n = 6 the tables are
 # held to _SPAN_CELLS entries in all, so fewer rounds run.
 _F3_ROUNDS = 32
+# Past those rounds a subspace tries r by its own sums for as long as
+# they cost less than one fold of W into the whole table; timed at
+# n = 9, a fold costs about as much as _FOLD_SUMS * 3^n / (|W| + 10) sums.
+_FOLD_SUMS = 2
 
 
 @dataclass(frozen=True)
@@ -272,6 +276,8 @@ def _shifted_table(n: int, packed: list[int], r: int) -> list[int]:
 
 
 Sums = tuple[list[int], list[int]]  # the a- and b-parts of one S per subspace
+# visit(rows, spans, at) of _f3_scores_below, at(r) -> (S(0), S(r))
+Visit = Callable[[list[list[int]], list[list[int]], Callable[[int], tuple[Sums, Sums]]], list[bool]]
 
 
 class _F3Sums:
@@ -282,9 +288,9 @@ class _F3Sums:
     r + W reads the shifted table x -> F(r + x) at W's span ranks.  The
     table of order[i], the i-th r by descending |F(r)|^2, is built on
     first use and kept for the whole walk, shared by every block, for i
-    below `rounds`, so the tables never cover all of order.  The tables
-    of the few r that a visit reads on every block (the scan's e_j) are
-    kept by r.
+    below `rounds`, so the tables never cover all of order.  Past those,
+    a subspace's sums add r + x by halves (adder).  The table of the one
+    r that the scan's visit reads on every block (its e_j) is kept by r.
     """
 
     def __init__(self, points: PointSet, max_codim: int) -> None:
@@ -297,6 +303,11 @@ class _F3Sums:
         self.rounds = max(1, min(_F3_ROUNDS, len(self.order) - 1, _SPAN_CELLS // 3**n))
         self.tables: list[list[int]] = []
         self.paired: dict[int, list[int]] = {}
+        # r + x = highs[r_h][x_h] + lows[r_l][x_l], x_l the low n // 2
+        # digits of x and x_h the rest; 3^n list slots each when full
+        self.cut = 3 ** (n // 2)
+        self.highs: dict[int, list[int]] = {}
+        self.lows: dict[int, list[int]] = {}
 
     def table(self, i: int) -> list[int]:
         """The shifted table of order[i], for i < rounds."""
@@ -304,6 +315,16 @@ class _F3Sums:
             r = self.order[len(self.tables)]
             self.tables.append(_shifted_table(self.n, self.packed, r))
         return self.tables[i]
+
+    def adder(self, r: int) -> tuple[list[int], list[int]]:
+        """(H, L) with r + x = H[x // cut] + L[x % cut] for every rank x."""
+        high, low = divmod(r, self.cut)
+        if high not in self.highs:
+            half = self.n - self.n // 2
+            self.highs[high] = [y * self.cut for y in _trit_shifts(half, high)]
+        if low not in self.lows:
+            self.lows[low] = _trit_shifts(self.n // 2, low)
+        return self.highs[high], self.lows[low]
 
     def gather(self, table: list[int], spans: list[list[int]]) -> list[int]:
         """The sum of table over each span of a block."""
@@ -330,10 +351,20 @@ class _F3Sums:
         zero = self.unpack([s >> width for s in both], len(spans))
         return zero, self.unpack([s & low for s in both], len(spans))
 
-    def reaches(self, span: Sequence[int], bound: int) -> bool:
-        """Whether |S(r)|^2 >= bound for an r outside W among order[:rounds]."""
+    def below(self, span: Sequence[int], bound: int) -> Optional[int]:
+        """V's score if it is below bound, else None; W's span as ranks.
+
+        The score is max over r outside W of |S(r)|^2, and r is tried by
+        order until one reaches bound: order[:rounds] through the shared
+        tables, then the next ones by summing packed[r + x] over the span,
+        r + x added by halves (adder), for as long as those sums cost less
+        in all than one fold of the whole table (score).  A V that no
+        tried r rules out is scored by that fold, or by the sums alone
+        when they tried every r.
+        """
         mask = (1 << self.shift) - 1
         off = len(span) * self.bias
+        top = 0
         for i in range(self.rounds):
             if self.order[i] in span:
                 continue
@@ -342,9 +373,29 @@ class _F3Sums:
             for x in span:
                 s += table[x]
             a, b = (s >> self.shift) - off, (s & mask) - off
-            if a * a - a * b + b * b >= bound:
-                return True
-        return False
+            sq = a * a - a * b + b * b
+            if sq >= bound:
+                return None
+            top = max(top, sq)
+        last = min(len(self.order), self.rounds + _FOLD_SUMS * 3**self.n // (len(span) + 10))
+        inside = set(span)
+        packed, cut = self.packed, self.cut
+        highs, lows = [x // cut for x in span], [x % cut for x in span]
+        for r in islice(self.order, self.rounds, last):
+            if r in inside:
+                continue
+            H, L = self.adder(r)
+            s = 0
+            for u, v in zip(highs, lows):
+                s += packed[H[u] + L[v]]
+            a, b = (s >> self.shift) - off, (s & mask) - off
+            sq = a * a - a * b + b * b
+            if sq >= bound:
+                return None
+            top = max(top, sq)
+        if last < len(self.order):
+            top = self.score(span)
+        return top if top < bound else None
 
     def score(self, span: Sequence[int]) -> int:
         """max over r outside W of |S(r)|^2, W's span given as ranks.
@@ -406,7 +457,6 @@ def _scores_below(
     points: PointSet,
     max_codim: int,
     threshold: Callable[[], int],
-    visit: Optional[Callable[..., list[bool]]] = None,
 ) -> Iterator[tuple[Sequence[int], int]]:
     """(W's span as ranks, score) for each V that scores below threshold().
 
@@ -422,15 +472,10 @@ def _scores_below(
     because no caller ever raises its threshold.
 
     Over F_3 every sum is read by rank from one packed transform
-    (_F3Sums); a V that the first rounds' r leave in the running is
-    scored from all its coset sums at once.  visit(rows, spans, at), for
-    p = 3 only, sees each block before its screen, with at(r) giving the
-    block's (a, b) lists of S(0) and S(r); it returns which subspaces
-    stay in the running, and may drop only ones that score at least
-    threshold().
+    (_F3Sums, _f3_scores_below).
     """
     if points.p == 3:
-        yield from _f3_scores_below(points, max_codim, threshold, visit)
+        yield from _f3_scores_below(points, max_codim, threshold)
         return
     n = points.n
     F = wht2(points.membership_table())
@@ -466,9 +511,15 @@ def _f3_scores_below(
     points: PointSet,
     max_codim: int,
     threshold: Callable[[], int],
-    visit: Optional[Callable[..., list[bool]]],
+    visit: Optional[Visit] = None,
 ) -> Iterator[tuple[Sequence[int], int]]:
-    """_scores_below over F_3."""
+    """_scores_below over F_3, and a visit of each block before its screen.
+
+    A subspace that the screen leaves is scored by _F3Sums.below.
+    visit(rows, spans, at), with at(r) giving the block's (a, b) lists
+    of S(0) and S(r), returns which subspaces stay in the running; it
+    may drop only ones that score at least threshold().
+    """
     n = points.n
     sums = _F3Sums(points, max_codim)
 
@@ -484,11 +535,9 @@ def _f3_scores_below(
             yield from _f3_survivors(sums, threshold(), rows, spans)
 
     for span in chain.from_iterable(map(candidates, range(max_codim + 1))):
-        bound = threshold()
-        if not sums.reaches(span, bound):
-            score = sums.score(span)
-            if score < bound:
-                yield span, score
+        score = sums.below(span, threshold())
+        if score is not None:
+            yield span, score
 
 
 def exhaustive_best_subspace(
@@ -558,42 +607,25 @@ class F3Report:
 LOWER_BOUND_SQ = Fraction(1, 12)
 
 
-def _f3_checks(
-    n: int,
-    j: int,
-    rows: list[list[int]],
-    spans: list[list[int]],
-    zero: Sums,
-    unit: Sums,
-) -> list[tuple[bool, bool, bool]]:
-    """The ternary scan's checks at coordinate j, on each V of a block.
+def _f3_checks(n: int, c: int, zero: Sums, unit: Sums) -> list[tuple[bool, bool]]:
+    """The ternary scan's checks on each V of a codim-c block.
 
-    rows and spans are the block's annihilator rows and span lists, and
-    zero and unit the (a, b) lists of S(0) and S(e_j).  As S(r) is |W|
-    times V's coefficient sum over x in A and V of w^(-r.x), S(0) / |W|
-    is m = |A n V| and S(e_j) / |W| is a + b w with a the members at
-    x_j = 0 less those at x_j = 1 and b those at x_j = 2 less those at
-    x_j = 1.  So (m - a - b) / 3 members lie at x_j = 1 and
-    (m - a + 2b) / 3 at x_j = 2.  Each slice {x in V : x_j = t} holds
-    |V| / 3 points exactly when e_j is not in W; e_j can lie in W only
-    when j is a free column f, as W's point 3^(c-1-f), the row w_f.
-    Per V the result is (3b = -|V|, the x_j = 1 slice inside A and the
-    x_j = 2 slice outside it, e_j not in W).
+    zero and unit are the (a, b) lists of S(0) and S(e_j), j the block's
+    first pivot.  As S(r) is |W| times V's coefficient sum over x in A
+    and V of w^(-r.x), S(0) / |W| is m = |A n V| and S(e_j) / |W| is
+    a + b w with a the members at x_j = 0 less those at x_j = 1 and b
+    those at x_j = 2 less those at x_j = 1.  So (m - a - b) / 3 members
+    lie at x_j = 1 and (m - a + 2b) / 3 at x_j = 2.  A pivot's unit
+    vector lies in no W, so each slice {x in V : x_j = t} holds |V| / 3
+    points.  Per V the result is (3b = -|V|, the x_j = 1 slice inside A
+    and the x_j = 2 slice outside it).
     """
-    c = len(rows)
     scale, size = 3**c, 3 ** (n - c)  # |W| and |V|
-    unit_rank = 3 ** (n - j)
-    free = _free_columns(n, rows)
-    if j in free:
-        inside = [x == unit_rank for x in spans[3 ** (c - 1 - free.index(j))]]
-    else:
-        inside = [False] * len(spans[0])  # j is a pivot: e_j is in no W
     checks = []
-    for m, a, b, in_w in zip(zero[0], unit[0], unit[1], inside):
+    for m, a, b in zip(zero[0], unit[0], unit[1]):
         m, a, b = m // scale, a // scale, b // scale
         ones, twos = (m - a - b) // 3, (m - a + 2 * b) // 3
-        slice_size = 0 if in_w else size // 3
-        checks.append((3 * b == -size, ones == slice_size and twos == 0, not in_w))
+        checks.append((3 * b == -size, ones == size // 3 and twos == 0))
     return checks
 
 
@@ -606,7 +638,7 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
     """Certify the LOWER_BOUND_SQ = 1/12 floor on every subspace of F_3^n.
 
     Covers every subspace V with dim V >= 1, in one walk: the oracle's
-    _scores_below over codimension 0..n-1, against the threshold
+    _f3_scores_below over codimension 0..n-1, against the threshold
     max(best, ceil(9^n * LOWER_BOUND_SQ)), which never rises, so it
     yields the exact minimum and every V below the floor.  Its visit
     reads, on each block, S(0) and S(e_j) for every V, with j the
@@ -617,8 +649,8 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
     * the coefficient at frequency e_j is a + b*w with 3*b = -|V|,
       which alone forces a squared magnitude >= 1/12;
     * the slice {x in V : x_j = 1} lies inside the set and the slice
-      {x in V : x_j = 2} misses it;
-    * each slice holds |V|/3 points (e_j is not in W).
+      {x in V : x_j = 2} misses it (each slice holds |V|/3 points, as
+      e_j, j a pivot, lies in no W).
 
     A V whose |S(e_j)|^2 already reaches the threshold scores at least
     that, so the visit drops it before the block screen; on the
@@ -653,14 +685,13 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
         zero, unit = at(3 ** (n - j))
         bound = max(best, floor)
         keep = []
-        checks = _f3_checks(n, j, rows, spans, zero, unit)
-        for i, (passed, a, b) in enumerate(zip(checks, *unit)):
+        for i, (passed, a, b) in enumerate(zip(_f3_checks(n, len(rows), zero, unit), *unit)):
             if not all(passed):
                 fail(_annihilated(n, [span[i] for span in spans]))
-            keep.append(a * a - a * b + b * b < bound or not passed[2])
+            keep.append(a * a - a * b + b * b < bound)
         return keep
 
-    for span, score in _scores_below(A, n - 1, lambda: max(best, floor), visit):
+    for span, score in _f3_scores_below(A, n - 1, lambda: max(best, floor), visit):
         best = min(best, score)
         if score < floor:
             fail(_annihilated(n, span))

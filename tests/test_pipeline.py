@@ -413,6 +413,31 @@ def test_f3_packed_sums_at_the_packing_extremes():
             assert low & ((1 << top.shift) - 1) == 2 * 3 ** (n - 1)
 
 
+@pytest.mark.parametrize("rounds,fold_sums", [(32, 3**5), (1, 3**5), (1, 0)])
+def test_f3_below_scores_every_subspace(monkeypatch, rounds, fold_sums):
+    # with a bound above every score, below returns each subspace's exact
+    # score: from the tables alone, from the sums by halves past one
+    # table, or from the fold; at its own score as the bound it is out
+    monkeypatch.setattr(pipeline, "_F3_ROUNDS", rounds)
+    monkeypatch.setattr(pipeline, "_FOLD_SUMS", fold_sums)
+    n = 4
+    A = random_subset(words(140), 3, n, Fraction(1, 2))
+    F3 = _dft3_pairs([(m, 0) for m in A.membership_table()])
+    sums = pipeline._F3Sums(A, 2)
+    assert sums.rounds == min(rounds, 3**n - 2)
+    for c in (1, 2):
+        for rows in gf_core._rref_blocks(3, n, n - c, annihilator=True):
+            for span in zip(*gf_core._trit_block_spans(n, rows)):
+                norms = []
+                for r in range(1, 3**n):
+                    if r not in span:
+                        a = sum(F3[add_rank(3, n, r, x)][0] for x in span)
+                        b = sum(F3[add_rank(3, n, r, x)][1] for x in span)
+                        norms.append(a * a - a * b + b * b)
+                assert sums.below(span, 9**n + 1) == max(norms), span
+                assert sums.below(span, max(norms)) is None
+
+
 def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
     # at most one shifted table per screen round for the whole walk, the
     # tables of a prefix of order, each built once; with tails of 27 the
@@ -443,9 +468,8 @@ def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_f3_checks_read_each_check(n):
-    # every block of F_3^n, with j every coordinate, not only the first
-    # pivot: each of the three checks read from S(0) and S(e_j) equals
-    # its count over V's points
+    # every block of F_3^n, with j its first pivot: each check read from
+    # S(0) and S(e_j) equals its count over V's points
     stream = words(130 + n)
     lead = leading_one_set(n)
     sets = [
@@ -459,24 +483,38 @@ def test_f3_checks_read_each_check(n):
         for c in range(n):
             for rows in gf_core._rref_blocks(3, n, n - c, annihilator=True):
                 spans = gf_core._trit_block_spans(n, rows) if rows else [[0]]
-                for j in range(1, n + 1):
-                    zero, unit = sums.pair(3 ** (n - j), spans)
-                    checks = pipeline._f3_checks(n, j, rows, spans, zero, unit)
-                    for i, got in enumerate(checks):
-                        V = pipeline._annihilated(n, [span[i] for span in spans])
-                        pts = list(V.points())
-                        ones = [A.contains(v) for v in pts if v.coords[j - 1] == 1]
-                        twos = [A.contains(v) for v in pts if v.coords[j - 1] == 2]
-                        expected = (
-                            3 * (sum(twos) - sum(ones)) == -V.size,
-                            all(ones) and not any(twos),
-                            3 * len(ones) == 3 * len(twos) == V.size,
-                        )
-                        assert got == expected, (A, V, j)
-                        seen.add(expected)
-    # with e_j outside W the first two checks stand or fall together
-    # (3b = -|V| forces both slices); e_j in W fails the first and the last
-    assert seen == {(True, True, True), (False, False, True), (False, True, False)}
+                free = gf_core._free_columns(n, rows)
+                j = next(col for col in range(1, n + 1) if col not in free)
+                zero, unit = sums.pair(3 ** (n - j), spans)
+                checks = pipeline._f3_checks(n, c, zero, unit)
+                for i, got in enumerate(checks):
+                    V = pipeline._annihilated(n, [span[i] for span in spans])
+                    pts = list(V.points())
+                    ones = [A.contains(v) for v in pts if v.coords[j - 1] == 1]
+                    twos = [A.contains(v) for v in pts if v.coords[j - 1] == 2]
+                    # e_j lies in no W, so the slices are equal
+                    assert 3 * len(ones) == 3 * len(twos) == V.size
+                    expected = (
+                        3 * (sum(twos) - sum(ones)) == -V.size,
+                        all(ones) and not any(twos),
+                    )
+                    assert got == expected, (A, V, j)
+                    seen.add(expected)
+    # the two checks stand or fall together (3b = -|V| forces both slices)
+    assert seen == {(True, True), (False, False)}
+
+
+@pytest.mark.parametrize("fold_sums", [0, 3**5])
+@pytest.mark.parametrize(
+    "kind,p,n,max_codim,seed", [c for c in ORACLE_CASES if getattr(c, "values", c)[1] == 3]
+)
+def test_f3_oracle_past_the_kept_rounds(monkeypatch, fold_sums, kind, p, n, max_codim, seed):
+    # one kept round, as at n >= 10: past it every r is tried by the
+    # subspace's own sums (3^5 sums outlast every order), or none is and
+    # the fold scores every subspace the first r leaves
+    monkeypatch.setattr(pipeline, "_F3_ROUNDS", 1)
+    monkeypatch.setattr(pipeline, "_FOLD_SUMS", fold_sums)
+    test_oracle_matches_transform_route(kind, p, n, max_codim, seed)
 
 
 def test_oracle_budget_accounting():
