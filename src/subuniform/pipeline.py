@@ -33,10 +33,11 @@ V): by Poisson summation the sum of the full transform over a coset
 r + W is |W| times V's coefficient at the character r induces on V.
 Over both fields the walk comes in blocks that share a pivot profile,
 and _f2_survivors or _f3_survivors rules out whole blocks by list
-gathers before the per-subspace loop.  Over F_3 every sum is rank
-arithmetic on one packed list (_F3Sums): entry x holds both parts of
-F(x) = a + b*w, so one gather sums both, through shifted tables
-x -> F(r + x) that are built once per r and shared by every block.
+gathers (_gather) before the per-subspace loop; over F_2 one gather sums
+two r, packed in one table.  Over F_3 every sum is rank arithmetic on
+one packed list (_F3Sums): entry x holds both parts of F(x) = a + b*w,
+so one gather sums both, through shifted tables x -> F(r + x) that are
+built once per r, for one r of each pair r, -r, and shared by every block.
 
 Over F_3 no analogous search can succeed: leading_one_set builds the
 set whose members have first nonzero coordinate 1, and
@@ -213,23 +214,32 @@ def subspace_scan_count(p: int, n: int, max_codim: int) -> int:
     return sum(gaussian_binomial(p, n, n - c) for c in range(max_codim + 1))
 
 
+def _gather(table: list[int], spans: list[list[int]]) -> list[int]:
+    """The sum of table over each span of a block; span point 0 is 0."""
+    lone = 1 - len(spans) % 2  # 2^c points: one after 0 before the pairs
+    sums = [table[0] + table[x] for x in spans[1]] if lone else [table[0]] * len(spans[0])
+    for one, two in zip(spans[1 + lone :: 2], spans[2 + lone :: 2]):
+        sums = [s + table[x] + table[y] for s, x, y in zip(sums, one, two)]
+    return sums
+
+
 def _f2_survivors(
-    F: list[int],
-    order: Sequence[int],
-    best: int,
-    rows: list[list[int]],
+    F: list[int], order: Sequence[int], best: int, rows: list[list[int]]
 ) -> Iterator[tuple[int, ...]]:
     """W's span for each subspace of a block that no single r rules out.
 
     rows[f][j] is annihilator row f (there is at least one) of the
     block's j-th subspace, and all its subspaces share one pivot
-    profile.  The span lists are built once by XOR maps, in the span
-    order of gf_core._span_ranks.  Then, for r in `order`, S(r) is
-    summed for every kept subspace by list gathers of the shifted
-    table x -> F(r + x), and a subspace is dropped when S(r)^2 >= best
-    unless r lies in its W.  A round whose gathers would be fewer than
-    one table's 2^n entries costs more than it can save, so the rounds
-    stop there and the survivors' spans are yielded, in walk order.
+    profile; every |F(x)| is at most 2^n.  The span lists are built once
+    by XOR maps, in the span order of gf_core._span_ranks.  Then a round
+    takes the next two r of `order`, r0 and r1 (the last r pairs with
+    itself), packs x -> F(r0 + x) and F(r1 + x) into one table as
+    _f3_pack packs a and b, and sums S(r0) and S(r1) for every kept
+    subspace by one gather.  A subspace is dropped when S(r)^2 >= best,
+    for either r, unless that r lies in its W.  A round whose gathers
+    would be fewer than one table's 2^n entries costs more than it can
+    save, so the rounds stop there and the survivors' spans are yielded,
+    in walk order.
     """
     spans = [[0] * len(rows[0])]
     for row in reversed(rows):
@@ -238,19 +248,23 @@ def _f2_survivors(
     # set bit; r's bits there pick the one span point that can equal r
     lows = [row[0] & -row[0] for row in rows]
     limit = isqrt(best - 1) + 1  # S^2 >= best exactly when |S| >= limit
-    keys = range(len(F))
-    for r in order:
-        if len(spans[0]) * len(spans) < len(F):
+    size, keys = len(F), range(len(F))
+    # entry x is (F(r0 + x) + 2^n) 2^K + F(r1 + x) + 2^n: a sum over W
+    # holds S + 2^n |W| in [0, 2^K) per half, and |S| < limit exactly
+    # when that lies strictly between bottom and top
+    shift = (2 * size * len(spans)).bit_length()
+    base, mask = (size << shift) + size, (1 << shift) - 1
+    bottom, top = size * len(spans) - limit, size * len(spans) + limit
+    floor, ceiling = bottom + 1 << shift, top << shift
+    for r0, r1 in zip(order[::2], [*order[1::2], *order[-1:]]):
+        if len(spans[0]) * len(spans) < size:
             break
-        fr = [F[r ^ x] for x in keys]
-        first = fr[0]
-        sums = [first + fr[x] for x in spans[1]]
-        for one, two in zip(spans[2::2], spans[3::2]):
-            sums = [s + fr[x] + fr[y] for s, x, y in zip(sums, one, two)]
-        at = 0
-        for low in lows:
-            at = 2 * at + (r & low > 0)
-        keep = [-limit < s < limit or x == r for s, x in zip(sums, spans[at])]
+        table = [(F[r0 ^ x] << shift) + F[r1 ^ x] + base for x in keys]
+        at0, at1 = (sum(1 << f for f, low in enumerate(lows[::-1]) if r & low) for r in (r0, r1))
+        keep = [
+            (floor <= s < ceiling or x == r0) and (bottom < s & mask < top or y == r1)
+            for s, x, y in zip(_gather(table, spans), spans[at0], spans[at1])
+        ]
         if not all(keep):
             spans = [list(compress(span, keep)) for span in spans]
     return zip(*spans)
@@ -285,20 +299,22 @@ class _F3Sums:
 
     The transform is computed once and packed (_f3_pack), so one gather
     sums both parts of S(r) = sum over s in W of F(r + s): a sum over
-    r + W reads the shifted table x -> F(r + x) at W's span ranks.  The
-    table of order[i], the i-th r by descending |F(r)|^2, is built on
-    first use and kept for the whole walk, shared by every block, for i
-    below `rounds`, so the tables never cover all of order.  Past those,
-    a subspace's sums add r + x by halves (adder).  The table of the one
-    r that the scan's visit reads on every block (its e_j) is kept by r.
+    r + W reads the shifted table x -> F(r + x) at W's span ranks.
+    `order` holds the r whose leading digit is 1, by descending |F(r)|^2:
+    for a 0/1 set S(-r) is the conjugate of S(r), and -r lies in W when
+    r does, so each pair r, -r has one |S|^2.  The table of order[i] is
+    built on first use and kept for the whole walk, shared by every
+    block, for i below `rounds`, so the tables never cover all of order.
+    Past those, a subspace's sums add r + x by halves (adder).  The
+    table of the one r that the scan's visit reads on every block (its
+    e_j) is kept by r.
     """
 
     def __init__(self, points: PointSet, max_codim: int) -> None:
-        n = points.n
+        self.n = n = points.n
         F3 = _dft3_pairs([(m, 0) for m in points.membership_table()])
         sq = [a * a - a * b + b * b for a, b in F3]
-        self.n = n
-        self.order = sorted(range(1, 3**n), key=sq.__getitem__, reverse=True)
+        self.order = sorted(_leading_ones(n), key=sq.__getitem__, reverse=True)
         self.packed, self.shift, self.bias = _f3_pack(F3, 3**max_codim)
         self.rounds = max(1, min(_F3_ROUNDS, len(self.order) - 1, _SPAN_CELLS // 3**n))
         self.tables: list[list[int]] = []
@@ -326,17 +342,9 @@ class _F3Sums:
             self.lows[low] = _trit_shifts(self.n // 2, low)
         return self.highs[high], self.lows[low]
 
-    def gather(self, table: list[int], spans: list[list[int]]) -> list[int]:
-        """The sum of table over each span of a block."""
-        sums = [table[0]] * len(spans[0])  # span point 0 is 0
-        for one, two in zip(spans[1::2], spans[2::2]):
-            sums = [s + table[x] + table[y] for s, x, y in zip(sums, one, two)]
-        return sums
-
     def unpack(self, sums: list[int], count: int) -> Sums:
         """The a- and b-parts of packed sums of `count` entries each."""
-        mask = (1 << self.shift) - 1
-        off = count * self.bias
+        mask, off = (1 << self.shift) - 1, count * self.bias
         return [(s >> self.shift) - off for s in sums], [(s & mask) - off for s in sums]
 
     def pair(self, r: int, spans: list[list[int]]) -> tuple[Sums, Sums]:
@@ -346,7 +354,7 @@ class _F3Sums:
         if r not in self.paired:
             shifted = _shifted_table(self.n, self.packed, r)
             self.paired[r] = [(x << width) + y for x, y in zip(self.packed, shifted)]
-        both = self.gather(self.paired[r], spans)
+        both = _gather(self.paired[r], spans)
         low = (1 << width) - 1
         zero = self.unpack([s >> width for s in both], len(spans))
         return zero, self.unpack([s & low for s in both], len(spans))
@@ -357,13 +365,11 @@ class _F3Sums:
         The score is max over r outside W of |S(r)|^2, and r is tried by
         order until one reaches bound: order[:rounds] through the shared
         tables, then the next ones by summing packed[r + x] over the span,
-        r + x added by halves (adder), for as long as those sums cost less
-        in all than one fold of the whole table (score).  A V that no
-        tried r rules out is scored by that fold, or by the sums alone
-        when they tried every r.
+        r + x added by halves (adder), while those sums cost less in all
+        than one fold of the whole table (score), which scores a V that no
+        tried r rules out unless the sums tried every r.
         """
-        mask = (1 << self.shift) - 1
-        off = len(span) * self.bias
+        mask, off = (1 << self.shift) - 1, len(span) * self.bias
         top = 0
         for i in range(self.rounds):
             if self.order[i] in span:
@@ -413,27 +419,24 @@ class _F3Sums:
             w *= 3
         inside = set(span)
         A, B = self.unpack(sums, len(span))
-        norms = (a * a - a * b + b * b for r, a, b in zip(range(len(A)), A, B) if r not in inside)
+        norms = (A[r] ** 2 - A[r] * B[r] + B[r] ** 2 for r in self.order if r not in inside)
         return max(norms, default=0)
 
 
 def _f3_survivors(
-    sums: _F3Sums,
-    best: int,
-    rows: list[list[int]],
-    spans: list[list[int]],
+    sums: _F3Sums, best: int, rows: list[list[int]], spans: list[list[int]]
 ) -> Iterator[tuple[int, ...]]:
     """W's span for each subspace of a block of F_3^n that no r rules out.
 
     The F_3 twin of _f2_survivors.  rows are the block's annihilator
     rows and spans their rank lists (gf_core._trit_block_spans), for the
-    subspaces still in the running.  Round i takes r = order[i] and sums
-    S(r) for every kept subspace by one gather through the shared table
-    of order[i], both parts at once; a subspace is dropped when
-    |S(r)|^2 = a^2 - ab + b^2 >= best unless r lies in its W.  The
-    rounds stop when kept * 3^c < 3^n, as over F_2, or after
-    sums.rounds rounds, and the survivors' spans are yielded as rank
-    tuples, in walk order.
+    subspaces still in the running.  Round i sums S(r), r = order[i], for
+    every kept subspace by one gather through the shared table of r,
+    both parts at once; a subspace is dropped when |S(r)|^2 = a^2 - ab +
+    b^2 >= best unless r lies in its W (so does -r, with the same sum's
+    conjugate).  The rounds stop when kept * 3^c < 3^n, as over F_2, or
+    after sums.rounds rounds, and the survivors' spans are yielded as
+    rank tuples, in walk order.
     """
     n = sums.n
     c = len(rows)
@@ -446,7 +449,7 @@ def _f3_survivors(
             break
         r = sums.order[i]
         at = sum(r // w % 3 * step for w, step in digit_weights)
-        A, B = sums.unpack(sums.gather(sums.table(i), spans), len(spans))
+        A, B = sums.unpack(_gather(sums.table(i), spans), len(spans))
         keep = [a * a - a * b + b * b < best or x == r for a, b, x in zip(A, B, spans[at])]
         if not all(keep):
             spans = [list(compress(span, keep)) for span in spans]
@@ -454,9 +457,7 @@ def _f3_survivors(
 
 
 def _scores_below(
-    points: PointSet,
-    max_codim: int,
-    threshold: Callable[[], int],
+    points: PointSet, max_codim: int, threshold: Callable[[], int]
 ) -> Iterator[tuple[Sequence[int], int]]:
     """(W's span as ranks, score) for each V that scores below threshold().
 
@@ -469,10 +470,8 @@ def _scores_below(
     |S(r)|^2 >= threshold(): first by _f2_survivors or _f3_survivors,
     which rule out whole blocks by list gathers against the threshold at
     the block's start, then in the per-subspace loop.  That is exact
-    because no caller ever raises its threshold.
-
-    Over F_3 every sum is read by rank from one packed transform
-    (_F3Sums, _f3_scores_below).
+    because no caller ever raises its threshold.  Over F_3 every sum is
+    read by rank from one packed transform (_F3Sums, _f3_scores_below).
     """
     if points.p == 3:
         yield from _f3_scores_below(points, max_codim, threshold)
@@ -508,10 +507,7 @@ def _scores_below(
 
 
 def _f3_scores_below(
-    points: PointSet,
-    max_codim: int,
-    threshold: Callable[[], int],
-    visit: Optional[Visit] = None,
+    points: PointSet, max_codim: int, threshold: Callable[[], int], visit: Optional[Visit] = None
 ) -> Iterator[tuple[Sequence[int], int]]:
     """_scores_below over F_3, and a visit of each block before its screen.
 
@@ -581,9 +577,12 @@ def leading_one_set(n: int) -> PointSet:
     """
     if not 1 <= n <= MAX_TERNARY_N:
         raise InputError(f"leading_one_set supports 1 <= n <= {MAX_TERNARY_N}, got {n}")
+    return PointSet.from_ranks(3, n, _leading_ones(n))
+
+
+def _leading_ones(n: int) -> Iterator[int]:
     # the leading digit is 1 exactly for the ranks in [3^k, 2 * 3^k)
-    ranks = chain.from_iterable(range(3**k, 2 * 3**k) for k in range(n))
-    return PointSet.from_ranks(3, n, ranks)
+    return chain.from_iterable(range(3**k, 2 * 3**k) for k in range(n))
 
 
 @dataclass(frozen=True)

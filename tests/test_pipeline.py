@@ -337,6 +337,96 @@ def test_f2_block_filter_keeps_r_in_w_and_drops_ties():
     assert kept == [span for span in spans if span in kept]  # walk order
 
 
+def _f2_screen_reference(F, order, best, spans):
+    """(survivors, whether the last pair ran): _f2_survivors one r at a time.
+
+    The rounds take r in pairs and stop, as the screen does, before a
+    pair whose gathers would cover fewer than len(F) span points.
+    """
+    kept, reached = spans, False
+    for i in range(0, len(order), 2):
+        if len(kept) * len(spans[0]) < len(F):
+            break
+        reached = i + 2 >= len(order)
+        for r in order[i : i + 2]:
+            kept = [span for span in kept if r in span or sum(F[r ^ x] for x in span) ** 2 < best]
+    return kept, reached
+
+
+@pytest.mark.parametrize("kind", ["random", "full", "subspace", "extreme"])
+def test_f2_packed_screen_reads_both_frequencies(kind):
+    # one gather sums S(r0) and S(r1); each half drops a subspace at
+    # S(r)^2 >= best unless r lies in its W, read at r's own span point.
+    # Each r runs with a partner q before and after it, against every
+    # S(r)^2 of the block as best.  The full set and a set equal to one
+    # V put S = 2^n on W's own cosets; the extreme table, |F| = 2^n
+    # everywhere, takes both halves to their bounds, 0 and 2^(n+1) |W|,
+    # and a sum just inside (best above every S^2) or at (best = S^2)
+    # each end of a half's range sits on a multiple of 2^K.  A two-entry
+    # order is one round, and 256 subspaces always run it.
+    n = 6
+    rows = next(gf_core._rref_blocks(2, n, n - 2, annihilator=True))
+    spans = [tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)]
+    if kind == "extreme":
+        e = min(set(range(1 << n)) - set(spans[0]))
+        low = set(spans[0]) | {e ^ w for w in spans[0]}  # W_0 and one more coset
+        F = [-(1 << n) if x in low else 1 << n for x in range(1 << n)]
+    else:
+        # V, the subspace that the block's last W annihilates
+        V = [x for x in range(1 << n) if not any(bin(x & w).count("1") % 2 for w in spans[-1])]
+        A = {
+            "random": random_subset(words(102), 2, n, Fraction(1, 2)),
+            "full": PointSet.full(2, n),
+            "subspace": PointSet.from_ranks(2, n, V),
+        }[kind]
+        F = wht2(A.membership_table())
+    sums = {r: [sum(F[r ^ x] for x in span) for span in spans] for r in range(1, 1 << n)}
+    quiet = min(sums, key=lambda r: max(map(abs, sums[r])))
+    above = max(s * s for row in sums.values() for s in row) + 1  # keeps every subspace
+    events = set()
+    for q in (spans[0][1], quiet):
+        for r in range(1, 1 << n):
+            for best in {s * s for s in sums[r]} - {0} | {above}:
+                for order in ([q, r], [r, q]):
+                    got = list(pipeline._f2_survivors(F, order, best, rows))
+                    assert got == [
+                        span for j, span in enumerate(spans)
+                        if all(x in span or sums[x][j] ** 2 < best for x in order)
+                    ], (q, r, best)
+                    for j, span in enumerate(spans):
+                        first = order[0] in span or sums[order[0]][j] ** 2 < best
+                        if first and r == order[1] and sums[r][j] ** 2 >= best:
+                            events.add((r in span, (sums[r][j] > 0) - (sums[r][j] < 0)))
+    # ties at the second frequency of both signs, and a second r in W
+    # that the first r leaves and only the exception keeps
+    if kind == "random":
+        assert {(False, 1), (False, -1), (True, 1)} <= events
+    if kind == "extreme":
+        assert (True, -1) in events
+
+
+def test_f2_screen_pairs_the_last_r_with_itself():
+    # an odd-length order runs out on r paired with itself; with the
+    # rounds running to the end, the survivors are those of one r at a
+    # time.  A coset r + W holds |W| frequencies with one sum, so over a
+    # full order the last r never drops what an earlier one kept; the
+    # three-entry orders put the top r last, where it does
+    n = 4
+    for seed in range(100, 104):
+        A = random_subset(words(seed), 2, n, Fraction(1, 2))
+        F = wht2(A.membership_table())
+        order = sorted(range(1, 1 << n), key=lambda r: F[r] * F[r], reverse=True)
+        rows = next(gf_core._rref_blocks(2, n, n - 2, annihilator=True))
+        spans = [tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)]
+        for best in (36, 64):
+            for run in (order, order[::-1], [order[-1], order[-2], order[0]]):
+                kept, reached = _f2_screen_reference(F, run, best, spans)
+                assert reached, (seed, best, run)
+                assert list(pipeline._f2_survivors(F, run, best, rows)) == kept
+                if len(run) == 3:
+                    assert kept != _f2_screen_reference(F, run[:2], best, spans)[0]
+
+
 def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
     n = 4
     A = random_subset(words(106), 3, n, Fraction(1, 2))
@@ -346,7 +436,9 @@ def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
         reverse=True,
     )
     sums = pipeline._F3Sums(A, 2)
-    assert sums.order == order
+    # one r of each pair r, -r: the one with leading digit 1
+    lead = {r for k in range(n) for r in range(3**k, 2 * 3**k)}
+    assert sums.order == [r for r in order if r in lead]
     # the first codim-2 profile, pivots 1 and 2: 4 slots, one block
     rows = next(gf_core._rref_blocks(3, n, n - 2, annihilator=True))
     spans = [tuple(gf_core._span_ranks(3, n, col)) for col in zip(*rows)]
@@ -380,6 +472,32 @@ def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
     assert kept == [span for span in spans if span in kept]  # walk order
 
 
+def test_f3_order_holds_one_r_of_each_pair():
+    # for a 0/1 set F(-x) is the conjugate of F(x) and W = -W, so S(-r)
+    # is the conjugate of S(r), with the same squared magnitude, and -r
+    # lies in W exactly when r does: order keeps one r of each pair
+    n = 4
+    A = random_subset(words(141), 3, n, Fraction(1, 2))
+    F3 = _dft3_pairs([(m, 0) for m in A.membership_table()])
+    sums = pipeline._F3Sums(A, 2)
+    assert len(sums.order) == (3**n - 1) // 2
+    held = set(sums.order)
+    assert all((r in held) != (add_rank(3, n, r, r) in held) for r in range(1, 3**n))
+    norms = [a * a - a * b + b * b for a, b in map(F3.__getitem__, sums.order)]
+    assert norms == sorted(norms, reverse=True)
+    for c in (1, 2):
+        for rows in gf_core._rref_blocks(3, n, n - c, annihilator=True):
+            for span in zip(*gf_core._trit_block_spans(n, rows)):
+                for r in range(1, 3**n):
+                    minus = add_rank(3, n, r, r)
+                    assert (r in span) == (minus in span)
+                    a, b = (sum(F3[add_rank(3, n, r, x)][i] for x in span) for i in (0, 1))
+                    u, v = (sum(F3[add_rank(3, n, minus, x)][i] for x in span) for i in (0, 1))
+                    # the conjugate of a + b w is (a - b) - b w
+                    assert (u, v) == (a - b, -b)
+                    assert u * u - u * v + v * v == a * a - a * b + b * b
+
+
 def test_f3_packed_sums_at_the_packing_extremes():
     # W = the span of the last c unit vectors, whose cosets r + W are the
     # rank ranges [r, r + 3^c); the one-point set {e_1} puts F = w on
@@ -399,7 +517,7 @@ def test_f3_packed_sums_at_the_packing_extremes():
             spans = [[x] for x in range(size)]
             for r in range(0, 3**n, size):
                 table = pipeline._shifted_table(n, sums.packed, r)
-                (a,), (b,) = sums.unpack(sums.gather(table, spans), size)
+                (a,), (b,) = sums.unpack(pipeline._gather(table, spans), size)
                 assert (a, b) == (
                     sum(F3[r + x][0] for x in range(size)),
                     sum(F3[r + x][1] for x in range(size)),
@@ -409,7 +527,7 @@ def test_f3_packed_sums_at_the_packing_extremes():
             top = pipeline._F3Sums(A, n - 1)
             assert top.bias == 1
             table = pipeline._shifted_table(n, top.packed, 2 * 3 ** (n - 1))
-            low = top.gather(table, [[x] for x in range(3 ** (n - 1))])[0]
+            low = pipeline._gather(table, [[x] for x in range(3 ** (n - 1))])[0]
             assert low & ((1 << top.shift) - 1) == 2 * 3 ** (n - 1)
 
 
@@ -444,12 +562,12 @@ def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
     # codim-3 walk of F_3^5 screens many blocks, which run more rounds
     # between them than there are tables
     built, gathers = [], []
-    shifted, gather = pipeline._shifted_table, pipeline._F3Sums.gather
+    shifted, gather = pipeline._shifted_table, pipeline._gather
     monkeypatch.setattr(
         pipeline, "_shifted_table", lambda n, packed, r: built.append(r) or shifted(n, packed, r)
     )
     monkeypatch.setattr(
-        pipeline._F3Sums, "gather", lambda self, t, s: gathers.append(t) or gather(self, t, s)
+        pipeline, "_gather", lambda t, s: gathers.append(t) or gather(t, s)
     )
     n = 5
     for tail_size, max_codim in ((gf_core._TAIL_SIZE, 2), (27, 3)):
