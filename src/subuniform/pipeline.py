@@ -29,21 +29,22 @@ scans every subspace V of codimension <= max_codim (Gaussian-binomial
 counts, budget-guarded) and returns the minimizer of sup_sq.  Its
 scores come from _scores_below, which transforms the set once over the
 whole space and reads each V through its annihilator W (dim W = codim
-V): by Poisson summation the sum of the full transform over a coset
+V): by Poisson summation the coset sum S(r) of the full transform over
 r + W is |W| times V's coefficient at the character r induces on V.
-Over both fields the walk comes in blocks that share a pivot profile,
-and _f2_survivors or _f3_survivors rules out whole blocks by list
-gathers (_gather) before the per-subspace loop; over F_2 one gather sums
-two r, packed in one table.  Over F_3 every sum is rank arithmetic on
-one packed list (_F3Sums): entry x holds both parts of F(x) = a + b*w,
-so one gather sums both, through shifted tables x -> F(r + x) that are
-built once per r, for one r of each pair r, -r, and shared by every block.
+Both fields share one coset-sum engine, _CosetSums, with field hooks for
+the group add, the norm, the packing and the order.  The walk comes in
+blocks that share a pivot profile; _CosetSums.screen rules out whole
+blocks by list gathers (_gather) through shifted tables x -> F(r + x)
+that are built once per r and shared by every block, and
+_CosetSums.below scores what it leaves, one subspace at a time.  Over
+F_2 one screen gather sums two r; over F_3 one int holds both parts of
+F(x) = a + b*w, and the walk tries one r of each pair r, -r.
 
 Over F_3 no analogous search can succeed: leading_one_set builds the
 set whose members have first nonzero coordinate 1, and
 scan_leading_one_set certifies, for every positive-dimensional subspace
 V, a nontrivial coefficient of squared magnitude >= 1/12.  It is one
-walk: _f3_scores_below gives sup_sq, and on each block the same spans give
+walk: _scores_below gives sup_sq, and on each block the same spans give
 S(0) and S(e_j), j the first pivot, which are |W| times |A n V| and
 V's coefficient a + b*w at e_j.  From those follow the identity
 3*b = -|V| and the slice counts behind it.
@@ -89,13 +90,14 @@ ORACLE_BUDGET = 10**7
 # The oracle and the ternary scan cut their blocks so that their span
 # lists hold at most _SPAN_CELLS ranks, about 0.5 MB of list slots.
 _SPAN_CELLS = 1 << 16
-# The F_3 block screen runs at most this many rounds, and the walk keeps
-# one shifted table of 3^n entries per round; past n = 6 the tables are
-# held to _SPAN_CELLS entries in all, so fewer rounds run.
-_F3_ROUNDS = 32
-# Past those rounds a subspace tries r by its own sums for as long as
-# they cost less than one fold of W into the whole table; timed at
-# n = 9, a fold costs about as much as _FOLD_SUMS * 3^n / (|W| + 10) sums.
+# The block screen tries at most this many r, and the walk keeps one
+# shifted table of p^n entries per r; the tables are held to _SPAN_CELLS
+# entries in all, so fewer r are tried from F_2^12 and F_3^7 on.
+_ROUNDS = 32
+# Past those tables a subspace tries r by its own sums for as long as
+# they cost less than one fold of W into the whole table; timed over
+# F_3^9, a fold costs about as much as _FOLD_SUMS * p^n / (|W| + 10) sums,
+# and F_2 keeps the same rule.
 _FOLD_SUMS = 2
 
 
@@ -223,137 +225,184 @@ def _gather(table: list[int], spans: list[list[int]]) -> list[int]:
     return sums
 
 
-def _f2_survivors(
-    F: list[int], order: Sequence[int], best: int, rows: list[list[int]]
-) -> Iterator[tuple[int, ...]]:
-    """W's span for each subspace of a block that no single r rules out.
-
-    rows[f][j] is annihilator row f (there is at least one) of the
-    block's j-th subspace, and all its subspaces share one pivot
-    profile; every |F(x)| is at most 2^n.  The span lists are built once
-    by XOR maps, in the span order of gf_core._span_ranks.  Then a round
-    takes the next two r of `order`, r0 and r1 (the last r pairs with
-    itself), packs x -> F(r0 + x) and F(r1 + x) into one table as
-    _f3_pack packs a and b, and sums S(r0) and S(r1) for every kept
-    subspace by one gather.  A subspace is dropped when S(r)^2 >= best,
-    for either r, unless that r lies in its W.  A round whose gathers
-    would be fewer than one table's 2^n entries costs more than it can
-    save, so the rounds stop there and the survivors' spans are yielded,
-    in walk order.
-    """
-    spans = [[0] * len(rows[0])]
-    for row in reversed(rows):
-        spans += [list(map(xor, span, row)) for span in spans]
-    # w_f has no entry right of its free column f, which is its lowest
-    # set bit; r's bits there pick the one span point that can equal r
-    lows = [row[0] & -row[0] for row in rows]
-    limit = isqrt(best - 1) + 1  # S^2 >= best exactly when |S| >= limit
-    size, keys = len(F), range(len(F))
-    # entry x is (F(r0 + x) + 2^n) 2^K + F(r1 + x) + 2^n: a sum over W
-    # holds S + 2^n |W| in [0, 2^K) per half, and |S| < limit exactly
-    # when that lies strictly between bottom and top
-    shift = (2 * size * len(spans)).bit_length()
-    base, mask = (size << shift) + size, (1 << shift) - 1
-    bottom, top = size * len(spans) - limit, size * len(spans) + limit
-    floor, ceiling = bottom + 1 << shift, top << shift
-    for r0, r1 in zip(order[::2], [*order[1::2], *order[-1:]]):
-        if len(spans[0]) * len(spans) < size:
-            break
-        table = [(F[r0 ^ x] << shift) + F[r1 ^ x] + base for x in keys]
-        at0, at1 = (sum(1 << f for f, low in enumerate(lows[::-1]) if r & low) for r in (r0, r1))
-        keep = [
-            (floor <= s < ceiling or x == r0) and (bottom < s & mask < top or y == r1)
-            for s, x, y in zip(_gather(table, spans), spans[at0], spans[at1])
-        ]
-        if not all(keep):
-            spans = [list(compress(span, keep)) for span in spans]
-    return zip(*spans)
-
-
-def _f3_pack(F3: Sequence[tuple[int, int]], most: int) -> tuple[list[int], int, int]:
-    """(packed, K, B): the transform as one int per point, for sums of <= most.
-
-    Entry x is (a + B) 2^K + (b + B) for F(x) = a + b w, where B is the
-    largest |a| or |b| and K the bit length of 2 B most.  A sum s of m
-    entries, m <= most, keeps each half in [0, 2 B m], below 2^K, so it
-    never carries from the low half into the high one, and it unpacks as
-    a = (s >> K) - m B and b = (s & (2^K - 1)) - m B.
-    """
-    bias = max(max(abs(a), abs(b)) for a, b in F3)
-    shift = (2 * bias * most).bit_length()
-    return [((a + bias) << shift) + b + bias for a, b in F3], shift, bias
-
-
-def _shifted_table(n: int, packed: list[int], r: int) -> list[int]:
-    """x -> packed[r + x] for every rank x of F_3^n."""
-    return [packed[y] for y in _trit_shifts(n, r)]
-
-
 Sums = tuple[list[int], list[int]]  # the a- and b-parts of one S per subspace
-# visit(rows, spans, at) of _f3_scores_below, at(r) -> (S(0), S(r))
+# visit(rows, spans, at) of _scores_below, at(r) -> (S(0), S(r))
 Visit = Callable[[list[list[int]], list[list[int]], Callable[[int], tuple[Sums, Sums]]], list[bool]]
 
 
-class _F3Sums:
-    """Coset sums S(r) of one set's transform over F_3^n, read by rank.
+class _CosetSums:
+    """Coset sums S(r) = sum over s in W of F(r + s) of one transform F.
 
-    The transform is computed once and packed (_f3_pack), so one gather
-    sums both parts of S(r) = sum over s in W of F(r + s): a sum over
-    r + W reads the shifted table x -> F(r + x) at W's span ranks.
-    `order` holds the r whose leading digit is 1, by descending |F(r)|^2:
-    for a 0/1 set S(-r) is the conjugate of S(r), and -r lies in W when
-    r does, so each pair r, -r has one |S|^2.  The table of order[i] is
-    built on first use and kept for the whole walk, shared by every
-    block, for i below `rounds`, so the tables never cover all of order.
-    Past those, a subspace's sums add r + x by halves (adder).  The
-    table of the one r that the scan's visit reads on every block (its
-    e_j) is kept by r.
+    F is wht2's over F_2 and _dft3_pairs' over F_3.  base holds F one
+    int per point with a bias B, the largest |F| (over F_3, |a| or |b|),
+    added to every part: F(x) + B over F_2, and over F_3 (a + B) 2^K +
+    (b + B) for F(x) = a + b w, K the bit length of 2 B p^max_codim.  A
+    sum of m <= p^max_codim entries keeps each part in [0, 2 B m], below
+    2^K, so nothing carries and one gather sums both parts.  A sum over
+    r + W reads the shifted table x -> base[r + x] at W's span ranks.
+
+    The fields differ in four hooks only: the group add (_add: XOR, or
+    digit sums by _trit_shifts), the norm (norm: S^2, or a^2 - ab + b^2),
+    what one int of a screen round holds (keep: S(r) for two r over F_2,
+    a and b of one r over F_3) and the order.  `order` lists r by
+    descending norm: every r over F_2; over F_3 the r whose leading digit
+    is 1, since for a 0/1 set S(-r) is the conjugate of S(r) and -r lies
+    in W when r does.  The tables of order[i], i below `rounds`, are
+    built on first use and shared by every block; they hold at most
+    _SPAN_CELLS entries in all.  Past them a subspace adds r + x by
+    digit halves (adder).
     """
 
-    def __init__(self, points: PointSet, max_codim: int) -> None:
-        self.n = n = points.n
-        F3 = _dft3_pairs([(m, 0) for m in points.membership_table()])
-        sq = [a * a - a * b + b * b for a, b in F3]
-        self.order = sorted(_leading_ones(n), key=sq.__getitem__, reverse=True)
-        self.packed, self.shift, self.bias = _f3_pack(F3, 3**max_codim)
-        self.rounds = max(1, min(_F3_ROUNDS, len(self.order) - 1, _SPAN_CELLS // 3**n))
+    def __init__(self, p: int, n: int, F: Sequence, max_codim: int) -> None:
+        self.p, self.n, self.size = p, n, p**n
+        if p == 2:
+            norms, order, bias = [f * f for f in F], range(1, self.size), max(map(abs, F))
+        else:
+            norms = [a * a - a * b + b * b for a, b in F]
+            order, bias = _leading_ones(n), max(max(abs(a), abs(b)) for a, b in F)
+        self.order = sorted(order, key=norms.__getitem__, reverse=True)
+        self.bias, self.shift = bias, (2 * bias * p**max_codim).bit_length()
+        self.mask = (1 << self.shift) - 1
+        if p == 2:
+            self.base = [f + bias for f in F]
+            self.norm, self.keep, self.step = self._norm2, self._keep2, 2
+        else:
+            self.base = [((a + bias) << self.shift) + b + bias for a, b in F]
+            self.norm, self.keep, self.step = self._norm3, self._keep3, 1
+        self.rounds = max(1, min(_ROUNDS, len(self.order), _SPAN_CELLS // self.size))
         self.tables: list[list[int]] = []
-        self.paired: dict[int, list[int]] = {}
+        self.twos: dict[int, list[int]] = {}  # _keep2's tables, by i
+        self.paired: dict[int, list[int]] = {}  # pair's tables, by r
         # r + x = highs[r_h][x_h] + lows[r_l][x_l], x_l the low n // 2
-        # digits of x and x_h the rest; 3^n list slots each when full
-        self.cut = 3 ** (n // 2)
+        # digits of x and x_h the rest; p^n list slots each when full
+        self.cut = p ** (n // 2)
         self.highs: dict[int, list[int]] = {}
         self.lows: dict[int, list[int]] = {}
 
-    def table(self, i: int) -> list[int]:
-        """The shifted table of order[i], for i < rounds."""
-        while len(self.tables) <= i:
-            r = self.order[len(self.tables)]
-            self.tables.append(_shifted_table(self.n, self.packed, r))
-        return self.tables[i]
+    def _add(self, m: int, r: int) -> list[int]:
+        """r + y for every rank y of F_p^m, in rank order: the group add."""
+        return [r ^ y for y in range(2**m)] if self.p == 2 else _trit_shifts(m, r)
 
     def adder(self, r: int) -> tuple[list[int], list[int]]:
         """(H, L) with r + x = H[x // cut] + L[x % cut] for every rank x."""
         high, low = divmod(r, self.cut)
         if high not in self.highs:
-            half = self.n - self.n // 2
-            self.highs[high] = [y * self.cut for y in _trit_shifts(half, high)]
+            self.highs[high] = [y * self.cut for y in self._add(self.n - self.n // 2, high)]
         if low not in self.lows:
-            self.lows[low] = _trit_shifts(self.n // 2, low)
+            self.lows[low] = self._add(self.n // 2, low)
         return self.highs[high], self.lows[low]
 
+    def plus(self, r: int) -> list[int]:
+        """r + x for every rank x, in rank order."""
+        H, L = self.adder(r)
+        return [h + l for h in H for l in L]
+
+    def shifted(self, r: int) -> list[int]:
+        """x -> base[r + x] for every rank x."""
+        base = self.base
+        return [base[y] for y in self.plus(r)]
+
+    def table(self, i: int) -> list[int]:
+        """The shifted table of order[i], for i < rounds."""
+        while len(self.tables) <= i:
+            self.tables.append(self.shifted(self.order[len(self.tables)]))
+        return self.tables[i]
+
+    def _norm2(self, s: int, count: int) -> int:
+        """S^2 for a sum s of `count` entries of base."""
+        return (s - count * self.bias) ** 2
+
+    def _norm3(self, s: int, count: int) -> int:
+        """a^2 - ab + b^2 for a sum s of `count` entries of base."""
+        off = count * self.bias
+        a, b = (s >> self.shift) - off, (s & self.mask) - off
+        return a * a - a * b + b * b
+
     def unpack(self, sums: list[int], count: int) -> Sums:
-        """The a- and b-parts of packed sums of `count` entries each."""
-        mask, off = (1 << self.shift) - 1, count * self.bias
+        """The a- and b-parts of packed F_3 sums of `count` entries each."""
+        mask, off = self.mask, count * self.bias
         return [(s >> self.shift) - off for s in sums], [(s & mask) - off for s in sums]
 
+    def _keep2(self, i: int, best: int, spans: list[list[int]], at: Callable[[int], int]) -> list[bool]:
+        """The F_2 round at order[i]: one gather sums S(r0) and S(r1).
+
+        r0 = order[i] and r1 the next r (the last r pairs with itself);
+        entry x of the round's table is (F(r0 + x) + B) 2^K + F(r1 + x)
+        + B.  A sum over W holds S + B |W| in [0, 2^K) per half, and
+        |S| < limit, that is S^2 < best, exactly when that lies strictly
+        between bottom and top.
+        """
+        j = min(i + 1, self.rounds - 1)
+        r0, r1, shift = self.order[i], self.order[j], self.shift
+        if i not in self.twos:
+            self.twos[i] = [(x << shift) + y for x, y in zip(self.table(i), self.table(j))]
+        limit = isqrt(best - 1) + 1
+        mid, mask = len(spans) * self.bias, self.mask
+        bottom, top = mid - limit, mid + limit
+        floor, ceiling = bottom + 1 << shift, top << shift
+        return [
+            (floor <= s < ceiling or x == r0) and (bottom < s & mask < top or y == r1)
+            for s, x, y in zip(_gather(self.twos[i], spans), spans[at(r0)], spans[at(r1)])
+        ]
+
+    def _keep3(self, i: int, best: int, spans: list[list[int]], at: Callable[[int], int]) -> list[bool]:
+        """The F_3 round at order[i]: one gather sums both parts of S(r)."""
+        r = self.order[i]
+        A, B = self.unpack(_gather(self.table(i), spans), len(spans))
+        return [a * a - a * b + b * b < best or x == r for a, b, x in zip(A, B, spans[at(r)])]
+
+    def spans(self, rows: list[list[int]]) -> list[list[int]]:
+        """The rank lists of a block's spans, in the order of gf_core._span_ranks."""
+        if self.p == 3:
+            return _trit_block_spans(self.n, rows)
+        spans = [[0] * len(rows[0])]
+        for row in reversed(rows):
+            spans += [list(map(xor, span, row)) for span in spans]
+        return spans
+
+    def screen(
+        self, best: int, rows: list[list[int]], spans: list[list[int]]
+    ) -> Iterator[tuple[int, ...]]:
+        """W's span for each subspace of a block that no screen round rules out.
+
+        rows[f][j] is annihilator row f of the block's j-th subspace, all
+        of one pivot profile, and spans their rank lists (spans), for the
+        subspaces still in the running.  A round takes the next r of
+        order, two over F_2 and one over F_3, and sums S(r) for every
+        kept subspace by one gather (keep); a subspace is dropped when
+        the norm of S(r) is >= best, unless r lies in its W.  A round
+        whose gathers would be fewer than one table's p^n entries costs
+        more than it can save, so the rounds stop there or after
+        `rounds` r, and the survivors' spans are yielded in walk order.
+        """
+        p, c = self.p, len(rows)
+        # row f's last nonzero digit is the 1 at its free column, for the
+        # whole block; r's digits there pick the one span point that can
+        # equal r: point sum_f r_f p^(c-1-f)
+        weights = []
+        for f, row in enumerate(rows):
+            w = 1
+            while row[0] // w % p == 0:
+                w *= p
+            weights.append((w, p ** (c - 1 - f)))
+
+        def at(r: int) -> int:
+            return sum(r // w % p * step for w, step in weights)
+
+        for i in range(0, self.rounds, self.step):
+            if len(spans[0]) * len(spans) < self.size:
+                break
+            keep = self.keep(i, best, spans, at)
+            if not all(keep):
+                spans = [list(compress(span, keep)) for span in spans]
+        return zip(*spans)
+
     def pair(self, r: int, spans: list[list[int]]) -> tuple[Sums, Sums]:
-        """S(0) and S(r), unpacked, on every span of a block, by one gather."""
-        # a packed sum has 2K bits, so packed[x] sits clear above packed[r + x]
+        """S(0) and S(r) over F_3, unpacked, on every span of a block, by one gather."""
+        # a packed sum has 2K bits, so base[x] sits clear above base[r + x]
         width = 2 * self.shift
         if r not in self.paired:
-            shifted = _shifted_table(self.n, self.packed, r)
-            self.paired[r] = [(x << width) + y for x, y in zip(self.packed, shifted)]
+            self.paired[r] = [(x << width) + y for x, y in zip(self.base, self.shifted(r))]
         both = _gather(self.paired[r], spans)
         low = (1 << width) - 1
         zero = self.unpack([s >> width for s in both], len(spans))
@@ -362,30 +411,30 @@ class _F3Sums:
     def below(self, span: Sequence[int], bound: int) -> Optional[int]:
         """V's score if it is below bound, else None; W's span as ranks.
 
-        The score is max over r outside W of |S(r)|^2, and r is tried by
-        order until one reaches bound: order[:rounds] through the shared
-        tables, then the next ones by summing packed[r + x] over the span,
-        r + x added by halves (adder), while those sums cost less in all
-        than one fold of the whole table (score), which scores a V that no
-        tried r rules out unless the sums tried every r.
+        The score is max over r outside W of the norm of S(r), and r is
+        tried by order until one reaches bound: order[:rounds] through the
+        shared tables, then the next ones by summing base[r + x] over the
+        span, r + x added by halves (adder), while those sums cost less in
+        all than one fold of the whole table (score), which scores a V
+        that no tried r rules out unless the sums tried every r.
         """
-        mask, off = (1 << self.shift) - 1, len(span) * self.bias
+        norm, count, tables = self.norm, len(span), self.tables
         top = 0
-        for i in range(self.rounds):
-            if self.order[i] in span:
+        for i, r in enumerate(self.order[: self.rounds]):
+            if r in span:
                 continue
-            table = self.table(i)
+            table = tables[i] if i < len(tables) else self.table(i)
             s = 0
             for x in span:
                 s += table[x]
-            a, b = (s >> self.shift) - off, (s & mask) - off
-            sq = a * a - a * b + b * b
+            sq = norm(s, count)
             if sq >= bound:
                 return None
-            top = max(top, sq)
-        last = min(len(self.order), self.rounds + _FOLD_SUMS * 3**self.n // (len(span) + 10))
+            if sq > top:
+                top = sq
+        last = min(len(self.order), self.rounds + _FOLD_SUMS * self.size // (count + 10))
         inside = set(span)
-        packed, cut = self.packed, self.cut
+        base, cut = self.base, self.cut
         highs, lows = [x // cut for x in span], [x % cut for x in span]
         for r in islice(self.order, self.rounds, last):
             if r in inside:
@@ -393,71 +442,41 @@ class _F3Sums:
             H, L = self.adder(r)
             s = 0
             for u, v in zip(highs, lows):
-                s += packed[H[u] + L[v]]
-            a, b = (s >> self.shift) - off, (s & mask) - off
-            sq = a * a - a * b + b * b
+                s += base[H[u] + L[v]]
+            sq = norm(s, count)
             if sq >= bound:
                 return None
-            top = max(top, sq)
+            if sq > top:
+                top = sq
         if last < len(self.order):
             top = self.score(span)
-        return top if top < bound else None
+            if top >= bound:
+                return None
+        return top
 
     def score(self, span: Sequence[int]) -> int:
-        """max over r outside W of |S(r)|^2, W's span given as ranks.
+        """max over r outside W of the norm of S(r), W's span given as ranks.
 
         The sums over all cosets come at once, folding W's generators
-        (span points 1, 3, 9, ...) into the table: G(r) + G(r + w) +
-        G(r + 2 w), each shift read through _trit_shifts.
+        (span points 1, p, p^2, ...) into the table: G(x) + G(x + w), and
+        + G(x + 2w) over F_3, each shift read through the group add.
         """
-        sums = self.packed
+        sums = self.base
         w = 1
         while w < len(span):
-            shift = _trit_shifts(self.n, span[w])
+            shift = self.plus(span[w])
             once = [sums[y] for y in shift]
-            sums = [x + y + once[z] for x, y, z in zip(sums, once, shift)]
-            w *= 3
-        inside = set(span)
-        A, B = self.unpack(sums, len(span))
-        norms = (A[r] ** 2 - A[r] * B[r] + B[r] ** 2 for r in self.order if r not in inside)
-        return max(norms, default=0)
-
-
-def _f3_survivors(
-    sums: _F3Sums, best: int, rows: list[list[int]], spans: list[list[int]]
-) -> Iterator[tuple[int, ...]]:
-    """W's span for each subspace of a block of F_3^n that no r rules out.
-
-    The F_3 twin of _f2_survivors.  rows are the block's annihilator
-    rows and spans their rank lists (gf_core._trit_block_spans), for the
-    subspaces still in the running.  Round i sums S(r), r = order[i], for
-    every kept subspace by one gather through the shared table of r,
-    both parts at once; a subspace is dropped when |S(r)|^2 = a^2 - ab +
-    b^2 >= best unless r lies in its W (so does -r, with the same sum's
-    conjugate).  The rounds stop when kept * 3^c < 3^n, as over F_2, or
-    after sums.rounds rounds, and the survivors' spans are yielded as
-    rank tuples, in walk order.
-    """
-    n = sums.n
-    c = len(rows)
-    # r's digits at the free columns pick the one span point that can
-    # equal r: point sum_f r_f 3^(c-1-f)
-    free = _free_columns(n, rows)
-    digit_weights = [(3 ** (n - col), 3 ** (c - 1 - f)) for f, col in enumerate(free)]
-    for i in range(sums.rounds):
-        if len(spans[0]) * len(spans) < 3**n:
-            break
-        r = sums.order[i]
-        at = sum(r // w % 3 * step for w, step in digit_weights)
-        A, B = sums.unpack(_gather(sums.table(i), spans), len(spans))
-        keep = [a * a - a * b + b * b < best or x == r for a, b, x in zip(A, B, spans[at])]
-        if not all(keep):
-            spans = [list(compress(span, keep)) for span in spans]
-    return zip(*spans)
+            if self.p == 2:
+                sums = [x + y for x, y in zip(sums, once)]
+            else:
+                sums = [x + y + once[z] for x, y, z in zip(sums, once, shift)]
+            w *= self.p
+        inside, count = set(span), len(span)
+        return max((self.norm(sums[r], count) for r in self.order if r not in inside), default=0)
 
 
 def _scores_below(
-    points: PointSet, max_codim: int, threshold: Callable[[], int]
+    points: PointSet, max_codim: int, threshold: Callable[[], int], visit: Optional[Visit] = None
 ) -> Iterator[tuple[Sequence[int], int]]:
     """(W's span as ranks, score) for each V that scores below threshold().
 
@@ -467,68 +486,31 @@ def _scores_below(
     and S(r) the sum of F(r + s) over s in W, V's score is the integer
     p^(2n) * sup_sq(V) = max over r outside W of |S(r)|^2.  r is tried
     by descending |F(r)|^2, and V is dropped at the first r with
-    |S(r)|^2 >= threshold(): first by _f2_survivors or _f3_survivors,
-    which rule out whole blocks by list gathers against the threshold at
-    the block's start, then in the per-subspace loop.  That is exact
-    because no caller ever raises its threshold.  Over F_3 every sum is
-    read by rank from one packed transform (_F3Sums, _f3_scores_below).
-    """
-    if points.p == 3:
-        yield from _f3_scores_below(points, max_codim, threshold)
-        return
-    n = points.n
-    F = wht2(points.membership_table())
-    sq = [f * f for f in F]
-    order = sorted(range(1, 2**n), key=sq.__getitem__, reverse=True)
+    |S(r)|^2 >= threshold(): first by _CosetSums.screen, which rules out
+    whole blocks by list gathers against the threshold at the block's
+    start, then by _CosetSums.below per subspace.  That is exact because
+    no caller ever raises its threshold.
 
-    def candidates(c: int) -> Iterator[Sequence[int]]:
-        """W's span for each codim-c subspace still in the running."""
-        if c == 0:
-            yield [0]  # W = {0}: V is the whole space
-            return
-        most = max(1, _SPAN_CELLS // 2**c)
-        for rows in _rref_blocks(2, n, n - c, annihilator=True, most=most):
-            yield from _f2_survivors(F, order, threshold(), rows)
-
-    def coset_sq(r: int, span: Sequence[int]) -> int:
-        s = 0
-        for x in span:
-            s += F[r ^ x]
-        return s * s
-
-    for span in chain.from_iterable(map(candidates, range(max_codim + 1))):
-        bound = threshold()
-        for r in order:
-            if r not in span and coset_sq(r, span) >= bound:
-                break
-        else:
-            score = max((coset_sq(r, span) for r in order if r not in span), default=0)
-            yield span, score
-
-
-def _f3_scores_below(
-    points: PointSet, max_codim: int, threshold: Callable[[], int], visit: Optional[Visit] = None
-) -> Iterator[tuple[Sequence[int], int]]:
-    """_scores_below over F_3, and a visit of each block before its screen.
-
-    A subspace that the screen leaves is scored by _F3Sums.below.
     visit(rows, spans, at), with at(r) giving the block's (a, b) lists
-    of S(0) and S(r), returns which subspaces stay in the running; it
-    may drop only ones that score at least threshold().
+    of S(0) and S(r) over F_3, sees each block before its screen and
+    returns which subspaces stay in the running; it may drop only ones
+    that score at least threshold().
     """
-    n = points.n
-    sums = _F3Sums(points, max_codim)
+    p, n = points.p, points.n
+    mem = points.membership_table()
+    F = wht2(mem) if p == 2 else _dft3_pairs([(m, 0) for m in mem])
+    sums = _CosetSums(p, n, F, max_codim)
 
     def candidates(c: int) -> Iterator[Sequence[int]]:
         """W's span for each codim-c subspace still in the running."""
-        most = max(1, _SPAN_CELLS // 3**c)
-        for rows in _rref_blocks(3, n, n - c, annihilator=True, most=most):
-            spans = _trit_block_spans(n, rows) if rows else [[0]]  # W = {0} at c = 0
+        most = max(1, _SPAN_CELLS // p**c)
+        for rows in _rref_blocks(p, n, n - c, annihilator=True, most=most):
+            spans = sums.spans(rows) if rows else [[0]]  # W = {0} at c = 0
             if visit is not None:
                 keep = visit(rows, spans, partial(sums.pair, spans=spans))
                 if not all(keep):
                     spans = [list(compress(span, keep)) for span in spans]
-            yield from _f3_survivors(sums, threshold(), rows, spans)
+            yield from sums.screen(threshold(), rows, spans)
 
     for span in chain.from_iterable(map(candidates, range(max_codim + 1))):
         score = sums.below(span, threshold())
@@ -637,7 +619,7 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
     """Certify the LOWER_BOUND_SQ = 1/12 floor on every subspace of F_3^n.
 
     Covers every subspace V with dim V >= 1, in one walk: the oracle's
-    _f3_scores_below over codimension 0..n-1, against the threshold
+    _scores_below over codimension 0..n-1, against the threshold
     max(best, ceil(9^n * LOWER_BOUND_SQ)), which never rises, so it
     yields the exact minimum and every V below the floor.  Its visit
     reads, on each block, S(0) and S(e_j) for every V, with j the
@@ -690,7 +672,7 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
             keep.append(a * a - a * b + b * b < bound)
         return keep
 
-    for span, score in _f3_scores_below(A, n - 1, lambda: max(best, floor), visit):
+    for span, score in _scores_below(A, n - 1, lambda: max(best, floor), visit):
         best = min(best, score)
         if score < floor:
             fail(_annihilated(n, span))

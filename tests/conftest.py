@@ -10,16 +10,19 @@ and set-codec code paths, so they can serve as cross-checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from subuniform import (
+    AlmostColouring,
     GFVector,
+    InputError,
     PointSet,
     Subspace,
     lift_from_quotient,
     rref_basis,
     splitmix64,
 )
+from subuniform.ramsey import MAX_COLOURING_M
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +233,76 @@ def ref_leading_one_set(n: int) -> PointSet:
         if first == 1:
             bits |= 1 << rank
     return PointSet(3, n, bits)
+
+
+# ---------------------------------------------------------------------------
+# a text format for colourings, for standalone experiments:
+#
+#     m=<int> C=<int>
+#     <bitstring> <colour or ->
+#
+# one line per point of F_2^m (bitstring of length m, coordinate 1
+# first); "-" marks an uncoloured point; "#" starts a comment.
+
+
+def serialize_colouring(colouring: AlmostColouring) -> str:
+    """Canonical text form: header plus one line per point in rank order."""
+    lines = [f"m={colouring.m} C={colouring.C}"]
+    for rank, colour in enumerate(colouring.colours):
+        bitstring = format(rank, f"0{colouring.m}b") if colouring.m else "0"
+        lines.append(f"{bitstring} {'-' if colour is None else colour}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_colouring(text: str) -> AlmostColouring:
+    """Parse the colouring text format; unlisted points stay uncoloured."""
+    header: Optional[tuple[int, int]] = None
+    entries: dict[int, Optional[int]] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if header is None:
+            parts = line.split()
+            if (
+                len(parts) != 2
+                or not parts[0].startswith("m=")
+                or not parts[1].startswith("C=")
+            ):
+                raise InputError(f"line {lineno}: expected header 'm=<int> C=<int>'")
+            fields = parts[0][2:], parts[1][2:]
+            if not all(field.isascii() and field.isdigit() for field in fields):
+                raise InputError(f"line {lineno}: malformed header {line!r}")
+            header = (int(fields[0]), int(fields[1]))
+            if header[0] > MAX_COLOURING_M:
+                raise InputError(
+                    f"line {lineno}: m={header[0]} exceeds the cap {MAX_COLOURING_M}"
+                )
+            continue
+        m, C = header
+        parts = line.split()
+        if len(parts) != 2:
+            raise InputError(f"line {lineno}: expected '<bitstring> <colour|->'")
+        bitstring, colour_text = parts
+        # strip() leaves something behind exactly when a character is not
+        # a digit; F_2^0's one point is "0", as serialize_colouring writes it
+        if len(bitstring) != max(m, 1) or bitstring.strip("01"[: m + 1]):
+            raise InputError(f"line {lineno}: bad point {bitstring!r} for m={m}")
+        rank = int(bitstring, 2)
+        if rank in entries:
+            raise InputError(f"line {lineno}: duplicate point {bitstring!r}")
+        if colour_text == "-":
+            entries[rank] = None
+        elif not (colour_text.isascii() and colour_text.isdigit()):
+            raise InputError(f"line {lineno}: bad colour {colour_text!r}")
+        elif int(colour_text) > C:
+            raise InputError(f"line {lineno}: colour {colour_text} out of 0..{C}")
+        else:
+            entries[rank] = int(colour_text)
+    if header is None:
+        raise InputError("line 1: missing header 'm=<int> C=<int>'")
+    m, C = header
+    colours: list[Optional[int]] = [None] * (1 << m)
+    for rank, colour in entries.items():
+        colours[rank] = colour
+    return AlmostColouring(m=m, C=C, colours=tuple(colours))

@@ -302,6 +302,20 @@ def test_oracle_winner_annihilates_the_top_frequency():
         assert perp(winner).contains(GFVector.from_rank(2, 6, top))
 
 
+def _engine(A, max_codim):
+    """The coset-sum engine of A's transform, as the oracle builds it."""
+    mem = A.membership_table()
+    F = wht2(mem) if A.p == 2 else _dft3_pairs([(m, 0) for m in mem])
+    return pipeline._CosetSums(A.p, A.n, F, max_codim)
+
+
+def _f2_screen(F, order, best, rows):
+    """The survivors of the engine's F_2 screen of one block, run over order."""
+    sums = pipeline._CosetSums(2, (len(F) - 1).bit_length(), F, len(rows))
+    sums.order, sums.rounds = order, len(order)
+    return list(sums.screen(best, rows, sums.spans(rows)))
+
+
 def test_f2_block_filter_keeps_r_in_w_and_drops_ties():
     n = 6
     A = random_subset(words(102), 2, n, Fraction(1, 2))
@@ -318,7 +332,7 @@ def test_f2_block_filter_keeps_r_in_w_and_drops_ties():
     sups = [max(sq(span, r) for r in order if r not in span) for span in spans]
 
     def survivors(best):
-        return list(pipeline._f2_survivors(F, order, best, rows))
+        return _f2_screen(F, order, best, rows)
 
     # above every sup only an r inside W could rule a subspace out; the
     # sum over such a coset is the one over W itself and does not count
@@ -338,7 +352,7 @@ def test_f2_block_filter_keeps_r_in_w_and_drops_ties():
 
 
 def _f2_screen_reference(F, order, best, spans):
-    """(survivors, whether the last pair ran): _f2_survivors one r at a time.
+    """(survivors, whether the last pair ran): the F_2 screen one r at a time.
 
     The rounds take r in pairs and stop, as the screen does, before a
     pair whose gathers would cover fewer than len(F) span points.
@@ -388,7 +402,7 @@ def test_f2_packed_screen_reads_both_frequencies(kind):
         for r in range(1, 1 << n):
             for best in {s * s for s in sums[r]} - {0} | {above}:
                 for order in ([q, r], [r, q]):
-                    got = list(pipeline._f2_survivors(F, order, best, rows))
+                    got = _f2_screen(F, order, best, rows)
                     assert got == [
                         span for j, span in enumerate(spans)
                         if all(x in span or sums[x][j] ** 2 < best for x in order)
@@ -422,7 +436,7 @@ def test_f2_screen_pairs_the_last_r_with_itself():
             for run in (order, order[::-1], [order[-1], order[-2], order[0]]):
                 kept, reached = _f2_screen_reference(F, run, best, spans)
                 assert reached, (seed, best, run)
-                assert list(pipeline._f2_survivors(F, run, best, rows)) == kept
+                assert _f2_screen(F, run, best, rows) == kept
                 if len(run) == 3:
                     assert kept != _f2_screen_reference(F, run[:2], best, spans)[0]
 
@@ -435,7 +449,7 @@ def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
         range(1, 3**n), key=lambda r: F3[r][0] ** 2 - F3[r][0] * F3[r][1] + F3[r][1] ** 2,
         reverse=True,
     )
-    sums = pipeline._F3Sums(A, 2)
+    sums = _engine(A, 2)
     # one r of each pair r, -r: the one with leading digit 1
     lead = {r for k in range(n) for r in range(3**k, 2 * 3**k)}
     assert sums.order == [r for r in order if r in lead]
@@ -453,7 +467,7 @@ def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
 
     def survivors(best):
         block = gf_core._trit_block_spans(n, rows)
-        return list(pipeline._f3_survivors(sums, best, rows, block))
+        return list(sums.screen(best, rows, block))
 
     # above every sup only an r inside W could rule a subspace out; the
     # sum over such a coset is the one over W itself and does not count
@@ -479,7 +493,7 @@ def test_f3_order_holds_one_r_of_each_pair():
     n = 4
     A = random_subset(words(141), 3, n, Fraction(1, 2))
     F3 = _dft3_pairs([(m, 0) for m in A.membership_table()])
-    sums = pipeline._F3Sums(A, 2)
+    sums = _engine(A, 2)
     assert len(sums.order) == (3**n - 1) // 2
     held = set(sums.order)
     assert all((r in held) != (add_rank(3, n, r, r) in held) for r in range(1, 3**n))
@@ -511,12 +525,12 @@ def test_f3_packed_sums_at_the_packing_extremes():
     for name, A in sets.items():
         F3 = _dft3_pairs([(m, 0) for m in A.membership_table()])
         for max_codim in range(n + 1):
-            sums = pipeline._F3Sums(A, max_codim)
+            sums = _engine(A, max_codim)
             size = 3**max_codim
             assert sums.shift == (2 * sums.bias * size).bit_length()
             spans = [[x] for x in range(size)]
             for r in range(0, 3**n, size):
-                table = pipeline._shifted_table(n, sums.packed, r)
+                table = sums.shifted(r)
                 (a,), (b,) = sums.unpack(pipeline._gather(table, spans), size)
                 assert (a, b) == (
                     sum(F3[r + x][0] for x in range(size)),
@@ -524,9 +538,9 @@ def test_f3_packed_sums_at_the_packing_extremes():
                 ), (name, max_codim, r)
         if name == "point":
             # B = 1, and 2 e_1 + W for W of dim n - 1 reaches 2 B 3^(n-1)
-            top = pipeline._F3Sums(A, n - 1)
+            top = _engine(A, n - 1)
             assert top.bias == 1
-            table = pipeline._shifted_table(n, top.packed, 2 * 3 ** (n - 1))
+            table = top.shifted(2 * 3 ** (n - 1))
             low = pipeline._gather(table, [[x] for x in range(3 ** (n - 1))])[0]
             assert low & ((1 << top.shift) - 1) == 2 * 3 ** (n - 1)
 
@@ -536,12 +550,12 @@ def test_f3_below_scores_every_subspace(monkeypatch, rounds, fold_sums):
     # with a bound above every score, below returns each subspace's exact
     # score: from the tables alone, from the sums by halves past one
     # table, or from the fold; at its own score as the bound it is out
-    monkeypatch.setattr(pipeline, "_F3_ROUNDS", rounds)
+    monkeypatch.setattr(pipeline, "_ROUNDS", rounds)
     monkeypatch.setattr(pipeline, "_FOLD_SUMS", fold_sums)
     n = 4
     A = random_subset(words(140), 3, n, Fraction(1, 2))
     F3 = _dft3_pairs([(m, 0) for m in A.membership_table()])
-    sums = pipeline._F3Sums(A, 2)
+    sums = _engine(A, 2)
     assert sums.rounds == min(rounds, 3**n - 2)
     for c in (1, 2):
         for rows in gf_core._rref_blocks(3, n, n - c, annihilator=True):
@@ -556,15 +570,41 @@ def test_f3_below_scores_every_subspace(monkeypatch, rounds, fold_sums):
                 assert sums.below(span, max(norms)) is None
 
 
+@pytest.mark.parametrize("rounds,fold_sums", [(1, 0), (1, 2**5), (32, 0)])
+def test_f2_below_scores_every_subspace(monkeypatch, rounds, fold_sums):
+    # the F_2 twin: past one kept table, the fold scores every subspace
+    # that the first r leaves (no sums by halves), or the sums by halves
+    # try every r and the fold is never reached, nor is it when the
+    # tables hold every r; at its own score as the bound, below rules
+    # the subspace out
+    monkeypatch.setattr(pipeline, "_ROUNDS", rounds)
+    monkeypatch.setattr(pipeline, "_FOLD_SUMS", fold_sums)
+    n = 5
+    A = random_subset(words(142), 2, n, Fraction(1, 2))
+    F = wht2(A.membership_table())
+    sums = _engine(A, 3)
+    assert sums.rounds == min(rounds, 2**n - 1)
+    folds = []
+    score = sums.score
+    monkeypatch.setattr(sums, "score", lambda span: folds.append(span) or score(span))
+    for c in (1, 2, 3):
+        for rows in gf_core._rref_blocks(2, n, n - c, annihilator=True):
+            for span in (tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)):
+                sq = [sum(F[r ^ x] for x in span) ** 2 for r in range(1, 2**n) if r not in span]
+                assert sums.below(span, 4**n + 1) == max(sq), span
+                assert sums.below(span, max(sq)) is None
+    assert bool(folds) == (sums.rounds + fold_sums < 2**n - 1)
+
+
 def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
     # at most one shifted table per screen round for the whole walk, the
     # tables of a prefix of order, each built once; with tails of 27 the
     # codim-3 walk of F_3^5 screens many blocks, which run more rounds
     # between them than there are tables
     built, gathers = [], []
-    shifted, gather = pipeline._shifted_table, pipeline._gather
+    shifted, gather = pipeline._CosetSums.shifted, pipeline._gather
     monkeypatch.setattr(
-        pipeline, "_shifted_table", lambda n, packed, r: built.append(r) or shifted(n, packed, r)
+        pipeline._CosetSums, "shifted", lambda sums, r: built.append(r) or shifted(sums, r)
     )
     monkeypatch.setattr(
         pipeline, "_gather", lambda t, s: gathers.append(t) or gather(t, s)
@@ -574,7 +614,7 @@ def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
         monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
         for seed in (120, 121):
             A = random_subset(words(seed), 3, n, Fraction(1, 2))
-            sums = pipeline._F3Sums(A, max_codim)
+            sums = _engine(A, max_codim)
             built.clear()
             gathers.clear()
             exhaustive_best_subspace(A, max_codim)
@@ -597,7 +637,7 @@ def test_f3_checks_read_each_check(n):
     ]
     seen = set()
     for A in sets:
-        sums = pipeline._F3Sums(A, n)
+        sums = _engine(A, n)
         for c in range(n):
             for rows in gf_core._rref_blocks(3, n, n - c, annihilator=True):
                 spans = gf_core._trit_block_spans(n, rows) if rows else [[0]]
@@ -630,7 +670,20 @@ def test_f3_oracle_past_the_kept_rounds(monkeypatch, fold_sums, kind, p, n, max_
     # one kept round, as at n >= 10: past it every r is tried by the
     # subspace's own sums (3^5 sums outlast every order), or none is and
     # the fold scores every subspace the first r leaves
-    monkeypatch.setattr(pipeline, "_F3_ROUNDS", 1)
+    monkeypatch.setattr(pipeline, "_ROUNDS", 1)
+    monkeypatch.setattr(pipeline, "_FOLD_SUMS", fold_sums)
+    test_oracle_matches_transform_route(kind, p, n, max_codim, seed)
+
+
+@pytest.mark.parametrize("fold_sums", [0, 2**6])
+@pytest.mark.parametrize(
+    "kind,p,n,max_codim,seed", [c for c in ORACLE_CASES if getattr(c, "values", c)[1] == 2]
+)
+def test_f2_oracle_past_the_kept_rounds(monkeypatch, fold_sums, kind, p, n, max_codim, seed):
+    # the F_2 twin, as at n >= 16: one kept table, one screen round of
+    # order[0] paired with itself, then sums by halves (2^6 sums outlast
+    # every order) or the fold
+    monkeypatch.setattr(pipeline, "_ROUNDS", 1)
     monkeypatch.setattr(pipeline, "_FOLD_SUMS", fold_sums)
     test_oracle_matches_transform_route(kind, p, n, max_codim, seed)
 

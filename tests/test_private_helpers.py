@@ -1,9 +1,10 @@
 """No private helper in the package lives only for the tests.
 
-Every module-level function in src/subuniform whose name starts with an
-underscore must be read, as a name or an attribute, by package code
-outside its own definition.  Imports, docstrings and comments do not
-count, so a helper that only tests call fails here and should go.
+Every module-level function, class and assigned name in src/subuniform
+whose name starts with an underscore must be read, as a name or an
+attribute, by package code outside its own definition.  Imports,
+assignments, docstrings and comments do not count, so a helper or a
+constant that only tests read fails here and should go.
 """
 
 from __future__ import annotations
@@ -14,26 +15,40 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "subuniform"
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a def, a class or assignments."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
 def test_every_private_helper_has_a_caller_in_the_package():
-    helpers = set()
-    # (name read, the module-level function it is read in, or None)
+    helpers, kinds = set(), set()
+    # (name read, the names defined by the module-level statement it is read in)
     reads = set()
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text(), str(path)).body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner = stmt.name
-                if owner.startswith("_") and not owner.endswith("__"):
-                    helpers.add((path.name, owner))
+            owners = tuple(_defined(stmt))
+            for name in filter(_private, owners):
+                helpers.add((path.name, name))
+                kinds.add(type(stmt).__name__)
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    reads.add((node.id, owner))
-                elif isinstance(node, ast.Attribute):
-                    reads.add((node.attr, owner))
-    assert helpers
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add((node.id, owners))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.add((node.attr, owners))
+    assert {"FunctionDef", "ClassDef", "Assign"} <= kinds
     unused = sorted(
         f"{module}: {name}"
         for module, name in helpers
-        if not any(read == name and owner != name for read, owner in reads)
+        if not any(read == name and name not in owners for read, owners in reads)
     )
     assert not unused, f"private helpers with no caller in the package: {unused}"

@@ -23,13 +23,11 @@ from subuniform import (
     bucket_colouring,
     check_union_structure,
     find_union_structure,
-    parse_colouring,
     rref_basis,
-    serialize_colouring,
 )
 from subuniform import ramsey
 
-from conftest import rand_below, raw_coset_counts, words
+from conftest import parse_colouring, rand_below, raw_coset_counts, serialize_colouring, words
 
 
 def oracle_pair(colours) -> tuple[int, int] | None:
