@@ -34,11 +34,10 @@ r + W is |W| times V's coefficient at the character r induces on V.
 Both fields share one coset-sum engine, _CosetSums, with field hooks for
 the group add, the norm, the packing and the order.  The walk comes in
 blocks that share a pivot profile; _CosetSums.screen rules out whole
-blocks by list gathers (_gather) through shifted tables x -> F(r + x)
-that are built once per r and shared by every block, and
-_CosetSums.below scores what it leaves, one subspace at a time.  Over
-F_2 one screen gather sums two r; over F_3 one int holds both parts of
-F(x) = a + b*w, and the walk tries one r of each pair r, -r.
+blocks by list gathers (_gather) through shifted tables x -> F(r + x),
+two r per table built for the block over F_2, and over F_3 both parts
+of F(x) = a + b*w of one r, one of each pair r, -r, per table shared by
+every block.  _CosetSums.below scores what it leaves, one by one.
 
 Over F_3 no analogous search can succeed: leading_one_set builds the
 set whose members have first nonzero coordinate 1, and
@@ -57,7 +56,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, islice
 from math import ceil, isqrt
-from operator import xor
+from operator import add, xor
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError
@@ -90,14 +89,17 @@ ORACLE_BUDGET = 10**7
 # The oracle and the ternary scan cut their blocks so that their span
 # lists hold at most _SPAN_CELLS ranks, about 0.5 MB of list slots.
 _SPAN_CELLS = 1 << 16
-# The block screen tries at most this many r, and the walk keeps one
-# shifted table of p^n entries per r; the tables are held to _SPAN_CELLS
-# entries in all, so fewer r are tried from F_2^12 and F_3^7 on.
+# The F_3 block screen tries at most this many r, each through a shifted
+# table of 3^n entries kept for the whole walk; the kept tables hold at
+# most max(_SPAN_CELLS, 3^n) entries in all: 29 r at F_3^7, 9 at F_3^8,
+# 3 at F_3^9, 1 from F_3^10 on.  F_2 keeps no table: its screen builds
+# each round's table per block and runs until the blocks are small.
 _ROUNDS = 32
-# Past those tables a subspace tries r by its own sums for as long as
-# they cost less than one fold of W into the whole table; timed over
-# F_3^9, a fold costs about as much as _FOLD_SUMS * p^n / (|W| + 10) sums,
-# and F_2 keeps the same rule.
+# Past the kept tables a subspace tries r by its own sums while they cost
+# less than one fold of W into the whole table.  Timed, a fold costs 2 to
+# 11 times p^n / (|W| + 10) sums by digit halves over F_3^7 and F_3^9, and
+# 12 to 23 times as many sums by XOR over F_2^10 to F_2^16; the sums stop
+# after _FOLD_SUMS times that over F_3, and 8 times more over F_2.
 _FOLD_SUMS = 2
 
 
@@ -226,7 +228,6 @@ def _gather(table: list[int], spans: list[list[int]]) -> list[int]:
 
 
 Sums = tuple[list[int], list[int]]  # the a- and b-parts of one S per subspace
-# visit(rows, spans, at) of _scores_below, at(r) -> (S(0), S(r))
 Visit = Callable[[list[list[int]], list[list[int]], Callable[[int], tuple[Sums, Sums]]], list[bool]]
 
 
@@ -235,75 +236,124 @@ class _CosetSums:
 
     F is wht2's over F_2 and _dft3_pairs' over F_3.  base holds F one
     int per point with a bias B, the largest |F| (over F_3, |a| or |b|),
-    added to every part: F(x) + B over F_2, and over F_3 (a + B) 2^K +
-    (b + B) for F(x) = a + b w, K the bit length of 2 B p^max_codim.  A
-    sum of m <= p^max_codim entries keeps each part in [0, 2 B m], below
-    2^K, so nothing carries and one gather sums both parts.  A sum over
-    r + W reads the shifted table x -> base[r + x] at W's span ranks.
+    added to every part: F(x) + B, or (a + B) 2^K + (b + B) for F(x) =
+    a + b w, K the bit length of 2 B p^max_codim, so a sum of m <=
+    p^max_codim entries keeps each part in [0, 2 B m] and never carries.
+    `order` lists r by descending norm: every r over F_2; over F_3 the r
+    whose leading digit is 1, as for a 0/1 set S(-r) is the conjugate of
+    S(r) and -r lies in W when r does.
 
-    The fields differ in four hooks only: the group add (_add: XOR, or
-    digit sums by _trit_shifts), the norm (norm: S^2, or a^2 - ab + b^2),
-    what one int of a screen round holds (keep: S(r) for two r over F_2,
-    a and b of one r over F_3) and the order.  `order` lists r by
-    descending norm: every r over F_2; over F_3 the r whose leading digit
-    is 1, since for a 0/1 set S(-r) is the conjugate of S(r) and -r lies
-    in W when r does.  The tables of order[i], i below `rounds`, are
-    built on first use and shared by every block; they hold at most
-    _SPAN_CELLS entries in all.  Past them a subspace adds r + x by
-    digit halves (adder).
+    screen, below and score serve both fields, which differ in hooks set
+    in __init__: the group add (plus, spans and tries: XOR, or digit
+    sums), the norm, what one int of a screen round holds (keep) and the
+    order.  The add's cost sets `rounds`, the r a screen may try, and
+    `last`, the r below tries by sums before it folds.  Over F_3 the
+    shifted tables x -> base[r + x] of order[:kept] are kept for the
+    whole walk; F_2 keeps none.  pair and unpack read F_3 sums only.
     """
 
     def __init__(self, p: int, n: int, F: Sequence, max_codim: int) -> None:
         self.p, self.n, self.size = p, n, p**n
+        self.bias = bias = max(map(abs, F if p == 2 else chain.from_iterable(F)))
+        self.shift = (2 * bias * p**max_codim).bit_length()
+        self.mask = (1 << self.shift) - 1
+        self.tables: list[list[int]] = []
         if p == 2:
-            norms, order, bias = [f * f for f in F], range(1, self.size), max(map(abs, F))
+            self.order = sorted(range(1, self.size), key=[f * f for f in F].__getitem__, reverse=True)
+            self.base = [f + bias for f in F]
+            self.norm, self.keep, self.tries = self._norm2, self._keep2, self._tries2
+            self.plus, self.spans, self.step = self._plus2, self._spans2, 2
+            # no table is kept, so the screen runs through all of order
+            self.kept, self.rounds, fold = 0, len(self.order), 8 * _FOLD_SUMS
         else:
             norms = [a * a - a * b + b * b for a, b in F]
-            order, bias = _leading_ones(n), max(max(abs(a), abs(b)) for a, b in F)
-        self.order = sorted(order, key=norms.__getitem__, reverse=True)
-        self.bias, self.shift = bias, (2 * bias * p**max_codim).bit_length()
-        self.mask = (1 << self.shift) - 1
-        if p == 2:
-            self.base = [f + bias for f in F]
-            self.norm, self.keep, self.step = self._norm2, self._keep2, 2
-        else:
+            self.order = sorted(_leading_ones(n), key=norms.__getitem__, reverse=True)
             self.base = [((a + bias) << self.shift) + b + bias for a, b in F]
-            self.norm, self.keep, self.step = self._norm3, self._keep3, 1
-        self.rounds = max(1, min(_ROUNDS, len(self.order), _SPAN_CELLS // self.size))
-        self.tables: list[list[int]] = []
-        self.twos: dict[int, list[int]] = {}  # _keep2's tables, by i
-        self.paired: dict[int, list[int]] = {}  # pair's tables, by r
-        # r + x = highs[r_h][x_h] + lows[r_l][x_l], x_l the low n // 2
-        # digits of x and x_h the rest; p^n list slots each when full
-        self.cut = p ** (n // 2)
-        self.highs: dict[int, list[int]] = {}
-        self.lows: dict[int, list[int]] = {}
+            self.norm, self.keep, self.tries = self._norm3, self._keep3, self._tries3
+            self.plus, self.spans, self.step = self._plus3, partial(_trit_block_spans, n), 1
+            self.kept = self.rounds = max(1, min(_ROUNDS, len(self.order), _SPAN_CELLS // self.size))
+            fold = _FOLD_SUMS
+            # pair's tables by r, and adder's halves: x_l the low n // 2
+            # digits of x, x_h the rest; 3^n list slots each when full
+            self.paired: dict[int, list[int]] = {}
+            self.cut, self.highs, self.lows = 3 ** (n // 2), {}, {}
+        # below tries order[:last[|W|]] by sums before it folds
+        self.last = {
+            p**c: min(len(self.order), self.kept + fold * self.size // (p**c + 10))
+            for c in range(max_codim + 1)
+        }
 
-    def _add(self, m: int, r: int) -> list[int]:
-        """r + y for every rank y of F_p^m, in rank order: the group add."""
-        return [r ^ y for y in range(2**m)] if self.p == 2 else _trit_shifts(m, r)
+    def _plus2(self, r: int) -> list[int]:
+        """r + x for every rank x of F_2^n, in rank order."""
+        return [r ^ x for x in range(self.size)]
+
+    def _tries2(self, span: Sequence[int], last: int, bound: int) -> Optional[int]:
+        """max S(r)^2 over order[:last] outside W, or None at one >= bound; by XOR."""
+        base, top, s0 = self.base, 0, -len(span) * self.bias
+        for r in islice(self.order, last):
+            if r in span:
+                continue
+            s = s0
+            for x in span:
+                s += base[r ^ x]
+            s *= s
+            if s >= bound:
+                return None
+            if s > top:
+                top = s
+        return top
+
+    def _tries3(self, span: Sequence[int], last: int, bound: int) -> Optional[int]:
+        """_tries2 over F_3: order[:kept] through the kept tables, then r + x by halves."""
+        norm, count, tables, kept, top = self.norm, len(span), self.tables, self.kept, 0
+        for i, r in enumerate(self.order[:kept]):
+            if r in span:
+                continue
+            table = tables[i] if i < len(tables) else self.table(i)
+            s = 0
+            for x in span:
+                s += table[x]
+            sq = norm(s, count)
+            if sq >= bound:
+                return None
+            if sq > top:
+                top = sq
+        inside, base, cut = set(span), self.base, self.cut
+        highs, lows = [x // cut for x in span], [x % cut for x in span]
+        for r in islice(self.order, kept, last):
+            if r in inside:
+                continue
+            H, L = self.adder(r)
+            s = 0
+            for u, v in zip(highs, lows):
+                s += base[H[u] + L[v]]
+            sq = norm(s, count)
+            if sq >= bound:
+                return None
+            if sq > top:
+                top = sq
+        return top
 
     def adder(self, r: int) -> tuple[list[int], list[int]]:
-        """(H, L) with r + x = H[x // cut] + L[x % cut] for every rank x."""
+        """(H, L) with r + x = H[x // cut] + L[x % cut] for every rank x of F_3^n."""
         high, low = divmod(r, self.cut)
         if high not in self.highs:
-            self.highs[high] = [y * self.cut for y in self._add(self.n - self.n // 2, high)]
+            self.highs[high] = [y * self.cut for y in _trit_shifts(self.n - self.n // 2, high)]
         if low not in self.lows:
-            self.lows[low] = self._add(self.n // 2, low)
+            self.lows[low] = _trit_shifts(self.n // 2, low)
         return self.highs[high], self.lows[low]
 
-    def plus(self, r: int) -> list[int]:
-        """r + x for every rank x, in rank order."""
+    def _plus3(self, r: int) -> list[int]:
+        """r + x for every rank x of F_3^n, in rank order, by digit halves."""
         H, L = self.adder(r)
         return [h + l for h in H for l in L]
 
     def shifted(self, r: int) -> list[int]:
         """x -> base[r + x] for every rank x."""
-        base = self.base
-        return [base[y] for y in self.plus(r)]
+        return list(map(self.base.__getitem__, self.plus(r)))
 
     def table(self, i: int) -> list[int]:
-        """The shifted table of order[i], for i < rounds."""
+        """The shifted table of order[i], for i < kept."""
         while len(self.tables) <= i:
             self.tables.append(self.shifted(self.order[len(self.tables)]))
         return self.tables[i]
@@ -327,34 +377,30 @@ class _CosetSums:
         """The F_2 round at order[i]: one gather sums S(r0) and S(r1).
 
         r0 = order[i] and r1 the next r (the last r pairs with itself);
-        entry x of the round's table is (F(r0 + x) + B) 2^K + F(r1 + x)
-        + B.  A sum over W holds S + B |W| in [0, 2^K) per half, and
-        |S| < limit, that is S^2 < best, exactly when that lies strictly
-        between bottom and top.
+        entry x of the block's table is (F(r0 + x) + B) 2^K + F(r1 + x) +
+        B, so a sum over W holds S + B |W| in [0, 2^K) per half, and S^2
+        < best exactly when that lies strictly between bottom and top.
         """
-        j = min(i + 1, self.rounds - 1)
-        r0, r1, shift = self.order[i], self.order[j], self.shift
-        if i not in self.twos:
-            self.twos[i] = [(x << shift) + y for x, y in zip(self.table(i), self.table(j))]
+        r0, r1 = self.order[i], self.order[min(i + 1, self.rounds - 1)]
+        base, shift = self.base, self.shift
+        table = [(base[r0 ^ x] << shift) + base[r1 ^ x] for x in range(self.size)]
         limit = isqrt(best - 1) + 1
         mid, mask = len(spans) * self.bias, self.mask
         bottom, top = mid - limit, mid + limit
         floor, ceiling = bottom + 1 << shift, top << shift
         return [
             (floor <= s < ceiling or x == r0) and (bottom < s & mask < top or y == r1)
-            for s, x, y in zip(_gather(self.twos[i], spans), spans[at(r0)], spans[at(r1)])
+            for s, x, y in zip(_gather(table, spans), spans[at(r0)], spans[at(r1)])
         ]
 
     def _keep3(self, i: int, best: int, spans: list[list[int]], at: Callable[[int], int]) -> list[bool]:
-        """The F_3 round at order[i]: one gather sums both parts of S(r)."""
+        """The F_3 round at order[i]: one gather of its kept table sums both parts of S(r)."""
         r = self.order[i]
         A, B = self.unpack(_gather(self.table(i), spans), len(spans))
         return [a * a - a * b + b * b < best or x == r for a, b, x in zip(A, B, spans[at(r)])]
 
-    def spans(self, rows: list[list[int]]) -> list[list[int]]:
-        """The rank lists of a block's spans, in the order of gf_core._span_ranks."""
-        if self.p == 3:
-            return _trit_block_spans(self.n, rows)
+    def _spans2(self, rows: list[list[int]]) -> list[list[int]]:
+        """The rank lists of a block's spans over F_2, in the order of gf_core._span_ranks."""
         spans = [[0] * len(rows[0])]
         for row in reversed(rows):
             spans += [list(map(xor, span, row)) for span in spans]
@@ -398,7 +444,8 @@ class _CosetSums:
         return zip(*spans)
 
     def pair(self, r: int, spans: list[list[int]]) -> tuple[Sums, Sums]:
-        """S(0) and S(r) over F_3, unpacked, on every span of a block, by one gather."""
+        """S(0) and S(r) on every span of a block, unpacked, by one gather; F_3 only."""
+        assert self.p == 3, "pair unpacks F_3 sums"
         # a packed sum has 2K bits, so base[x] sits clear above base[r + x]
         width = 2 * self.shift
         if r not in self.paired:
@@ -411,44 +458,14 @@ class _CosetSums:
     def below(self, span: Sequence[int], bound: int) -> Optional[int]:
         """V's score if it is below bound, else None; W's span as ranks.
 
-        The score is max over r outside W of the norm of S(r), and r is
-        tried by order until one reaches bound: order[:rounds] through the
-        shared tables, then the next ones by summing base[r + x] over the
-        span, r + x added by halves (adder), while those sums cost less in
-        all than one fold of the whole table (score), which scores a V
-        that no tried r rules out unless the sums tried every r.
+        The score is max over r outside W of the norm of S(r).  tries
+        takes r by order until one reaches bound, while its sums cost less
+        in all than one fold of W into the whole table (score), which then
+        scores a V that no tried r rules out.
         """
-        norm, count, tables = self.norm, len(span), self.tables
-        top = 0
-        for i, r in enumerate(self.order[: self.rounds]):
-            if r in span:
-                continue
-            table = tables[i] if i < len(tables) else self.table(i)
-            s = 0
-            for x in span:
-                s += table[x]
-            sq = norm(s, count)
-            if sq >= bound:
-                return None
-            if sq > top:
-                top = sq
-        last = min(len(self.order), self.rounds + _FOLD_SUMS * self.size // (count + 10))
-        inside = set(span)
-        base, cut = self.base, self.cut
-        highs, lows = [x // cut for x in span], [x % cut for x in span]
-        for r in islice(self.order, self.rounds, last):
-            if r in inside:
-                continue
-            H, L = self.adder(r)
-            s = 0
-            for u, v in zip(highs, lows):
-                s += base[H[u] + L[v]]
-            sq = norm(s, count)
-            if sq >= bound:
-                return None
-            if sq > top:
-                top = sq
-        if last < len(self.order):
+        last = self.last[len(span)]
+        top = self.tries(span, last, bound)
+        if top is not None and last < len(self.order):
             top = self.score(span)
             if top >= bound:
                 return None
@@ -457,22 +474,20 @@ class _CosetSums:
     def score(self, span: Sequence[int]) -> int:
         """max over r outside W of the norm of S(r), W's span given as ranks.
 
-        The sums over all cosets come at once, folding W's generators
-        (span points 1, p, p^2, ...) into the table: G(x) + G(x + w), and
-        + G(x + 2w) over F_3, each shift read through the group add.
+        The sums over all cosets come at once, folding each generator w
+        of W (span points 1, p, p^2, ...) into the table as p - 1 shifted
+        adds: t(x) + t(x + w) + ... + t(x + (p - 1) w).
         """
-        sums = self.base
-        w = 1
+        sums, w = self.base, 1
         while w < len(span):
             shift = self.plus(span[w])
-            once = [sums[y] for y in shift]
-            if self.p == 2:
-                sums = [x + y for x, y in zip(sums, once)]
-            else:
-                sums = [x + y + once[z] for x, y, z in zip(sums, once, shift)]
-            w *= self.p
-        inside, count = set(span), len(span)
-        return max((self.norm(sums[r], count) for r in self.order if r not in inside), default=0)
+            total = part = sums
+            for _ in range(1, self.p):
+                part = list(map(part.__getitem__, shift))
+                total = list(map(add, total, part))
+            sums, w = total, w * self.p
+        inside, count, norm = set(span), len(span), self.norm
+        return max((norm(sums[r], count) for r in self.order if r not in inside), default=0)
 
 
 def _scores_below(
@@ -491,15 +506,15 @@ def _scores_below(
     start, then by _CosetSums.below per subspace.  That is exact because
     no caller ever raises its threshold.
 
-    visit(rows, spans, at), with at(r) giving the block's (a, b) lists
-    of S(0) and S(r) over F_3, sees each block before its screen and
-    returns which subspaces stay in the running; it may drop only ones
-    that score at least threshold().
+    visit(rows, spans, at), over F_3 only, with at(r) giving the
+    block's (a, b) lists of S(0) and S(r), sees each block before its
+    screen and returns which subspaces stay in the running; it may drop
+    only ones that score at least threshold().
     """
     p, n = points.p, points.n
-    mem = points.membership_table()
-    F = wht2(mem) if p == 2 else _dft3_pairs([(m, 0) for m in mem])
-    sums = _CosetSums(p, n, F, max_codim)
+    # the table and the transform are temporaries: the engine keeps base alone
+    mem = points.membership_table
+    sums = _CosetSums(p, n, wht2(mem()) if p == 2 else _dft3_pairs([(m, 0) for m in mem()]), max_codim)
 
     def candidates(c: int) -> Iterator[Sequence[int]]:
         """W's span for each codim-c subspace still in the running."""
@@ -510,7 +525,9 @@ def _scores_below(
                 keep = visit(rows, spans, partial(sums.pair, spans=spans))
                 if not all(keep):
                     spans = [list(compress(span, keep)) for span in spans]
-            yield from sums.screen(threshold(), rows, spans)
+            # the survivors replace the block's lists, which can then go
+            spans = sums.screen(threshold(), rows, spans)
+            yield from spans
 
     for span in chain.from_iterable(map(candidates, range(max_codim + 1))):
         score = sums.below(span, threshold())

@@ -570,20 +570,17 @@ def test_f3_below_scores_every_subspace(monkeypatch, rounds, fold_sums):
                 assert sums.below(span, max(norms)) is None
 
 
-@pytest.mark.parametrize("rounds,fold_sums", [(1, 0), (1, 2**5), (32, 0)])
-def test_f2_below_scores_every_subspace(monkeypatch, rounds, fold_sums):
-    # the F_2 twin: past one kept table, the fold scores every subspace
-    # that the first r leaves (no sums by halves), or the sums by halves
-    # try every r and the fold is never reached, nor is it when the
-    # tables hold every r; at its own score as the bound, below rules
-    # the subspace out
-    monkeypatch.setattr(pipeline, "_ROUNDS", rounds)
+@pytest.mark.parametrize("fold_sums", [0, 2**5])
+def test_f2_below_scores_every_subspace(monkeypatch, fold_sums):
+    # the F_2 twin: with no sums allowed the fold scores every subspace,
+    # or the sums by XOR try every r and the fold is never reached; at
+    # its own score as the bound, below rules the subspace out
     monkeypatch.setattr(pipeline, "_FOLD_SUMS", fold_sums)
     n = 5
     A = random_subset(words(142), 2, n, Fraction(1, 2))
     F = wht2(A.membership_table())
     sums = _engine(A, 3)
-    assert sums.rounds == min(rounds, 2**n - 1)
+    assert (sums.kept, sums.rounds) == (0, 2**n - 1)
     folds = []
     score = sums.score
     monkeypatch.setattr(sums, "score", lambda span: folds.append(span) or score(span))
@@ -593,7 +590,7 @@ def test_f2_below_scores_every_subspace(monkeypatch, rounds, fold_sums):
                 sq = [sum(F[r ^ x] for x in span) ** 2 for r in range(1, 2**n) if r not in span]
                 assert sums.below(span, 4**n + 1) == max(sq), span
                 assert sums.below(span, max(sq)) is None
-    assert bool(folds) == (sums.rounds + fold_sums < 2**n - 1)
+    assert bool(folds) == (fold_sums == 0)
 
 
 def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
@@ -679,11 +676,10 @@ def test_f3_oracle_past_the_kept_rounds(monkeypatch, fold_sums, kind, p, n, max_
 @pytest.mark.parametrize(
     "kind,p,n,max_codim,seed", [c for c in ORACLE_CASES if getattr(c, "values", c)[1] == 2]
 )
-def test_f2_oracle_past_the_kept_rounds(monkeypatch, fold_sums, kind, p, n, max_codim, seed):
-    # the F_2 twin, as at n >= 16: one kept table, one screen round of
-    # order[0] paired with itself, then sums by halves (2^6 sums outlast
-    # every order) or the fold
-    monkeypatch.setattr(pipeline, "_ROUNDS", 1)
+def test_f2_oracle_by_sums_or_fold(monkeypatch, fold_sums, kind, p, n, max_codim, seed):
+    # the F_2 twin: every subspace the screen leaves is scored by the
+    # fold alone, or by sums by XOR over every r (2^6 sums outlast
+    # every order)
     monkeypatch.setattr(pipeline, "_FOLD_SUMS", fold_sums)
     test_oracle_matches_transform_route(kind, p, n, max_codim, seed)
 
