@@ -468,8 +468,8 @@ def _trit_shifts(n: int, r: int) -> list[int]:
     return out
 
 
-def _free_columns(n: int, rows: Sequence[Sequence[int]]) -> list[int]:
-    """The free columns of V for a block of its annihilator rows over F_3.
+def _free_columns(p: int, n: int, rows: Sequence[Sequence[int]]) -> list[int]:
+    """The free columns of V for a block of its annihilator rows over F_p.
 
     Row f, w_f = e_f - sum_g A[g][f] e_g, has nonzero digits only at
     pivot columns left of f, so its last nonzero digit is the 1 at f.
@@ -477,8 +477,8 @@ def _free_columns(n: int, rows: Sequence[Sequence[int]]) -> list[int]:
     free = []
     for row in rows:
         col, x = n, row[0]
-        while x % 3 == 0:
-            col, x = col - 1, x // 3
+        while x % p == 0:
+            col, x = col - 1, x // p
         free.append(col)
     return free
 
@@ -517,7 +517,7 @@ def _trit_block_spans(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """
     weights = _weights(3, n)
     digits = [[row[0] // w % 3 for w in weights] for row in rows]
-    free = _free_columns(n, rows)
+    free = _free_columns(3, n, rows)
     pivots = [col for col in range(1, n + 1) if col not in free]
     slots = [
         (g, f) for g, pivot in enumerate(pivots) for f, col in enumerate(free) if col > pivot

@@ -31,13 +31,14 @@ scores come from _scores_below, which transforms the set once over the
 whole space and reads each V through its annihilator W (dim W = codim
 V): by Poisson summation the coset sum S(r) of the full transform over
 r + W is |W| times V's coefficient at the character r induces on V.
-Both fields share one coset-sum engine, _CosetSums, with field hooks for
-the group add, the norm, the packing and the order.  The walk comes in
-blocks that share a pivot profile; _CosetSums.screen rules out whole
-blocks by list gathers (_gather) through shifted tables x -> F(r + x),
-two r per table built for the block over F_2, and over F_3 both parts
-of F(x) = a + b*w of one r, one of each pair r, -r, per table shared by
-every block.  _CosetSums.below scores what it leaves, one by one.
+Both fields share one coset-sum engine, _CosetSums, with field hooks
+for the span lists, the per-subspace sums, the packing and the order.
+The walk comes in blocks that share a pivot profile; _CosetSums.screen
+rules out whole blocks by list gathers (_gather) through shifted tables
+x -> F(r + x), two r per table built for the block over F_2, and over
+F_3 both parts of F(x) = a + b*w of one r, one of each pair r, -r, per
+table shared by every block.  _CosetSums.tries scores what it leaves,
+one by one, by its own coset sums over all of the order.
 
 Over F_3 no analogous search can succeed: leading_one_set builds the
 set whose members have first nonzero coordinate 1, and
@@ -56,7 +57,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, islice
 from math import ceil, isqrt
-from operator import add, xor
+from operator import xor
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError
@@ -92,15 +93,11 @@ _SPAN_CELLS = 1 << 16
 # The F_3 block screen tries at most this many r, each through a shifted
 # table of 3^n entries kept for the whole walk; the kept tables hold at
 # most max(_SPAN_CELLS, 3^n) entries in all: 29 r at F_3^7, 9 at F_3^8,
-# 3 at F_3^9, 1 from F_3^10 on.  F_2 keeps no table: its screen builds
-# each round's table per block and runs until the blocks are small.
+# 3 at F_3^9, 1 from F_3^10 on.  A subspace the screen leaves reads the
+# same tables, then the rest of order by its own sums.  F_2 keeps no
+# table: its screen builds each round's table per block and runs until
+# the blocks are small.
 _ROUNDS = 32
-# Past the kept tables a subspace tries r by its own sums while they cost
-# less than one fold of W into the whole table.  Timed, a fold costs 2 to
-# 11 times p^n / (|W| + 10) sums by digit halves over F_3^7 and F_3^9, and
-# 12 to 23 times as many sums by XOR over F_2^10 to F_2^16; the sums stop
-# after _FOLD_SUMS times that over F_3, and 8 times more over F_2.
-_FOLD_SUMS = 2
 
 
 @dataclass(frozen=True)
@@ -243,13 +240,14 @@ class _CosetSums:
     whose leading digit is 1, as for a 0/1 set S(-r) is the conjugate of
     S(r) and -r lies in W when r does.
 
-    screen, below and score serve both fields, which differ in hooks set
-    in __init__: the group add (plus, spans and tries: XOR, or digit
-    sums), the norm, what one int of a screen round holds (keep) and the
-    order.  The add's cost sets `rounds`, the r a screen may try, and
-    `last`, the r below tries by sums before it folds.  Over F_3 the
-    shifted tables x -> base[r + x] of order[:kept] are kept for the
-    whole walk; F_2 keeps none.  pair and unpack read F_3 sums only.
+    screen serves both fields, which differ in hooks set in __init__:
+    the span lists (spans: by XOR, or by digit sums), a subspace's own
+    sums over all of order (tries: by XOR, or through the kept tables
+    and then by digit halves), what one int of a screen round holds
+    (keep), the r a round takes (step) and the order.  `rounds` caps
+    the r a screen may try.  Over F_3 the shifted tables x -> base[r +
+    x] of order[:rounds] are kept for the whole walk; F_2 keeps none.
+    pair and unpack read F_3 sums only.
     """
 
     def __init__(self, p: int, n: int, F: Sequence, max_codim: int) -> None:
@@ -261,36 +259,26 @@ class _CosetSums:
         if p == 2:
             self.order = sorted(range(1, self.size), key=[f * f for f in F].__getitem__, reverse=True)
             self.base = [f + bias for f in F]
-            self.norm, self.keep, self.tries = self._norm2, self._keep2, self._tries2
-            self.plus, self.spans, self.step = self._plus2, self._spans2, 2
+            self.keep, self.tries = self._keep2, self._tries2
+            self.spans, self.step = self._spans2, 2
             # no table is kept, so the screen runs through all of order
-            self.kept, self.rounds, fold = 0, len(self.order), 8 * _FOLD_SUMS
+            self.rounds = len(self.order)
         else:
             norms = [a * a - a * b + b * b for a, b in F]
             self.order = sorted(_leading_ones(n), key=norms.__getitem__, reverse=True)
             self.base = [((a + bias) << self.shift) + b + bias for a, b in F]
-            self.norm, self.keep, self.tries = self._norm3, self._keep3, self._tries3
-            self.plus, self.spans, self.step = self._plus3, partial(_trit_block_spans, n), 1
-            self.kept = self.rounds = max(1, min(_ROUNDS, len(self.order), _SPAN_CELLS // self.size))
-            fold = _FOLD_SUMS
+            self.keep, self.tries = self._keep3, self._tries3
+            self.spans, self.step = partial(_trit_block_spans, n), 1
+            self.rounds = max(1, min(_ROUNDS, len(self.order), _SPAN_CELLS // self.size))
             # pair's tables by r, and adder's halves: x_l the low n // 2
             # digits of x, x_h the rest; 3^n list slots each when full
             self.paired: dict[int, list[int]] = {}
             self.cut, self.highs, self.lows = 3 ** (n // 2), {}, {}
-        # below tries order[:last[|W|]] by sums before it folds
-        self.last = {
-            p**c: min(len(self.order), self.kept + fold * self.size // (p**c + 10))
-            for c in range(max_codim + 1)
-        }
 
-    def _plus2(self, r: int) -> list[int]:
-        """r + x for every rank x of F_2^n, in rank order."""
-        return [r ^ x for x in range(self.size)]
-
-    def _tries2(self, span: Sequence[int], last: int, bound: int) -> Optional[int]:
-        """max S(r)^2 over order[:last] outside W, or None at one >= bound; by XOR."""
+    def _tries2(self, span: Sequence[int], bound: int) -> Optional[int]:
+        """max S(r)^2 over r outside W, or None at the first one >= bound; by XOR."""
         base, top, s0 = self.base, 0, -len(span) * self.bias
-        for r in islice(self.order, last):
+        for r in self.order:
             if r in span:
                 continue
             s = s0
@@ -303,10 +291,10 @@ class _CosetSums:
                 top = s
         return top
 
-    def _tries3(self, span: Sequence[int], last: int, bound: int) -> Optional[int]:
-        """_tries2 over F_3: order[:kept] through the kept tables, then r + x by halves."""
-        norm, count, tables, kept, top = self.norm, len(span), self.tables, self.kept, 0
-        for i, r in enumerate(self.order[:kept]):
+    def _tries3(self, span: Sequence[int], bound: int) -> Optional[int]:
+        """_tries2 over F_3: order[:rounds] through the kept tables, then r + x by halves."""
+        norm, count, tables, rounds, top = self._norm3, len(span), self.tables, self.rounds, 0
+        for i, r in enumerate(self.order[:rounds]):
             if r in span:
                 continue
             table = tables[i] if i < len(tables) else self.table(i)
@@ -320,7 +308,7 @@ class _CosetSums:
                 top = sq
         inside, base, cut = set(span), self.base, self.cut
         highs, lows = [x // cut for x in span], [x % cut for x in span]
-        for r in islice(self.order, kept, last):
+        for r in islice(self.order, rounds, None):
             if r in inside:
                 continue
             H, L = self.adder(r)
@@ -350,17 +338,13 @@ class _CosetSums:
 
     def shifted(self, r: int) -> list[int]:
         """x -> base[r + x] for every rank x."""
-        return list(map(self.base.__getitem__, self.plus(r)))
+        return list(map(self.base.__getitem__, self._plus3(r)))
 
     def table(self, i: int) -> list[int]:
-        """The shifted table of order[i], for i < kept."""
+        """The shifted table of order[i], for i < rounds."""
         while len(self.tables) <= i:
             self.tables.append(self.shifted(self.order[len(self.tables)]))
         return self.tables[i]
-
-    def _norm2(self, s: int, count: int) -> int:
-        """S^2 for a sum s of `count` entries of base."""
-        return (s - count * self.bias) ** 2
 
     def _norm3(self, s: int, count: int) -> int:
         """a^2 - ab + b^2 for a sum s of `count` entries of base."""
@@ -421,16 +405,12 @@ class _CosetSums:
         more than it can save, so the rounds stop there or after
         `rounds` r, and the survivors' spans are yielded in walk order.
         """
-        p, c = self.p, len(rows)
+        p, n, c = self.p, self.n, len(rows)
         # row f's last nonzero digit is the 1 at its free column, for the
         # whole block; r's digits there pick the one span point that can
         # equal r: point sum_f r_f p^(c-1-f)
-        weights = []
-        for f, row in enumerate(rows):
-            w = 1
-            while row[0] // w % p == 0:
-                w *= p
-            weights.append((w, p ** (c - 1 - f)))
+        free = _free_columns(p, n, rows)
+        weights = [(p ** (n - col), p ** (c - 1 - f)) for f, col in enumerate(free)]
 
         def at(r: int) -> int:
             return sum(r // w % p * step for w, step in weights)
@@ -455,40 +435,6 @@ class _CosetSums:
         zero = self.unpack([s >> width for s in both], len(spans))
         return zero, self.unpack([s & low for s in both], len(spans))
 
-    def below(self, span: Sequence[int], bound: int) -> Optional[int]:
-        """V's score if it is below bound, else None; W's span as ranks.
-
-        The score is max over r outside W of the norm of S(r).  tries
-        takes r by order until one reaches bound, while its sums cost less
-        in all than one fold of W into the whole table (score), which then
-        scores a V that no tried r rules out.
-        """
-        last = self.last[len(span)]
-        top = self.tries(span, last, bound)
-        if top is not None and last < len(self.order):
-            top = self.score(span)
-            if top >= bound:
-                return None
-        return top
-
-    def score(self, span: Sequence[int]) -> int:
-        """max over r outside W of the norm of S(r), W's span given as ranks.
-
-        The sums over all cosets come at once, folding each generator w
-        of W (span points 1, p, p^2, ...) into the table as p - 1 shifted
-        adds: t(x) + t(x + w) + ... + t(x + (p - 1) w).
-        """
-        sums, w = self.base, 1
-        while w < len(span):
-            shift = self.plus(span[w])
-            total = part = sums
-            for _ in range(1, self.p):
-                part = list(map(part.__getitem__, shift))
-                total = list(map(add, total, part))
-            sums, w = total, w * self.p
-        inside, count, norm = set(span), len(span), self.norm
-        return max((norm(sums[r], count) for r in self.order if r not in inside), default=0)
-
 
 def _scores_below(
     points: PointSet, max_codim: int, threshold: Callable[[], int], visit: Optional[Visit] = None
@@ -503,8 +449,9 @@ def _scores_below(
     by descending |F(r)|^2, and V is dropped at the first r with
     |S(r)|^2 >= threshold(): first by _CosetSums.screen, which rules out
     whole blocks by list gathers against the threshold at the block's
-    start, then by _CosetSums.below per subspace.  That is exact because
-    no caller ever raises its threshold.
+    start, then by _CosetSums.tries per subspace, which sums S(r) over
+    all of the order.  That is exact because no caller ever raises its
+    threshold.
 
     visit(rows, spans, at), over F_3 only, with at(r) giving the
     block's (a, b) lists of S(0) and S(r), sees each block before its
@@ -530,9 +477,14 @@ def _scores_below(
             yield from spans
 
     for span in chain.from_iterable(map(candidates, range(max_codim + 1))):
-        score = sums.below(span, threshold())
+        score = sums.tries(span, threshold())
         if score is not None:
             yield span, score
+
+
+def _annihilated(p: int, n: int, ranks: Sequence[int]) -> Subspace:
+    """V, the subspace of F_p^n that the span of the given ranks annihilates."""
+    return perp(rref_basis([GFVector.from_rank(p, n, r) for r in ranks]))
 
 
 def exhaustive_best_subspace(
@@ -561,8 +513,7 @@ def exhaustive_best_subspace(
     for best_span, best in _scores_below(points, max_codim, lambda: best):
         if best == 0:
             break
-    winner = perp(rref_basis([GFVector.from_rank(p, n, r) for r in best_span]))
-    return winner, Fraction(best, p ** (2 * n))
+    return _annihilated(p, n, best_span), Fraction(best, p ** (2 * n))
 
 
 # leading_one_set and scan_leading_one_set refuse larger n
@@ -627,11 +578,6 @@ def _f3_checks(n: int, c: int, zero: Sums, unit: Sums) -> list[tuple[bool, bool]
     return checks
 
 
-def _annihilated(n: int, ranks: Sequence[int]) -> Subspace:
-    """V, the subspace of F_3^n that the span of the given ranks annihilates."""
-    return perp(rref_basis([GFVector.from_rank(3, n, r) for r in ranks]))
-
-
 def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
     """Certify the LOWER_BOUND_SQ = 1/12 floor on every subspace of F_3^n.
 
@@ -678,20 +624,20 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
     def visit(rows, spans, at) -> list[bool]:
         nonlocal total
         total += len(spans[0])
-        free = _free_columns(n, rows)
+        free = _free_columns(3, n, rows)
         j = next(col for col in range(1, n + 1) if col not in free)
         zero, unit = at(3 ** (n - j))
         bound = max(best, floor)
         keep = []
         for i, (passed, a, b) in enumerate(zip(_f3_checks(n, len(rows), zero, unit), *unit)):
             if not all(passed):
-                fail(_annihilated(n, [span[i] for span in spans]))
+                fail(_annihilated(3, n, [span[i] for span in spans]))
             keep.append(a * a - a * b + b * b < bound)
         return keep
 
     for span, score in _scores_below(A, n - 1, lambda: max(best, floor), visit):
         best = min(best, score)
         if score < floor:
-            fail(_annihilated(n, span))
+            fail(_annihilated(3, n, span))
     ordered = tuple(failures[key] for key in sorted(failures))
     return F3Report(n, total, Fraction(best, 9**n), ordered)

@@ -194,20 +194,23 @@ def test_oracle_early_exit_on_whole_space():
 
 
 @lru_cache(maxsize=None)
-def _oracle_reference(points: PointSet, max_codim: int):
-    """Same scan through the per-coset transform route (once per input)."""
+def _records(points: PointSet, max_codim: int):
+    """Same scan through the per-coset transform route (once per input).
+
+    Each (V, sup_sq) whose sup_sq is below every earlier one, in walk
+    order; the last is the oracle's answer, and the scan stops at 0.
+    """
     p, n = points.p, points.n
     zero = GFVector.zero(p, n)
-    best = None
-    best_space = None
+    out = []
     for codim in range(max_codim + 1):
         for space in enumerate_subspaces(p, n, n - codim):
             sup = uniformity_sup(points, Coset.of(space, zero)).sup_sq
-            if best is None or sup < best:
-                best, best_space = sup, space
-                if best == 0:
-                    return best_space, best
-    return best_space, best
+            if not out or sup < out[-1][1]:
+                out.append((space, sup))
+                if sup == 0:
+                    return tuple(out)
+    return tuple(out)
 
 
 def _quadratic_set(n: int) -> PointSet:
@@ -255,7 +258,7 @@ ORACLE_CASES = [
 def test_oracle_matches_transform_route(kind, p, n, max_codim, seed):
     for A in _oracle_inputs(kind, p, n, seed):
         winner, sup = exhaustive_best_subspace(A, max_codim)
-        ref_space, ref_sup = _oracle_reference(A, max_codim)
+        ref_space, ref_sup = _records(A, max_codim)[-1]
         assert sup == ref_sup
         assert winner == ref_space
 
@@ -545,13 +548,12 @@ def test_f3_packed_sums_at_the_packing_extremes():
             assert low & ((1 << top.shift) - 1) == 2 * 3 ** (n - 1)
 
 
-@pytest.mark.parametrize("rounds,fold_sums", [(32, 3**5), (1, 3**5), (1, 0)])
-def test_f3_below_scores_every_subspace(monkeypatch, rounds, fold_sums):
-    # with a bound above every score, below returns each subspace's exact
-    # score: from the tables alone, from the sums by halves past one
-    # table, or from the fold; at its own score as the bound it is out
+@pytest.mark.parametrize("rounds", [32, 1])
+def test_f3_below_scores_every_subspace(monkeypatch, rounds):
+    # with a bound above every score, tries returns each subspace's exact
+    # score: from the tables alone, or from the sums by halves past one
+    # table; at its own score as the bound it is out
     monkeypatch.setattr(pipeline, "_ROUNDS", rounds)
-    monkeypatch.setattr(pipeline, "_FOLD_SUMS", fold_sums)
     n = 4
     A = random_subset(words(140), 3, n, Fraction(1, 2))
     F3 = _dft3_pairs([(m, 0) for m in A.membership_table()])
@@ -566,31 +568,24 @@ def test_f3_below_scores_every_subspace(monkeypatch, rounds, fold_sums):
                         a = sum(F3[add_rank(3, n, r, x)][0] for x in span)
                         b = sum(F3[add_rank(3, n, r, x)][1] for x in span)
                         norms.append(a * a - a * b + b * b)
-                assert sums.below(span, 9**n + 1) == max(norms), span
-                assert sums.below(span, max(norms)) is None
+                assert sums.tries(span, 9**n + 1) == max(norms), span
+                assert sums.tries(span, max(norms)) is None
 
 
-@pytest.mark.parametrize("fold_sums", [0, 2**5])
-def test_f2_below_scores_every_subspace(monkeypatch, fold_sums):
-    # the F_2 twin: with no sums allowed the fold scores every subspace,
-    # or the sums by XOR try every r and the fold is never reached; at
-    # its own score as the bound, below rules the subspace out
-    monkeypatch.setattr(pipeline, "_FOLD_SUMS", fold_sums)
+def test_f2_below_scores_every_subspace():
+    # the F_2 twin: the sums by XOR try every r; at its own score as the
+    # bound, tries rules the subspace out
     n = 5
     A = random_subset(words(142), 2, n, Fraction(1, 2))
     F = wht2(A.membership_table())
     sums = _engine(A, 3)
-    assert (sums.kept, sums.rounds) == (0, 2**n - 1)
-    folds = []
-    score = sums.score
-    monkeypatch.setattr(sums, "score", lambda span: folds.append(span) or score(span))
+    assert sums.rounds == 2**n - 1
     for c in (1, 2, 3):
         for rows in gf_core._rref_blocks(2, n, n - c, annihilator=True):
             for span in (tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)):
                 sq = [sum(F[r ^ x] for x in span) ** 2 for r in range(1, 2**n) if r not in span]
-                assert sums.below(span, 4**n + 1) == max(sq), span
-                assert sums.below(span, max(sq)) is None
-    assert bool(folds) == (fold_sums == 0)
+                assert sums.tries(span, 4**n + 1) == max(sq), span
+                assert sums.tries(span, max(sq)) is None
 
 
 def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
@@ -638,12 +633,12 @@ def test_f3_checks_read_each_check(n):
         for c in range(n):
             for rows in gf_core._rref_blocks(3, n, n - c, annihilator=True):
                 spans = gf_core._trit_block_spans(n, rows) if rows else [[0]]
-                free = gf_core._free_columns(n, rows)
+                free = gf_core._free_columns(3, n, rows)
                 j = next(col for col in range(1, n + 1) if col not in free)
                 zero, unit = sums.pair(3 ** (n - j), spans)
                 checks = pipeline._f3_checks(n, c, zero, unit)
                 for i, got in enumerate(checks):
-                    V = pipeline._annihilated(n, [span[i] for span in spans])
+                    V = pipeline._annihilated(3, n, [span[i] for span in spans])
                     pts = list(V.points())
                     ones = [A.contains(v) for v in pts if v.coords[j - 1] == 1]
                     twos = [A.contains(v) for v in pts if v.coords[j - 1] == 2]
@@ -659,29 +654,36 @@ def test_f3_checks_read_each_check(n):
     assert seen == {(True, True), (False, False)}
 
 
-@pytest.mark.parametrize("fold_sums", [0, 3**5])
 @pytest.mark.parametrize(
     "kind,p,n,max_codim,seed", [c for c in ORACLE_CASES if getattr(c, "values", c)[1] == 3]
 )
-def test_f3_oracle_past_the_kept_rounds(monkeypatch, fold_sums, kind, p, n, max_codim, seed):
+def test_f3_oracle_past_the_kept_rounds(monkeypatch, kind, p, n, max_codim, seed):
     # one kept round, as at n >= 10: past it every r is tried by the
-    # subspace's own sums (3^5 sums outlast every order), or none is and
-    # the fold scores every subspace the first r leaves
+    # subspace's own sums by digit halves
     monkeypatch.setattr(pipeline, "_ROUNDS", 1)
-    monkeypatch.setattr(pipeline, "_FOLD_SUMS", fold_sums)
     test_oracle_matches_transform_route(kind, p, n, max_codim, seed)
 
 
-@pytest.mark.parametrize("fold_sums", [0, 2**6])
-@pytest.mark.parametrize(
-    "kind,p,n,max_codim,seed", [c for c in ORACLE_CASES if getattr(c, "values", c)[1] == 2]
-)
-def test_f2_oracle_by_sums_or_fold(monkeypatch, fold_sums, kind, p, n, max_codim, seed):
-    # the F_2 twin: every subspace the screen leaves is scored by the
-    # fold alone, or by sums by XOR over every r (2^6 sums outlast
-    # every order)
-    monkeypatch.setattr(pipeline, "_FOLD_SUMS", fold_sums)
-    test_oracle_matches_transform_route(kind, p, n, max_codim, seed)
+@pytest.mark.parametrize("tail_size", [gf_core._TAIL_SIZE, 1])
+@pytest.mark.parametrize("p,n,seed", [(2, 6, 97), (3, 4, 99)])
+def test_scores_below_yields_the_record_setters(monkeypatch, tail_size, p, n, seed):
+    # planted coset unions with 1/16 of the points flipped set 4 or 5
+    # records each; against the oracle's running best the walk yields
+    # exactly those, each with its exact score, on blocks or one by one;
+    # like the oracle it stops at 0, which no score is below
+    monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
+    stream = words(seed)
+    for planted in _oracle_inputs("planted", p, n, seed):
+        noise = random_subset(stream, p, n, Fraction(1, 16))
+        A = PointSet(p, n, planted.bits ^ noise.bits)
+        expected = _records(A, 3)
+        assert len(expected) >= 4
+        best, got = p ** (2 * n) + 1, []
+        for span, best in pipeline._scores_below(A, 3, lambda: best):
+            got.append((pipeline._annihilated(p, n, span), Fraction(best, p ** (2 * n))))
+            if best == 0:
+                break
+        assert tuple(got) == expected
 
 
 def test_oracle_budget_accounting():
