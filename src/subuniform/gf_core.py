@@ -15,12 +15,11 @@ Conventions used throughout the package:
   representative is the lexicographically least element of the coset.
   That canonical representative is the unique coset element whose pivot
   coordinates are all zero.
-* F_3 vectors add as trit planes (lo, hi): bit i of lo (of hi) is set
-  when the digit of weight 3^i is 1 (is 2).  One add is six whole-int
-  operations (Harrison, Page and Smart, "Software implementation of
-  finite fields of characteristic three", 2002), and the rank of
-  (lo, hi) is T[lo] + 2 T[hi] with T = _trit_table(n).  The per-point
-  hot loops stay on ranks: they sum digit-disjoint parts instead.
+* F_3 vectors add on ranks, digit by digit: digit i of r + x is
+  (r_i + x_i) mod 3.  _TritAdder splits x into its low n // 2 digits
+  and the rest, and reads r + x as one entry of each of r's two
+  halves.  Where the parts of a sum share no nonzero digit nothing
+  carries, and their ranks add as integers (_trit_block_spans).
 
 Ambient sizes are capped so tables of p^n entries stay addressable:
 n <= 24 for p = 2 and n <= 12 for p = 3.
@@ -393,72 +392,28 @@ def _span_ranks(p: int, n: int, rows: tuple[int, ...], start: int = 0) -> list[i
 
     Index c = sum(c_i p^(k-i)) maps to start + sum(c_i rows_i); the first
     row is the most significant digit, so rows are folded in reverse.
+    Over F_3 each row adds x + row, then (x + row) + row = x - row.
     """
-    if p == 3:
-        pts = [_trit_planes(start)]
-        for lo, hi in map(_trit_planes, reversed(rows)):
-            pts += _trit_add([(lo, hi), (hi, lo)], pts)  # row, then 2 row = -row
-        return _trit_ranks(n, pts)
     pts = [start]
+    if p == 3:
+        adder = _TritAdder(n)
+        cut = adder.cut
+        for row in reversed(rows):
+            H, L = adder.halves(row)
+            once = [H[x // cut] + L[x % cut] for x in pts]
+            pts += once + [H[x // cut] + L[x % cut] for x in once]
+        return pts
     for r in reversed(rows):
         for x in pts[:]:  # faster than a comprehension on small spans
             pts.append(x ^ r)
     return pts
 
 
-@lru_cache(maxsize=None)
-def _trit_table(n: int) -> tuple[int, ...]:
-    """T[m] = sum of 3^i over the set bits i of m, for m < 2^n."""
-    table = [0]
-    for i in range(n):
-        table += [t + 3**i for t in table]
-    return tuple(table)
-
-
-def _trit_planes(rank: int) -> tuple[int, int]:
-    """Trit planes (lo, hi) of the F_3 vector with the given rank."""
-    lo = hi = 0
-    bit = 1
-    while rank:
-        rank, digit = divmod(rank, 3)
-        if digit == 1:
-            lo |= bit
-        elif digit == 2:
-            hi |= bit
-        bit <<= 1
-    return lo, hi
-
-
-def _trit_ranks(n: int, pts: Iterable[tuple[int, int]]) -> list[int]:
-    """Ranks of vectors of F_3^n given as trit planes."""
-    table = _trit_table(n)
-    return [table[lo] + 2 * table[hi] for lo, hi in pts]
-
-
-def _trit_add(
-    shifts: Iterable[tuple[int, int]], pts: Sequence[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """d + x for every d in shifts, then every x in pts, as trit planes.
-
-    The F_3 vector add, for _span_ranks and the tests.  The per-point
-    hot loops add by ranks instead: _trit_shifts sums digits of a
-    whole-space shift, and _trit_block_spans sums digit-disjoint parts.
-    A loop, because on the 3 to 9 points of a small span it beats a
-    comprehension.
-    """
-    out = []
-    for dl, dh in shifts:
-        for xl, xh in pts:
-            t = (dl | xh) ^ (dh | xl)
-            out.append(((dh | xh) ^ t, (dl | xl) ^ t))
-    return out
-
-
 def _trit_shifts(n: int, r: int) -> list[int]:
-    """Ranks of r + x for x = 0 .. 3^n - 1, in that order.
+    """Ranks of r + x for x = 0 .. 3^n - 1, in that order: one of _TritAdder's halves.
 
-    Digit i of r + x is (r_i + x_i) mod 3, so the list is built digit by
-    digit, most significant first, as sums of one value per digit.
+    Built digit by digit, most significant first, as sums of one value
+    per digit, (r_i + x_i) mod 3 times its weight.
     """
     out = [0]
     for w in _weights(3, n):
@@ -466,6 +421,36 @@ def _trit_shifts(n: int, r: int) -> list[int]:
         column = [(d + e) % 3 * w for e in range(3)]
         out = [o + v for o in out for v in column]
     return out
+
+
+class _TritAdder:
+    """r + x on ranks of F_3^n, by digit halves, for the life of one call.
+
+    With cut = 3^(n // 2), x % cut holds the low n // 2 digits of x and
+    x // cut the rest, and r + x = H[x // cut] + L[x % cut] for r's
+    halves (H, L).  The halves are built by _trit_shifts and kept by
+    r's digit pattern in each half, so each kind holds at most 3^n list
+    slots when every pattern is met.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n, self.cut = n, 3 ** (n // 2)
+        self.highs: dict[int, list[int]] = {}
+        self.lows: dict[int, list[int]] = {}
+
+    def halves(self, r: int) -> tuple[list[int], list[int]]:
+        """(H, L) with r + x = H[x // cut] + L[x % cut] for every rank x of F_3^n."""
+        high, low = divmod(r, self.cut)
+        if high not in self.highs:
+            self.highs[high] = [y * self.cut for y in _trit_shifts(self.n - self.n // 2, high)]
+        if low not in self.lows:
+            self.lows[low] = _trit_shifts(self.n // 2, low)
+        return self.highs[high], self.lows[low]
+
+    def shifts(self, r: int) -> list[int]:
+        """r + x for every rank x of F_3^n, in rank order."""
+        H, L = self.halves(r)
+        return [h + l for h in H for l in L]
 
 
 def _free_columns(p: int, n: int, rows: Sequence[Sequence[int]]) -> list[int]:
@@ -501,9 +486,9 @@ def _trit_block_spans(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """The spans of a block of annihilators in F_3^n, as rank lists.
 
     rows[f][j] is the rank of row w_f of the block's j-th annihilator W
-    (there is at least one row), as _rref_blocks(3, n, k,
-    annihilator=True) yields them.  Entry j of list i is the rank of
-    point i of W, in the order of _span_ranks.
+    (there is at least one row), as _rref_blocks(3, n, k) yields them.
+    Entry j of list i is the rank of point i of W, in the order of
+    _span_ranks.
 
     Point i is the sum of c_f w_f over the rows, c_f the base-3 digits
     of i with the first row most significant.  As w_f = e_f - sum over
@@ -549,17 +534,15 @@ def _trit_block_spans(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
 _TAIL_SIZE = 1 << 12
 
 
-def _rref_blocks(
-    p: int, n: int, k: int, annihilator: bool = False, most: int = 0
-) -> Iterator[list[list[int]]]:
+def _rref_blocks(p: int, n: int, k: int, most: int = 0) -> Iterator[list[list[int]]]:
     """The canonical walk of the k-dim subspaces V, one block at a time.
 
     Profiles are emitted in lexicographic order of the pivot-column
     tuple; within a profile the free entries A[i][f] (row i, non-pivot
     column f right of pivot i) are enumerated lexicographically,
-    earliest (row, column) slot most significant.  The rows are V's RREF
-    rows, or with annihilator=True the rows w_f = e_f - sum_i A[i][f]
-    e_{pivot i}, one per non-pivot column f, which span V's annihilator.
+    earliest (row, column) slot most significant, as enumerate_subspaces
+    lists them.  V is given by the rows w_f = e_f - sum_i A[i][f]
+    e_{pivot i}, one per non-pivot column f, which span its annihilator.
 
     One block is yielded per (profile, head): the head fixes the leading
     slots, the trailing slots run inside the block.  A block holds at
@@ -570,26 +553,22 @@ def _rref_blocks(
     rank plus the profile's tail list for row f, built once by doubling
     over the tail slots, last slot first; each slot owns one coordinate
     of one row, so head and tail touch disjoint digits and the sum never
-    carries.  A block without rows holds exactly one subspace (k = 0,
-    or k = n with annihilator=True).
+    carries.  A block without rows holds exactly one subspace (k = n).
     """
     weights = _weights(p, n)
     for pivots in combinations(range(1, n + 1), k):
         free = [col for col in range(1, n + 1) if col not in pivots]
-        labels = free if annihilator else pivots
-        base = [weights[col - 1] for col in labels]
+        base = [weights[col - 1] for col in free]
         # one slot per free entry: the row it writes and its p values
         slots = [
             (j, [-d % p * weights[pivot - 1] for d in range(p)])
-            if annihilator
-            else (i, [d * weights[col - 1] for d in range(p)])
-            for i, pivot in enumerate(pivots)
+            for pivot in pivots
             for j, col in enumerate(free)
             if col > pivot
         ]
         cap = min(_TAIL_SIZE, most) if most > 0 else _TAIL_SIZE
         cut, size = len(slots), 1
-        tails = [[0] for _ in labels]
+        tails = [[0] for _ in free]
         while cut and size * p <= cap:
             cut -= 1
             row, values = slots[cut]
@@ -609,15 +588,27 @@ def _rref_blocks(
 def enumerate_subspaces(p: int, n: int, k: int) -> Iterator[Subspace]:
     """All k-dimensional subspaces of F_p^n, each exactly once.
 
-    Deterministic order: by pivot-column profile, then lexicographic
-    free entries.  The total count is the Gaussian binomial (n choose k)_p.
+    Deterministic order: by pivot-column profile, then the free entries
+    of the RREF basis (row i, non-pivot column right of pivot i), row by
+    row, first entry most significant.  The total count is the Gaussian
+    binomial (n choose k)_p.
     """
     _check_space(p, n)
     if not 0 <= k <= n:
         raise InputError(f"subspace dimension {k} out of range 0..{n}")
-    for rows in _rref_blocks(p, n, k):
-        for basis in zip(*rows) if rows else [()]:
-            yield Subspace(p, n, tuple(GFVector.from_rank(p, n, r) for r in basis))
+    for pivots in combinations(range(1, n + 1), k):
+        slots = [
+            (i, col - 1)
+            for i, pivot in enumerate(pivots)
+            for col in range(pivot + 1, n + 1)
+            if col not in pivots
+        ]
+        units = [[int(col == pivot) for col in range(1, n + 1)] for pivot in pivots]
+        for entries in product(range(p), repeat=len(slots)):
+            rows = [unit[:] for unit in units]
+            for (i, j), entry in zip(slots, entries):
+                rows[i][j] = entry
+            yield Subspace(p, n, tuple(GFVector(p, n, tuple(row)) for row in rows))
 
 
 def extend_span(space: Subspace, vectors: Sequence[GFVector]) -> Subspace:

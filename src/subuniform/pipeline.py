@@ -69,8 +69,8 @@ from .gf_core import (
     _coset_rep_ranks,
     _free_columns,
     _rref_blocks,
+    _TritAdder,
     _trit_block_spans,
-    _trit_shifts,
     extend_span,
     gaussian_binomial,
     lift_from_quotient,
@@ -247,7 +247,9 @@ class _CosetSums:
     (keep), the r a round takes (step) and the order.  `rounds` caps
     the r a screen may try.  Over F_3 the shifted tables x -> base[r +
     x] of order[:rounds] are kept for the whole walk; F_2 keeps none.
-    pair and unpack read F_3 sums only.
+    Over F_3, r + x comes from `trits`, gf_core's digit-halves adder,
+    kept for the walk like the tables.  pair and unpack read F_3 sums
+    only.
     """
 
     def __init__(self, p: int, n: int, F: Sequence, max_codim: int) -> None:
@@ -270,10 +272,9 @@ class _CosetSums:
             self.keep, self.tries = self._keep3, self._tries3
             self.spans, self.step = partial(_trit_block_spans, n), 1
             self.rounds = max(1, min(_ROUNDS, len(self.order), _SPAN_CELLS // self.size))
-            # pair's tables by r, and adder's halves: x_l the low n // 2
-            # digits of x, x_h the rest; 3^n list slots each when full
+            # pair's tables by r, and r + x by digit halves for the walk
             self.paired: dict[int, list[int]] = {}
-            self.cut, self.highs, self.lows = 3 ** (n // 2), {}, {}
+            self.trits = _TritAdder(n)
 
     def _tries2(self, span: Sequence[int], bound: int) -> Optional[int]:
         """max S(r)^2 over r outside W, or None at the first one >= bound; by XOR."""
@@ -306,12 +307,12 @@ class _CosetSums:
                 return None
             if sq > top:
                 top = sq
-        inside, base, cut = set(span), self.base, self.cut
+        inside, base, halves, cut = set(span), self.base, self.trits.halves, self.trits.cut
         highs, lows = [x // cut for x in span], [x % cut for x in span]
         for r in islice(self.order, rounds, None):
             if r in inside:
                 continue
-            H, L = self.adder(r)
+            H, L = halves(r)
             s = 0
             for u, v in zip(highs, lows):
                 s += base[H[u] + L[v]]
@@ -322,23 +323,9 @@ class _CosetSums:
                 top = sq
         return top
 
-    def adder(self, r: int) -> tuple[list[int], list[int]]:
-        """(H, L) with r + x = H[x // cut] + L[x % cut] for every rank x of F_3^n."""
-        high, low = divmod(r, self.cut)
-        if high not in self.highs:
-            self.highs[high] = [y * self.cut for y in _trit_shifts(self.n - self.n // 2, high)]
-        if low not in self.lows:
-            self.lows[low] = _trit_shifts(self.n // 2, low)
-        return self.highs[high], self.lows[low]
-
-    def _plus3(self, r: int) -> list[int]:
-        """r + x for every rank x of F_3^n, in rank order, by digit halves."""
-        H, L = self.adder(r)
-        return [h + l for h in H for l in L]
-
     def shifted(self, r: int) -> list[int]:
         """x -> base[r + x] for every rank x."""
-        return list(map(self.base.__getitem__, self._plus3(r)))
+        return list(map(self.base.__getitem__, self.trits.shifts(r)))
 
     def table(self, i: int) -> list[int]:
         """The shifted table of order[i], for i < rounds."""
@@ -451,7 +438,8 @@ def _scores_below(
     whole blocks by list gathers against the threshold at the block's
     start, then by _CosetSums.tries per subspace, which sums S(r) over
     all of the order.  That is exact because no caller ever raises its
-    threshold.
+    threshold.  The walk ends at a block that starts with threshold()
+    at 0, which no score is below.
 
     visit(rows, spans, at), over F_3 only, with at(r) giving the
     block's (a, b) lists of S(0) and S(r), sees each block before its
@@ -463,20 +451,23 @@ def _scores_below(
     mem = points.membership_table
     sums = _CosetSums(p, n, wht2(mem()) if p == 2 else _dft3_pairs([(m, 0) for m in mem()]), max_codim)
 
-    def candidates(c: int) -> Iterator[Sequence[int]]:
-        """W's span for each codim-c subspace still in the running."""
-        most = max(1, _SPAN_CELLS // p**c)
-        for rows in _rref_blocks(p, n, n - c, annihilator=True, most=most):
-            spans = sums.spans(rows) if rows else [[0]]  # W = {0} at c = 0
-            if visit is not None:
-                keep = visit(rows, spans, partial(sums.pair, spans=spans))
-                if not all(keep):
-                    spans = [list(compress(span, keep)) for span in spans]
-            # the survivors replace the block's lists, which can then go
-            spans = sums.screen(threshold(), rows, spans)
-            yield from spans
+    def candidates() -> Iterator[Sequence[int]]:
+        """W's span for each subspace still in the running, codim 0 first."""
+        for c in range(max_codim + 1):
+            most = max(1, _SPAN_CELLS // p**c)
+            for rows in _rref_blocks(p, n, n - c, most=most):
+                bound = threshold()
+                if bound == 0:
+                    return  # no score is below 0
+                spans = sums.spans(rows) if rows else [[0]]  # W = {0} at c = 0
+                if visit is not None:
+                    keep = visit(rows, spans, partial(sums.pair, spans=spans))
+                    if not all(keep):
+                        spans = [list(compress(span, keep)) for span in spans]
+                # the survivors replace the block's lists, which can then go
+                yield from sums.screen(bound, rows, spans)
 
-    for span in chain.from_iterable(map(candidates, range(max_codim + 1))):
+    for span in candidates():
         score = sums.tries(span, threshold())
         if score is not None:
             yield span, score

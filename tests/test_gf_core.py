@@ -2,7 +2,8 @@
 
 Independent oracles:
   * `tuple_span` computes spans by brute-force closure on coordinate tuples;
-  * `add_rank` adds two ranks digit by digit, the reference for trit planes;
+  * `add_rank` adds two ranks digit by digit, the reference for the F_3
+    rank adder and span order;
   * `base_p_digits` re-derives the rank convention from scratch;
   * `gb_oracle` counts subspaces via the q-Pascal recursion
     G(n, k) = G(n-1, k-1) + p^k * G(n-1, k).
@@ -38,11 +39,9 @@ from subuniform import gf_core
 from subuniform.gf_core import (
     _coset_table,
     _span_ranks,
-    _trit_add,
     _trit_block_spans,
-    _trit_planes,
-    _trit_ranks,
     _trit_shifts,
+    _TritAdder,
 )
 
 from conftest import (
@@ -362,7 +361,7 @@ def test_enumeration_order_and_annihilator_rows(monkeypatch, tail_size, p, n):
         # canonical order: pivot profile, then free entries lexicographically
         keys = [(s.pivots, _slot_entries(s)) for s in spaces]
         assert keys == sorted(keys)
-        walk = _flat(gf_core._rref_blocks(p, n, k, annihilator=True))
+        walk = _flat(gf_core._rref_blocks(p, n, k))
         assert len(walk) == len(spaces)
         for space, rows in zip(spaces, walk):
             dual = [GFVector.from_rank(p, n, r) for r in rows]
@@ -377,8 +376,8 @@ def test_enumeration_order_and_annihilator_rows(monkeypatch, tail_size, p, n):
 @pytest.mark.parametrize("most", [1, 3, 8, 1 << 20])
 def test_rref_blocks_cap_keeps_the_walk(most):
     p, n, k = 2, 7, 3
-    whole = _flat(gf_core._rref_blocks(p, n, k, annihilator=True))
-    blocks = list(gf_core._rref_blocks(p, n, k, annihilator=True, most=most))
+    whole = _flat(gf_core._rref_blocks(p, n, k))
+    blocks = list(gf_core._rref_blocks(p, n, k, most=most))
     assert all(len(rows[0]) <= min(most, gf_core._TAIL_SIZE) for rows in blocks)
     assert _flat(blocks) == whole
 
@@ -469,40 +468,51 @@ def test_pointset_decoder_shapes():
 
 
 # ---------------------------------------------------------------------------
-# trit planes: the F_3 vector add
+# the F_3 rank adder and span order
 
 
-def test_trit_add_matches_digit_loop_on_all_small_pairs():
+def test_trit_adder_matches_digit_loop():
+    # every pair in F_3^1 .. F_3^4, through both the halves and the full list
     for n in range(1, 5):
-        planes = [_trit_planes(r) for r in range(3**n)]
-        for x in range(3**n):
-            sums = _trit_ranks(n, _trit_add([planes[x]], planes))
-            assert sums == [add_rank(3, n, x, y) for y in range(3**n)]
-
-
-def test_trit_add_matches_digit_loop_at_n12():
+        adder = _TritAdder(n)
+        for r in range(3**n):
+            expected = [add_rank(3, n, r, x) for x in range(3**n)]
+            H, L = adder.halves(r)
+            assert [H[x // adder.cut] + L[x % adder.cut] for x in range(3**n)] == expected
+            assert adder.shifts(r) == expected
     stream = words(31)
     n = 12
+    adder = _TritAdder(n)
     xs = [rand_below(stream, 3**n) for _ in range(50)]
     ys = [rand_below(stream, 3**n) for _ in range(50)]
-    # several shifts at once come out shift-major
-    shifts = [_trit_planes(x) for x in xs]
-    sums = _trit_ranks(n, _trit_add(shifts, [_trit_planes(y) for y in ys]))
-    assert sums == [add_rank(3, n, x, y) for x in xs for y in ys]
+    for x in xs:
+        H, L = adder.halves(x)
+        assert [H[y // adder.cut] + L[y % adder.cut] for y in ys] == [
+            add_rank(3, n, x, y) for y in ys
+        ]
 
 
-def test_trit_planes_round_trip():
-    for n in range(1, 13):
-        top = 3**n - 1  # every digit 2: all of hi, none of lo
-        assert _trit_planes(0) == (0, 0)
-        assert _trit_planes(top) == (0, (1 << n) - 1)
-        assert _trit_planes((3**n - 1) // 2) == ((1 << n) - 1, 0)
-        for r in (0, 1, top // 2, top - 1, top):
-            lo, hi = _trit_planes(r)
-            assert (lo & hi) == 0 and (lo | hi) < 1 << n
-            assert _trit_ranks(n, [(lo, hi)]) == [r]
-            digits = base_p_digits(3, n, r)[::-1]  # digit i has weight 3^i
-            assert [(lo >> i & 1) + 2 * (hi >> i & 1) for i in range(n)] == list(digits)
+@pytest.mark.parametrize("n,dim,seed", [(3, 2, 35), (6, 3, 36), (12, 4, 37)])
+def test_trit_span_order_is_coefficient_index(n, dim, seed):
+    # point i is start + sum c_f rows_f, c the base-3 digits of i with the
+    # first row most significant
+    stream = words(seed)
+    rows = tuple(row.rank for row in random_subspace(stream, 3, n, dim).basis)
+    start = 1 + rand_below(stream, 3**n - 1)
+    expected = []
+    for i in range(3**dim):
+        point = start
+        for c, row in zip(base_p_digits(3, dim, i), rows):
+            for _ in range(c):
+                point = add_rank(3, n, point, row)
+        expected.append(point)
+    assert _span_ranks(3, n, rows, start) == expected
+
+
+# the wht command's contract: coefficient index = rank on the whole space
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 8), (2, 16), (3, 1), (3, 6), (3, 12)])
+def test_whole_space_point_ranks_are_the_ranks(p, n):
+    assert Coset.whole_space(p, n).point_ranks() == list(range(p**n))
 
 
 @pytest.mark.parametrize("n,dim,seed", [(3, 2, 32), (6, 3, 33), (12, 2, 34)])
@@ -531,7 +541,7 @@ def test_trit_span_and_coset_scan_match_tuple_span(n, dim, seed):
 def test_trit_block_spans_match_tuple_span(n, k):
     # every block of the walk, zipped, against one span each; codim 2 in
     # F_3^5 has profiles of up to 6 slots, 729 subspaces
-    for rows in gf_core._rref_blocks(3, n, k, annihilator=True):
+    for rows in gf_core._rref_blocks(3, n, k):
         spans = _trit_block_spans(n, rows)
         assert len(spans) == 3 ** len(rows)
         for j, col in enumerate(zip(*rows)):
@@ -572,7 +582,7 @@ def test_trit_block_spans_on_every_annihilator_block(monkeypatch, tail_size, mos
     cut = []
     for n in range(1, top + 1):
         for c in range(1, n + 1):
-            for rows in gf_core._rref_blocks(3, n, n - c, annihilator=True, most=most):
+            for rows in gf_core._rref_blocks(3, n, n - c, most=most):
                 spans = _trit_block_spans(n, rows)
                 assert list(zip(*spans)) == [tuple(_span_ranks(3, n, col)) for col in zip(*rows)]
                 if n == 4:

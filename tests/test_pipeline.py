@@ -325,7 +325,7 @@ def test_f2_block_filter_keeps_r_in_w_and_drops_ties():
     F = wht2(A.membership_table())
     order = sorted(range(1, 1 << n), key=lambda r: F[r] * F[r], reverse=True)
     # the first codim-2 profile, pivots 1..4: 8 slots, one block
-    rows = next(gf_core._rref_blocks(2, n, n - 2, annihilator=True))
+    rows = next(gf_core._rref_blocks(2, n, n - 2))
     spans = [tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)]
     assert len(spans) == 256
 
@@ -382,7 +382,7 @@ def test_f2_packed_screen_reads_both_frequencies(kind):
     # each end of a half's range sits on a multiple of 2^K.  A two-entry
     # order is one round, and 256 subspaces always run it.
     n = 6
-    rows = next(gf_core._rref_blocks(2, n, n - 2, annihilator=True))
+    rows = next(gf_core._rref_blocks(2, n, n - 2))
     spans = [tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)]
     if kind == "extreme":
         e = min(set(range(1 << n)) - set(spans[0]))
@@ -433,7 +433,7 @@ def test_f2_screen_pairs_the_last_r_with_itself():
         A = random_subset(words(seed), 2, n, Fraction(1, 2))
         F = wht2(A.membership_table())
         order = sorted(range(1, 1 << n), key=lambda r: F[r] * F[r], reverse=True)
-        rows = next(gf_core._rref_blocks(2, n, n - 2, annihilator=True))
+        rows = next(gf_core._rref_blocks(2, n, n - 2))
         spans = [tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)]
         for best in (36, 64):
             for run in (order, order[::-1], [order[-1], order[-2], order[0]]):
@@ -457,7 +457,7 @@ def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
     lead = {r for k in range(n) for r in range(3**k, 2 * 3**k)}
     assert sums.order == [r for r in order if r in lead]
     # the first codim-2 profile, pivots 1 and 2: 4 slots, one block
-    rows = next(gf_core._rref_blocks(3, n, n - 2, annihilator=True))
+    rows = next(gf_core._rref_blocks(3, n, n - 2))
     spans = [tuple(gf_core._span_ranks(3, n, col)) for col in zip(*rows)]
     assert len(spans) == 81
 
@@ -503,7 +503,7 @@ def test_f3_order_holds_one_r_of_each_pair():
     norms = [a * a - a * b + b * b for a, b in map(F3.__getitem__, sums.order)]
     assert norms == sorted(norms, reverse=True)
     for c in (1, 2):
-        for rows in gf_core._rref_blocks(3, n, n - c, annihilator=True):
+        for rows in gf_core._rref_blocks(3, n, n - c):
             for span in zip(*gf_core._trit_block_spans(n, rows)):
                 for r in range(1, 3**n):
                     minus = add_rank(3, n, r, r)
@@ -560,7 +560,7 @@ def test_f3_below_scores_every_subspace(monkeypatch, rounds):
     sums = _engine(A, 2)
     assert sums.rounds == min(rounds, 3**n - 2)
     for c in (1, 2):
-        for rows in gf_core._rref_blocks(3, n, n - c, annihilator=True):
+        for rows in gf_core._rref_blocks(3, n, n - c):
             for span in zip(*gf_core._trit_block_spans(n, rows)):
                 norms = []
                 for r in range(1, 3**n):
@@ -581,7 +581,7 @@ def test_f2_below_scores_every_subspace():
     sums = _engine(A, 3)
     assert sums.rounds == 2**n - 1
     for c in (1, 2, 3):
-        for rows in gf_core._rref_blocks(2, n, n - c, annihilator=True):
+        for rows in gf_core._rref_blocks(2, n, n - c):
             for span in (tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)):
                 sq = [sum(F[r ^ x] for x in span) ** 2 for r in range(1, 2**n) if r not in span]
                 assert sums.tries(span, 4**n + 1) == max(sq), span
@@ -631,7 +631,7 @@ def test_f3_checks_read_each_check(n):
     for A in sets:
         sums = _engine(A, n)
         for c in range(n):
-            for rows in gf_core._rref_blocks(3, n, n - c, annihilator=True):
+            for rows in gf_core._rref_blocks(3, n, n - c):
                 spans = gf_core._trit_block_spans(n, rows) if rows else [[0]]
                 free = gf_core._free_columns(3, n, rows)
                 j = next(col for col in range(1, n + 1) if col not in free)
@@ -672,18 +672,48 @@ def test_scores_below_yields_the_record_setters(monkeypatch, tail_size, p, n, se
     # exactly those, each with its exact score, on blocks or one by one;
     # like the oracle it stops at 0, which no score is below
     monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
-    stream = words(seed)
-    for planted in _oracle_inputs("planted", p, n, seed):
-        noise = random_subset(stream, p, n, Fraction(1, 16))
-        A = PointSet(p, n, planted.bits ^ noise.bits)
+    for A in _noisy_planted(p, n, seed):
         expected = _records(A, 3)
         assert len(expected) >= 4
-        best, got = p ** (2 * n) + 1, []
-        for span, best in pipeline._scores_below(A, 3, lambda: best):
-            got.append((pipeline._annihilated(p, n, span), Fraction(best, p ** (2 * n))))
-            if best == 0:
-                break
-        assert tuple(got) == expected
+        assert _record_walk(A, 3, stop_at_zero=True) == expected
+
+
+def _noisy_planted(p: int, n: int, seed: int) -> list[PointSet]:
+    """The planted coset unions of _oracle_inputs with 1/16 of the points flipped."""
+    stream = words(seed)
+    return [
+        PointSet(p, n, planted.bits ^ random_subset(stream, p, n, Fraction(1, 16)).bits)
+        for planted in _oracle_inputs("planted", p, n, seed)
+    ]
+
+
+def _record_walk(A: PointSet, max_codim: int, stop_at_zero: bool) -> tuple:
+    """(V, sup_sq) for each V that _scores_below yields against the running best."""
+    p, n = A.p, A.n
+    best, got = p ** (2 * n) + 1, []
+    for span, best in pipeline._scores_below(A, max_codim, lambda: best):
+        got.append((pipeline._annihilated(p, n, span), Fraction(best, p ** (2 * n))))
+        if best == 0 and stop_at_zero:
+            break
+    return tuple(got)
+
+
+def test_scores_below_walks_on_past_a_zero_record():
+    # a caller that keeps walking after a 0 record gets the same records:
+    # the walk itself stops there, with no screen against a bound of 0
+    for A in _noisy_planted(2, 6, 97):
+        expected = _records(A, 3)
+        assert _record_walk(A, 3, stop_at_zero=False) == expected
+    assert any(_records(A, 3)[-1][1] == 0 for A in _noisy_planted(2, 6, 97))
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4)])
+def test_scores_below_yields_nothing_at_threshold_zero(p, n):
+    # no score is below 0, so the walk yields nothing, whatever the set
+    for seed in (105, 106):
+        A = random_subset(words(seed), p, n, Fraction(1, 2))
+        assert list(pipeline._scores_below(A, 3, lambda: 0)) == []
+    assert list(pipeline._scores_below(PointSet.empty(p, n), n, lambda: 0)) == []
 
 
 def test_oracle_budget_accounting():

@@ -6,11 +6,17 @@ __init__.py, or by a script in scripts/.  Imports, docstrings and
 comments do not count.  The names below have no such reader yet; the
 test also fails when one of them gains a reader or leaves __all__, so
 the list can only shrink.
+
+The same holds for the methods and properties of the public classes in
+src/: each must be read as an attribute, matched by name, in src/ or
+scripts/ outside its own body, or stand on TEST_ONLY_METHODS, which can
+only shrink in the same way.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import subuniform
@@ -27,6 +33,22 @@ TEST_ONLY = {
     "enumerate_subspaces": "ROADMAP item 4",
     "partition_energy": "ROADMAP item 4",
     "quotient_index": "ROADMAP item 4",
+}
+
+# Class.method -> why it is still there with no reader in src/ or scripts/
+TEST_ONLY_METHODS = {
+    "AlmostColouring.colour_of": "ROADMAP item 4",
+    "AlmostColouring.coloured_fraction": "ROADMAP item 4",
+    "Coset.points": "ROADMAP item 4",
+    "Eisenstein.conj": "ROADMAP item 4",
+    "PointSet.complement": "ROADMAP item 4",
+    "PointSet.from_vectors": "ROADMAP item 4",
+    "PointSet.members": "ROADMAP item 4",
+    "Spectrum.complex_value_at": "ROADMAP item 4",
+    "Spectrum.magnitude_sq": "ROADMAP item 4",
+    "Spectrum.signed_value_at": "ROADMAP item 4",
+    "Subspace.contains_subspace": "ROADMAP item 4",
+    "Subspace.points": "ROADMAP item 4",
 }
 
 
@@ -54,4 +76,36 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     assert unread == sorted(TEST_ONLY), (
         f"public names with no reader in src/ or scripts/: {unread}; "
         f"allowed: {sorted(TEST_ONLY)}"
+    )
+
+
+def _attribute_reads(tree: ast.AST) -> Counter:
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_public_method_has_a_reader_outside_the_tests():
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    scripts = [ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / "scripts").glob("*.py"))]
+    reads = sum(map(_attribute_reads, trees + scripts), Counter())
+    methods = [
+        (cls.name, stmt)
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.endswith("__")
+    ]
+    assert methods
+    unread = sorted(
+        f"{cls}.{method.name}"
+        for cls, method in methods
+        if reads[method.name] == _attribute_reads(method)[method.name]
+    )
+    assert unread == sorted(TEST_ONLY_METHODS), (
+        f"public methods with no reader in src/ or scripts/: {unread}; "
+        f"allowed: {sorted(TEST_ONLY_METHODS)}"
     )
