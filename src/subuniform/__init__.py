@@ -4,8 +4,6 @@ from .errors import BudgetExceededError, InputError
 from .exact_arith import (
     Eisenstein,
     format_rational,
-    magnitude_sq,
-    omega_pow,
     parse_rational,
 )
 from .gf_core import (
@@ -20,7 +18,6 @@ from .gf_core import (
     gaussian_binomial,
     lift_from_quotient,
     perp,
-    quotient_index,
     rref_basis,
 )
 from .increments import (
@@ -30,7 +27,6 @@ from .increments import (
     RegularityResult,
     coordinate_subspace,
     density_increment,
-    partition_energy,
     regularity_decompose,
 )
 from .pipeline import (
@@ -47,7 +43,6 @@ from .ramsey import (
     AlmostColouring,
     UnionStructure,
     bucket_colouring,
-    check_union_structure,
     find_union_structure,
 )
 from .randsets import random_point_set, splitmix64
@@ -84,7 +79,6 @@ __all__ = [
     "UnionStructure",
     "bucket_colouring",
     "canonical_rep",
-    "check_union_structure",
     "coordinate_subspace",
     "coset_reps",
     "density_increment",
@@ -99,12 +93,8 @@ __all__ = [
     "leading_one_set",
     "lift_class",
     "lift_from_quotient",
-    "magnitude_sq",
-    "omega_pow",
     "parse_rational",
-    "partition_energy",
     "perp",
-    "quotient_index",
     "random_point_set",
     "regularity_decompose",
     "restricted_spectrum",

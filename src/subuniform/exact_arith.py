@@ -46,38 +46,12 @@ class Eisenstein:
 
     __rmul__ = __mul__
 
-    def conj(self) -> Eisenstein:
-        """Complex conjugate: conj(a + b w) = (a - b) - b w."""
-        return Eisenstein(self.a - self.b, -self.b)
-
     def norm(self) -> int:
         """Squared complex magnitude |a + b w|^2 = a^2 - a b + b^2 >= 0."""
         return self.a * self.a - self.a * self.b + self.b * self.b
 
     def __str__(self) -> str:
         return f"{self.a}{self.b:+d}w"
-
-
-OMEGA_POWERS = (Eisenstein(1, 0), Eisenstein(0, 1), Eisenstein(-1, -1))
-
-
-def omega_pow(k: int) -> Eisenstein:
-    """w^k for any integer k (period 3)."""
-    return OMEGA_POWERS[k % 3]
-
-
-def magnitude_sq(value: Eisenstein | int | Fraction, scale: int) -> Fraction:
-    """Exact squared magnitude of value/scale.
-
-    `value` is an unnormalized character-sum coefficient (an integer for
-    p = 2, an Eisenstein integer for p = 3) and `scale` the normalizing
-    count, typically the coset size.
-    """
-    if scale <= 0:
-        raise InputError(f"scale must be positive, got {scale}")
-    if isinstance(value, Eisenstein):
-        return Fraction(value.norm(), scale * scale)
-    return Fraction(value, scale) ** 2
 
 
 def parse_rational(text: str) -> Fraction:

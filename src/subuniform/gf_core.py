@@ -89,10 +89,6 @@ class GFVector:
     def rank(self) -> int:
         return sum(c * w for c, w in zip(self.coords, _weights(self.p, self.n)))
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def _check_same_space(self, other: GFVector) -> None:
         if (self.p, self.n) != (other.p, other.n):
             raise InputError("vectors live in different ambient spaces")
@@ -204,19 +200,9 @@ class Subspace:
         pivot_set = set(self.pivots)
         return tuple(j for j in range(1, self.n + 1) if j not in pivot_set)
 
-    def contains(self, v: GFVector) -> bool:
-        return canonical_rep(v, self).is_zero
-
-    def contains_subspace(self, other: Subspace) -> bool:
-        return all(self.contains(row) for row in other.basis)
-
     def point_ranks(self) -> list[int]:
         """All member ranks, ordered by coefficient index (see spectra)."""
         return _span_ranks(self.p, self.n, tuple(row.rank for row in self.basis))
-
-    def points(self) -> Iterator[GFVector]:
-        for r in self.point_ranks():
-            yield GFVector.from_rank(self.p, self.n, r)
 
 
 def rref_basis(vectors: Sequence[GFVector]) -> Subspace:
@@ -298,14 +284,6 @@ class Coset:
         rows = tuple(row.rank for row in space.basis)
         return _span_ranks(space.p, space.n, rows, self.rep.rank)
 
-    def points(self) -> Iterator[GFVector]:
-        p, n = self.subspace.p, self.subspace.n
-        for r in self.point_ranks():
-            yield GFVector.from_rank(p, n, r)
-
-    def contains(self, x: GFVector) -> bool:
-        return canonical_rep(x, self.subspace) == self.rep
-
 
 @dataclass(frozen=True)
 class PointSet:
@@ -340,16 +318,6 @@ class PointSet:
             digits[~r] = 49  # ord("1")
         return cls(p, n, int(digits, 2))
 
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[GFVector]) -> PointSet:
-        if not vectors:
-            raise InputError("from_vectors needs at least one vector; use empty()")
-        p, n = vectors[0].p, vectors[0].n
-        for v in vectors:
-            if (v.p, v.n) != (p, n):
-                raise InputError("vectors live in different ambient spaces")
-        return cls.from_ranks(p, n, (v.rank for v in vectors))
-
     @property
     def size(self) -> int:
         return self.bits.bit_count()
@@ -358,26 +326,13 @@ class PointSet:
     def ambient_size(self) -> int:
         return self.p**self.n
 
-    def contains_rank(self, rank: int) -> bool:
-        return bool(self.bits >> rank & 1)
-
-    def contains(self, v: GFVector) -> bool:
-        return self.contains_rank(v.rank)
-
     def member_ranks(self) -> Iterator[int]:
         size = self.ambient_size
         return compress(range(size), _unpacked(self.bits, size))
 
-    def members(self) -> Iterator[GFVector]:
-        for r in self.member_ranks():
-            yield GFVector.from_rank(self.p, self.n, r)
-
     def membership_table(self) -> list[int]:
         """0/1 list of length p^n indexed by rank."""
         return list(_unpacked(self.bits, self.ambient_size))
-
-    def complement(self) -> PointSet:
-        return PointSet(self.p, self.n, self.bits ^ ((1 << self.ambient_size) - 1))
 
 
 def _unpacked(bits: int, size: int) -> bytes:
@@ -660,22 +615,6 @@ def _coset_table(mem: Sequence[int], space: Subspace) -> bytes:
     """
     rows = tuple(row.rank for row in space.basis)
     return bytes([mem[r] for r in _coset_rep_ranks(space, rows)])
-
-
-def quotient_index(space: Subspace, x: GFVector) -> int:
-    """Index of the coset x + space among all cosets.
-
-    The canonical representative is read off at the non-pivot columns;
-    those digits, first column most significant, form the index.  This
-    is the rank convention transported to the quotient F_p^m with
-    m = codim(space).
-    """
-    rep = canonical_rep(x, space)
-    p = space.p
-    idx = 0
-    for col in space.free_columns:
-        idx = idx * p + rep.coords[col - 1]
-    return idx
 
 
 def lift_from_quotient(space: Subspace, index: int) -> GFVector:

@@ -24,7 +24,7 @@ p = 3, where a bounded-magnitude obstruction can block any such walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
@@ -113,15 +113,6 @@ def density_increment(points: PointSet, eps: Fraction) -> IncrementTrace:
 def _energy(counts: Sequence[int], coset_size: int) -> Fraction:
     """Mean squared coset density from per-coset member counts."""
     return Fraction(sum(c * c for c in counts), len(counts) * coset_size * coset_size)
-
-
-def partition_energy(points: PointSet, space: Subspace) -> Fraction:
-    """Mean squared coset density of the set over the cosets of `space`."""
-    if (points.p, points.n) != (space.p, space.n):
-        raise InputError("point set and subspace live in different ambient spaces")
-    table = _coset_table(_unpacked(points.bits, points.ambient_size), space)
-    size = space.size
-    return _energy([sum(table[i : i + size]) for i in range(0, len(table), size)], size)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Collection, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError
@@ -57,14 +56,6 @@ class AlmostColouring:
             if c is not None and not 0 <= c <= self.C:
                 raise InputError(f"colour {c} out of range 0..{self.C}")
 
-    @property
-    def coloured_fraction(self) -> Fraction:
-        coloured = sum(1 for c in self.colours if c is not None)
-        return Fraction(coloured, len(self.colours))
-
-    def colour_of(self, rank: int) -> Optional[int]:
-        return self.colours[rank]
-
 
 @dataclass(frozen=True)
 class UnionStructure:
@@ -76,14 +67,6 @@ class UnionStructure:
     @property
     def d(self) -> int:
         return len(self.xs)
-
-    def subset_sum_ranks(self) -> list[int]:
-        """Ranks of all 2^d - 1 nonempty subset sums."""
-        sums = [0]
-        for x in self.xs:
-            r = x.rank
-            sums += [s ^ r for s in sums]
-        return sums[1:]
 
 
 def bucket_colouring(
@@ -173,17 +156,3 @@ def find_union_structure(
             )
     return None
 
-
-def check_union_structure(
-    colouring: AlmostColouring, structure: UnionStructure
-) -> bool:
-    """Re-verify a claimed structure against the colouring from scratch."""
-    xs = structure.xs
-    if len(xs) < 1 or any((x.p, x.n) != (2, colouring.m) for x in xs):
-        return False
-    if any(xs[i].rank >= xs[i + 1].rank for i in range(len(xs) - 1)):
-        return False
-    sums = structure.subset_sum_ranks()
-    if len(set(sums)) != (1 << len(xs)) - 1 or 0 in sums:
-        return False  # dependent: some subset sums collide or vanish
-    return all(colouring.colours[s] == structure.colour for s in sums)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .exact_arith import Eisenstein, magnitude_sq, omega_pow
+from .exact_arith import Eisenstein
 from .gf_core import Coset, GFVector, PointSet, Subspace, _unpacked, canonical_rep, perp
 
 
@@ -148,9 +148,11 @@ class Spectrum:
 
     coefficients[t] is the unnormalized character sum at index t; scale
     is the coset size p^k.  The anchor (canonical representative) is
-    kept so signed/complex values at ambient frequencies can be
-    reconstructed: the coset transform at ambient r equals
-    e_p(-r.anchor) * coefficients[class_index(r)] / scale.
+    kept so values at ambient frequencies can be reconstructed: the
+    coset transform at ambient r equals
+    e_p(-r.anchor) * coefficients[t] / scale, where t is the character
+    r induces on the subspace, t_i = r.basis_i, with index
+    sum(t_i p^(k-i)).
     """
 
     p: int
@@ -169,30 +171,6 @@ class Spectrum:
     @property
     def density(self) -> Fraction:
         return Fraction(self.count, self.scale)
-
-    def class_index(self, r: GFVector) -> int:
-        """Index of the character that r induces on the subspace."""
-        idx = 0
-        for row in self.basis.basis:
-            idx = idx * self.p + r.dot(row)
-        return idx
-
-    def magnitude_sq(self, t: int) -> Fraction:
-        return magnitude_sq(self.coefficients[t], self.scale)
-
-    def signed_value_at(self, r: GFVector) -> Fraction:
-        """Exact coset transform value at ambient frequency r (p = 2)."""
-        if self.p != 2:
-            raise InputError("signed_value_at is defined for p = 2 only")
-        sign = -1 if r.dot(self.anchor) else 1
-        return Fraction(sign * self.coefficients[self.class_index(r)], self.scale)
-
-    def complex_value_at(self, r: GFVector) -> tuple[Eisenstein, int]:
-        """Exact coset transform value at ambient r as (numerator, scale), p = 3."""
-        if self.p != 3:
-            raise InputError("complex_value_at is defined for p = 3 only")
-        phase = omega_pow(-r.dot(self.anchor))
-        return phase * self.coefficients[self.class_index(r)], self.scale
 
     def uniformity(self) -> UniformityReport:
         """Largest nontrivial squared coefficient magnitude and its witness."""

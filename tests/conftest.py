@@ -2,9 +2,11 @@
 
 All random test data flows through splitmix64 so runs are byte-for-byte
 reproducible.  The oracle helpers here (`bf_wht2`, `bf_dft3`, `rec_wht2`,
-`tuple_span`, `add_rank`, and the `ref_*` set builders) are written from
-the definitions, independently of the library's transform, linear-algebra
-and set-codec code paths, so they can serve as cross-checks.
+`tuple_span`, `add_rank`, `raw_coset_counts`, `partition_energy`,
+`quotient_index`, `value_at`, `check_union_structure`, and the `ref_*` set
+builders) are written from the definitions, independently of the library's
+transform, linear-algebra, energy, search and set-codec code paths, so they
+can serve as cross-checks.
 """
 
 from __future__ import annotations
@@ -14,10 +16,14 @@ from typing import Iterator, Optional, Sequence
 
 from subuniform import (
     AlmostColouring,
+    Eisenstein,
     GFVector,
     InputError,
     PointSet,
+    Spectrum,
     Subspace,
+    UnionStructure,
+    canonical_rep,
     lift_from_quotient,
     rref_basis,
     splitmix64,
@@ -122,9 +128,34 @@ def raw_coset_counts(points: PointSet, space: Subspace) -> list[int]:
     for q in range(p**space.codim):
         rep = lift_from_quotient(space, q).coords
         counts.append(
-            sum(points.contains(GFVector(p, n, tuple_add(p, rep, v))) for v in span)
+            sum(
+                points.bits >> GFVector(p, n, tuple_add(p, rep, v)).rank & 1
+                for v in span
+            )
         )
     return counts
+
+
+def partition_energy(points: PointSet, space: Subspace) -> Fraction:
+    """Mean squared coset density, sum of c^2 / (cosets * |V|^2), from raw counts."""
+    counts = raw_coset_counts(points, space)
+    return Fraction(sum(c * c for c in counts), len(counts) * space.size * space.size)
+
+
+def quotient_index(space: Subspace, x: GFVector) -> int:
+    """Index of the coset x + space among all cosets.
+
+    The canonical representative is read off at the non-pivot columns;
+    those digits, first column most significant, form the index.  This
+    is the rank convention transported to the quotient F_p^m with
+    m = codim(space).
+    """
+    rep = canonical_rep(x, space)
+    p = space.p
+    idx = 0
+    for col in space.free_columns:
+        idx = idx * p + rep.coords[col - 1]
+    return idx
 
 
 def bf_wht2(table: Sequence[int]) -> list[int]:
@@ -186,9 +217,49 @@ def signed_coset_sum(
 ) -> int:
     """Unnormalized signed sum of the indicator over a coset at frequency r (p=2)."""
     return sum(
-        (1 if points.contains(y) else 0) * (-1 if (r.dot(y) & 1) else 1)
+        (points.bits >> y.rank & 1) * (-1 if (r.dot(y) & 1) else 1)
         for y in coset_points
     )
+
+
+def char_index(space: Subspace, r: GFVector) -> int:
+    """Index of the character r induces on the subspace: t_i = r.basis_i."""
+    idx = 0
+    for row in space.basis:
+        idx = idx * space.p + r.dot(row)
+    return idx
+
+
+def value_at(spec: Spectrum, r: GFVector) -> tuple[int | Eisenstein, int]:
+    """The coset transform at ambient frequency r, as (numerator, scale).
+
+    The numerator is e_p(-r.anchor) * coefficients[t], t the character r
+    induces on the subspace: an integer for p = 2, an Eisenstein integer
+    for p = 3.
+    """
+    coef = spec.coefficients[char_index(spec.basis, r)]
+    phase = -r.dot(spec.anchor) % spec.p
+    if spec.p == 2:
+        return (-1) ** phase * coef, spec.scale
+    return Eisenstein(*OMEGA_PAIRS[phase]) * coef, spec.scale
+
+
+def check_union_structure(
+    colouring: AlmostColouring, structure: UnionStructure
+) -> bool:
+    """Re-verify a claimed structure against the colouring from scratch."""
+    xs = structure.xs
+    if len(xs) < 1 or any((x.p, x.n) != (2, colouring.m) for x in xs):
+        return False
+    if any(xs[i].rank >= xs[i + 1].rank for i in range(len(xs) - 1)):
+        return False
+    sums = [0]
+    for x in xs:
+        sums += [s ^ x.rank for s in sums]
+    sums = sums[1:]
+    if len(set(sums)) != (1 << len(xs)) - 1 or 0 in sums:
+        return False  # dependent: some subset sums collide or vanish
+    return all(colouring.colours[s] == structure.colour for s in sums)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from subuniform import (
     GFVector,
     PipelineParams,
     PointSet,
-    check_union_structure,
     coset_reps,
     density_increment,
     dft3,
@@ -47,6 +46,7 @@ from conftest import (
     OMEGA_PAIRS,
     bf_dft3,
     bf_wht2,
+    check_union_structure,
     pair_add,
     rand_below,
     random_int_table,
@@ -54,6 +54,7 @@ from conftest import (
     random_subspace,
     random_vector,
     rec_wht2,
+    value_at,
     words,
 )
 
@@ -72,12 +73,12 @@ def criterion(num: int, name: str):
 
 
 def coset_density(points: PointSet, coset: Coset) -> Fraction:
-    return Fraction(sum(1 for y in coset.points() if points.contains(y)), coset.size)
+    return Fraction(sum(points.bits >> r & 1 for r in coset.point_ranks()), coset.size)
 
 
 def oracle_sup_sq(points: PointSet, coset: Coset) -> Fraction:
     """Uniformity sup recomputed via the independent recursive transform."""
-    table = [1 if points.contains(y) else 0 for y in coset.points()]
+    table = [points.bits >> r & 1 for r in coset.point_ranks()]
     coeffs = rec_wht2(table)
     if len(coeffs) == 1:
         return Fraction(0)
@@ -117,7 +118,7 @@ def test_criterion_2_witness_identity():
             A = leading_one_set(n)
             members = set(A.member_ranks())
             for V in ternary_subspaces(n):
-                pts = list(V.points())
+                pts = [GFVector.from_rank(3, n, r) for r in V.point_ranks()]
                 # least coordinate on which V is not identically zero
                 j = min(
                     i for i in range(1, n + 1) if any(v.coords[i - 1] for v in pts)
@@ -277,11 +278,12 @@ def test_criterion_8_decomposition_identity():
             spec_ws = [restricted_spectrum(A, Coset.of(W, s)) for s in sums]
             for rank in range(1 << n):
                 r = GFVector.from_rank(2, n, rank)
-                rhs = sum(spec.signed_value_at(r) for spec in spec_ws)
-                assert spec_v.signed_value_at(r) * (1 << d) == rhs
-            v_perp = perp(V)
-            for r in perp(W).points():
-                if not v_perp.contains(r):
+                rhs = sum(Fraction(*value_at(spec, r)) for spec in spec_ws)
+                assert Fraction(*value_at(spec_v, r)) * (1 << d) == rhs
+            v_perp = set(perp(V).point_ranks())
+            for rank in perp(W).point_ranks():
+                if rank not in v_perp:
+                    r = GFVector.from_rank(2, n, rank)
                     assert sum(-1 if r.dot(s) else 1 for s in sums) == 0
 
 
@@ -328,11 +330,11 @@ def test_criterion_10_structured_input_exactness():
             pool = list(reps)
             for _ in range(count):
                 chosen.append(pool.pop(rand_below(stream, len(pool))))
-            pts = []
+            ranks = []
             for rep in chosen:
-                pts.extend(rep + v for v in U.points())
-            A = PointSet.from_vectors(pts)
+                ranks.extend(Coset(U, rep).point_ranks())
+            A = PointSet.from_ranks(2, n, ranks)
             winner, sup = exhaustive_best_subspace(A, c, budget=10**7)
             assert sup == 0
             # sup 0 on the winner means the set is constant there
-            assert len({A.contains(v) for v in winner.points()}) == 1
+            assert len({A.bits >> r & 1 for r in winner.point_ranks()}) == 1

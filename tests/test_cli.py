@@ -85,7 +85,7 @@ def test_parse_accepts_comments_blanks_and_any_order():
     points = parse_set_file(text)
     assert sorted(points.member_ranks()) == [0, 2]
     # first coordinate is the most significant digit of the rank
-    assert parse_set_file("p=2 n=2\n10\n").contains_rank(2)
+    assert parse_set_file("p=2 n=2\n10\n").bits == 1 << 2
 
 
 @pytest.mark.parametrize(

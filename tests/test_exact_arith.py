@@ -14,19 +14,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subuniform import (
-    Eisenstein,
-    InputError,
-    format_rational,
-    magnitude_sq,
-    omega_pow,
-    parse_rational,
-)
+from subuniform import Eisenstein, InputError, format_rational, parse_rational
 
-from conftest import pair_mul, pair_norm
+from conftest import OMEGA_PAIRS, pair_mul, pair_norm
 
 coeff = st.integers(min_value=-50, max_value=50)
 eisenstein = st.builds(Eisenstein, coeff, coeff)
+
+# w^0, w^1, w^2
+ONE, OMEGA, OMEGA_SQ = (Eisenstein(a, b) for a, b in OMEGA_PAIRS)
+
+
+def conj(z: Eisenstein) -> Eisenstein:
+    """Complex conjugate, the ring automorphism w -> w^2: (a - b) - b w."""
+    return Eisenstein(z.a - z.b, -z.b)
 
 
 # ---------------------------------------------------------------------------
@@ -34,43 +35,25 @@ eisenstein = st.builds(Eisenstein, coeff, coeff)
 
 
 def test_omega_squared_is_minus_one_minus_omega():
-    w = omega_pow(1)
-    assert w * w == Eisenstein(-1, -1)
-    assert w * w == omega_pow(2)
+    assert OMEGA * OMEGA == Eisenstein(-1, -1)
+    assert OMEGA * OMEGA == OMEGA_SQ
 
 
 def test_one_plus_omega_squares_to_omega():
     z = Eisenstein(1, 1)
-    assert z * z == omega_pow(1)
+    assert z * z == OMEGA
 
 
 def test_cube_roots_of_unity():
-    assert omega_pow(0) == Eisenstein(1, 0)
-    assert omega_pow(3) == Eisenstein(1, 0)
-    assert omega_pow(1) * omega_pow(2) == Eisenstein(1, 0)
-    assert omega_pow(0) + omega_pow(1) + omega_pow(2) == Eisenstein(0, 0)
-    assert omega_pow(-1) == omega_pow(2)
-
-
-def test_conjugation_example():
-    assert Eisenstein(2, 1).conj() == Eisenstein(1, -1)
+    assert OMEGA * OMEGA * OMEGA == ONE
+    assert OMEGA * OMEGA_SQ == ONE
+    assert ONE + OMEGA + OMEGA_SQ == Eisenstein(0, 0)
 
 
 def test_unit_norms():
-    for k in range(3):
-        assert omega_pow(k).norm() == 1
-        assert (-omega_pow(k)).norm() == 1
-
-
-def test_magnitude_examples():
-    # |(-1 - w)| = 1, against scale 3: (1/3)^2 = 1/9
-    assert magnitude_sq(Eisenstein(-1, -1), 3) == Fraction(1, 9)
-    # integer and Fraction operands square the ratio directly
-    assert magnitude_sq(-4, 8) == Fraction(1, 4)
-    assert magnitude_sq(Fraction(1, 2), 1) == Fraction(1, 4)
-    assert magnitude_sq(0, 5) == 0
-    # the lower-bound threshold (sqrt(3)/6)^2 sits strictly below 1/9
-    assert Fraction(1, 12) < Fraction(1, 9)
+    for w in (ONE, OMEGA, OMEGA_SQ):
+        assert w.norm() == 1
+        assert (-w).norm() == 1
 
 
 def test_str_forms():
@@ -114,26 +97,20 @@ def test_norm_is_multiplicative(z, w):
 
 @given(eisenstein, eisenstein)
 def test_conj_is_a_ring_homomorphism(z, w):
-    assert (z + w).conj() == z.conj() + w.conj()
-    assert (z * w).conj() == z.conj() * w.conj()
-    assert z.conj().conj() == z
+    assert conj(z + w) == conj(z) + conj(w)
+    assert conj(z * w) == conj(z) * conj(w)
+    assert conj(conj(z)) == z
 
 
 @given(eisenstein)
 def test_z_times_conj_is_norm(z):
-    assert z * z.conj() == Eisenstein(z.norm(), 0)
+    assert z * conj(z) == Eisenstein(z.norm(), 0)
 
 
 @given(st.integers(min_value=-9, max_value=9), eisenstein)
 def test_integer_scaling(c, z):
     assert c * z == Eisenstein(c * z.a, c * z.b)
     assert c * z == Eisenstein(c, 0) * z
-
-
-@given(eisenstein, st.integers(min_value=1, max_value=40),
-       eisenstein, st.integers(min_value=1, max_value=40))
-def test_magnitude_is_multiplicative(z, s, w, t):
-    assert magnitude_sq(z * w, s * t) == magnitude_sq(z, s) * magnitude_sq(w, t)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from subuniform import (
     PipelineParams,
     PointSet,
     Subspace,
-    check_union_structure,
+    canonical_rep,
     coset_reps,
     enumerate_subspaces,
     exhaustive_best_subspace,
@@ -32,7 +32,6 @@ from subuniform import (
     gaussian_binomial,
     leading_one_set,
     perp,
-    quotient_index,
     random_point_set,
     restricted_spectrum,
     scan_leading_one_set,
@@ -46,13 +45,16 @@ from subuniform.spectra import _dft3_pairs, wht2
 from conftest import (
     OMEGA_PAIRS,
     add_rank,
+    check_union_structure,
     pair_add,
+    quotient_index,
     rand_below,
     raw_coset_counts,
     random_subset,
     random_subspace,
     random_vector,
     ref_leading_one_set,
+    value_at,
     words,
 )
 
@@ -87,12 +89,13 @@ def test_pipeline_half_space_frozen_run():
     assert [a.min_codim for a in report.attempts] == [3, 4]
     assert report.attempts[0].structure is None
     assert report.V.codim == 1
-    assert report.V.contains_subspace(report.W)
+    zero = GFVector.zero(2, report.V.n)
+    assert all(canonical_rep(row, report.V) == zero for row in report.W.basis)
     assert report.sup_sq == 0
     assert report.bound_ok
     # A avoids V entirely: the structure lives in the empty bucket
     assert report.colour == 0
-    assert all(not A.contains(v) for v in report.V.basis)
+    assert all(not A.bits >> v.rank & 1 for v in report.V.basis)
 
 
 def test_pipeline_ramsey_failure_is_labelled():
@@ -159,7 +162,8 @@ def test_pipeline_reports_are_internally_consistent(seed):
         return
     last = report.attempts[-1]
     # the found V extends the regularity subspace by d independent lifts
-    assert report.V.contains_subspace(report.W)
+    zero = GFVector.zero(2, report.V.n)
+    assert all(canonical_rep(row, report.V) == zero for row in report.W.basis)
     assert report.V.dim == report.W.dim + report.d
     assert report.V == extend_span(report.W, list(report.xs_ambient))
     # quotient points and their ambient lifts agree
@@ -215,10 +219,9 @@ def _records(points: PointSet, max_codim: int):
 
 def _quadratic_set(n: int) -> PointSet:
     """{x : x1 x2 + x3 x4 + ... = 1}: bent, so every |F(r)|, r != 0, is equal."""
+    coords = [GFVector.from_rank(2, n, r).coords for r in range(1 << n)]
     return PointSet.from_ranks(2, n, [
-        v.rank
-        for v in Subspace.full(2, n).points()
-        if sum(v.coords[i] * v.coords[i + 1] for i in range(0, n, 2)) % 2
+        r for r, x in enumerate(coords) if sum(x[i] * x[i + 1] for i in range(0, n, 2)) % 2
     ])
 
 
@@ -228,13 +231,13 @@ def _oracle_inputs(kind: str, p: int, n: int, seed: int) -> list[PointSet]:
         return [random_subset(stream, p, n, Fraction(1, 2)) for _ in range(3)]
     if kind == "quadratic":
         A = _quadratic_set(n)
-        return [A, A.complement()]
+        return [A, PointSet(p, n, A.bits ^ ((1 << p**n) - 1))]
     # unions of cosets of random codim-2 and codim-3 subspaces
     sets = []
     for codim in (2, 3):
         U = random_subspace(stream, p, n, n - codim)
         reps = coset_reps(U)[: 1 + rand_below(stream, p**codim - 1)]
-        sets.append(PointSet.from_vectors([rep + v for rep in reps for v in U.points()]))
+        sets.append(PointSet.from_ranks(p, n, [r for rep in reps for r in Coset(U, rep).point_ranks()]))
     return sets
 
 
@@ -302,7 +305,7 @@ def test_oracle_winner_annihilates_the_top_frequency():
         top = max(range(1, 64), key=lambda r: F[r] * F[r])
         winner, sup = exhaustive_best_subspace(A, 3)
         assert sup == 0
-        assert perp(winner).contains(GFVector.from_rank(2, 6, top))
+        assert top in perp(winner).point_ranks()
 
 
 def _engine(A, max_codim):
@@ -639,9 +642,9 @@ def test_f3_checks_read_each_check(n):
                 checks = pipeline._f3_checks(n, c, zero, unit)
                 for i, got in enumerate(checks):
                     V = pipeline._annihilated(3, n, [span[i] for span in spans])
-                    pts = list(V.points())
-                    ones = [A.contains(v) for v in pts if v.coords[j - 1] == 1]
-                    twos = [A.contains(v) for v in pts if v.coords[j - 1] == 2]
+                    pts = [GFVector.from_rank(3, n, r) for r in V.point_ranks()]
+                    ones = [A.bits >> v.rank & 1 for v in pts if v.coords[j - 1] == 1]
+                    twos = [A.bits >> v.rank & 1 for v in pts if v.coords[j - 1] == 2]
                     # e_j lies in no W, so the slices are equal
                     assert 3 * len(ones) == 3 * len(twos) == V.size
                     expected = (
@@ -736,14 +739,14 @@ def test_oracle_finds_exact_zero_on_coset_unions():
         U = random_subspace(stream, 2, n, n - codim)
         # union of two cosets of U
         reps = [GFVector.from_rank(2, n, r) for r in (1, 5)]
-        pts: list[GFVector] = []
+        ranks: list[int] = []
         for rep in reps:
-            pts.extend(rep + v for v in U.points())
-        A = PointSet.from_vectors(pts)
+            ranks.extend(Coset.of(U, rep).point_ranks())
+        A = PointSet.from_ranks(2, n, ranks)
         winner, sup = exhaustive_best_subspace(A, codim)
         assert sup == 0
         # independent confirmation that A is constant on the winner
-        values = {A.contains(v) for v in winner.points()}
+        values = {A.bits >> r & 1 for r in winner.point_ranks()}
         assert len(values) == 1
 
 
@@ -752,8 +755,7 @@ def test_oracle_finds_exact_zero_on_coset_unions():
 
 
 def _signed_value(points, coset, r):
-    spec = restricted_spectrum(points, coset)
-    return spec.signed_value_at(r)
+    return Fraction(*value_at(restricted_spectrum(points, coset), r))
 
 
 @pytest.mark.parametrize("seed,d", [(94, 1), (95, 2), (96, 3)])
@@ -787,9 +789,9 @@ def test_decomposition_identity_and_vanishing_product(seed, d):
         # frequencies separating V from W
         w_perp = perp(W)
         v_perp = perp(V)
-        separating = [
-            r for r in w_perp.points() if not v_perp.contains(r)
-        ]
+        w_perp_pts = [GFVector.from_rank(2, n, r) for r in w_perp.point_ranks()]
+        v_perp_ranks = set(v_perp.point_ranks())
+        separating = [r for r in w_perp_pts if r.rank not in v_perp_ranks]
         assert len(separating) == (1 << w_perp.dim) - (1 << v_perp.dim)
         for r in separating:
             assert sum(-1 if r.dot(s) else 1 for s in subset_sums) == 0
@@ -798,9 +800,9 @@ def test_decomposition_identity_and_vanishing_product(seed, d):
         for s in subset_sums:
             coset = Coset.of(W, s)
             dens = Fraction(
-                sum(1 for y in coset.points() if A.contains(y)), coset.size
+                sum(A.bits >> y & 1 for y in coset.point_ranks()), coset.size
             )
-            for r in w_perp.points():
+            for r in w_perp_pts:
                 sign = -1 if r.dot(s) else 1
                 assert _signed_value(A, coset, r) == sign * dens
 
@@ -818,14 +820,14 @@ def test_leading_one_set_shape():
     for n in (1, 2, 3):
         A = leading_one_set(n)
         assert A.size == (3**n - 1) // 2
-        for v in A.members():
-            first = next(c for c in v.coords if c)
+        for rank in A.member_ranks():
+            first = next(c for c in GFVector.from_rank(3, n, rank).coords if c)
             assert first == 1
         # exactly one of x, -x belongs to the set
         for rank in range(1, 3**n):
             v = GFVector.from_rank(3, n, rank)
-            assert A.contains(v) != A.contains(-v)
-        assert not A.contains_rank(0)
+            assert A.bits >> v.rank & 1 != A.bits >> (-v).rank & 1
+        assert not A.bits & 1
     with pytest.raises(InputError):
         leading_one_set(0)
     with pytest.raises(InputError):
@@ -941,15 +943,16 @@ def test_f3_witness_identity_recomputed_directly():
     for V in chain(enumerate_subspaces(3, 2, 1), enumerate_subspaces(3, 2, 2)):
         j = V.pivots[0]
         e_j = GFVector.unit(3, 2, j)
+        pts = [GFVector.from_rank(3, 2, r) for r in V.point_ranks()]
         acc = (0, 0)
-        for v in V.points():
-            if A.contains(v):
+        for v in pts:
+            if A.bits >> v.rank & 1:
                 acc = pair_add(acc, OMEGA_PAIRS[(-e_j.dot(v)) % 3])
         b = acc[1]
         assert 3 * b == -V.size
-        ones = {v.rank for v in V.points() if v.coords[j - 1] == 1}
-        twos = {v.rank for v in V.points() if v.coords[j - 1] == 2}
-        members = {v.rank for v in V.points() if A.contains(v)}
+        ones = {v.rank for v in pts if v.coords[j - 1] == 1}
+        twos = {v.rank for v in pts if v.coords[j - 1] == 2}
+        members = {v.rank for v in pts if A.bits >> v.rank & 1}
         assert ones <= members
         assert not (twos & members)
         assert len(ones) == len(twos) == V.size // 3
@@ -967,14 +970,14 @@ def test_f3_scan_flags_broken_slices_and_identity(monkeypatch):
     expected, sup_ok = [], []
     for k in range(1, n + 1):
         for V in enumerate_subspaces(3, n, k):
-            pts = list(V.points())
+            pts = [GFVector.from_rank(3, n, r) for r in V.point_ranks()]
             j = V.pivots[0]
             acc = (0, 0)
             for v in pts:
-                if A.contains(v):
+                if A.bits >> v.rank & 1:
                     acc = pair_add(acc, OMEGA_PAIRS[-v.coords[j - 1] % 3])
-            ones = [A.contains(v) for v in pts if v.coords[j - 1] == 1]
-            twos = [A.contains(v) for v in pts if v.coords[j - 1] == 2]
+            ones = [A.bits >> v.rank & 1 for v in pts if v.coords[j - 1] == 1]
+            twos = [A.bits >> v.rank & 1 for v in pts if v.coords[j - 1] == 2]
             sup = uniformity_sup(A, Coset(V, GFVector.zero(3, n))).sup_sq
             if not (
                 sup >= LOWER_BOUND_SQ
@@ -987,7 +990,7 @@ def test_f3_scan_flags_broken_slices_and_identity(monkeypatch):
                 sup_ok.append(sup >= LOWER_BOUND_SQ)
     report = scan_leading_one_set(n)
     assert report.failures == tuple(expected)
-    assert x in report.failures[0].points()
+    assert x.rank in report.failures[0].point_ranks()
     assert any(sup_ok)  # some V fails only on the structural checks
 
 

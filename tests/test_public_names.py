@@ -11,6 +11,11 @@ The same holds for the methods and properties of the public classes in
 src/: each must be read as an attribute, matched by name, in src/ or
 scripts/ outside its own body, or stand on TEST_ONLY_METHODS, which can
 only shrink in the same way.
+
+A public module-level function, class or constant in src/ that stays
+out of __all__ is held to the same rule: it must be read in src/ or
+scripts/ outside its own definition, or stand on the shrink-only
+UNLISTED_TEST_ONLY.
 """
 
 from __future__ import annotations
@@ -26,41 +31,37 @@ SRC = ROOT / "src" / "subuniform"
 
 # name -> why it is still public with no reader in src/ or scripts/
 TEST_ONLY = {
-    # independent routes of the acceptance oracles; bench/tracing.py
-    # also hooks coset_reps and enumerate_subspaces
-    "check_union_structure": "ROADMAP item 4",
-    "coset_reps": "ROADMAP item 4",
-    "enumerate_subspaces": "ROADMAP item 4",
-    "partition_energy": "ROADMAP item 4",
-    "quotient_index": "ROADMAP item 4",
+    "coset_reps": "bench/tracing.py LAYERS hooks it; goes with ROADMAP item 1",
+    "enumerate_subspaces": "bench/tracing.py LAYERS hooks it; goes with ROADMAP item 1",
 }
 
 # Class.method -> why it is still there with no reader in src/ or scripts/
-TEST_ONLY_METHODS = {
-    "AlmostColouring.colour_of": "ROADMAP item 4",
-    "AlmostColouring.coloured_fraction": "ROADMAP item 4",
-    "Coset.points": "ROADMAP item 4",
-    "Eisenstein.conj": "ROADMAP item 4",
-    "PointSet.complement": "ROADMAP item 4",
-    "PointSet.from_vectors": "ROADMAP item 4",
-    "PointSet.members": "ROADMAP item 4",
-    "Spectrum.complex_value_at": "ROADMAP item 4",
-    "Spectrum.magnitude_sq": "ROADMAP item 4",
-    "Spectrum.signed_value_at": "ROADMAP item 4",
-    "Subspace.contains_subspace": "ROADMAP item 4",
-    "Subspace.points": "ROADMAP item 4",
+TEST_ONLY_METHODS: dict[str, str] = {}
+
+# module-level name outside __all__ -> why it is still there with no reader
+UNLISTED_TEST_ONLY = {
+    "packed_max_coef_sq": "bench/tracing.py LAYERS hooks it; goes with ROADMAP item 1",
 }
 
 
-def _reads() -> set[tuple[str, str]]:
-    """(name read, the module-level def or class it is read in, or "")."""
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a def, a class or assignments."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _reads() -> set[tuple[str, tuple[str, ...]]]:
+    """(name read, the names the module-level statement it is read in defines)."""
     reads = set()
     files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     for path in files + sorted((ROOT / "scripts").glob("*.py")):
         for stmt in ast.parse(path.read_text(), str(path)).body:
-            owner = ""
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = stmt.name
+            owner = tuple(_defined(stmt))
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     reads.add((node.id, owner))
@@ -71,11 +72,31 @@ def _reads() -> set[tuple[str, str]]:
 
 def test_every_public_name_has_a_reader_outside_the_tests():
     reads = _reads()
-    read = {name for name in subuniform.__all__ if any(r == name and o != name for r, o in reads)}
+    read = {name for name in subuniform.__all__ if any(r == name and name not in o for r, o in reads)}
     unread = sorted(set(subuniform.__all__) - read)
     assert unread == sorted(TEST_ONLY), (
         f"public names with no reader in src/ or scripts/: {unread}; "
         f"allowed: {sorted(TEST_ONLY)}"
+    )
+
+
+def test_every_public_name_outside_all_has_a_reader_outside_the_tests():
+    reads = _reads()
+    names = {
+        name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for stmt in ast.parse(path.read_text(), str(path)).body
+        for name in _defined(stmt)
+        if not name.startswith("_") and name not in subuniform.__all__
+    }
+    assert names
+    unread = sorted(
+        name for name in names if not any(r == name and name not in o for r, o in reads)
+    )
+    assert unread == sorted(UNLISTED_TEST_ONLY), (
+        f"module-level names outside __all__ with no reader in src/ or scripts/: "
+        f"{unread}; allowed: {sorted(UNLISTED_TEST_ONLY)}"
     )
 
 

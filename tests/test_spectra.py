@@ -38,6 +38,7 @@ from conftest import (
     base_p_digits,
     bf_dft3,
     bf_wht2,
+    char_index,
     pair_add,
     pair_mul,
     pair_norm,
@@ -47,10 +48,16 @@ from conftest import (
     random_subspace,
     random_vector,
     rec_wht2,
+    value_at,
     words,
 )
 
 int_table = st.integers(min_value=-9, max_value=9)
+
+
+def coef_sq(c: int | Eisenstein) -> int:
+    """Squared magnitude of an unnormalized coefficient."""
+    return c * c if isinstance(c, int) else pair_norm((c.a, c.b))
 
 
 def table_strategy(lengths=(2, 4, 8, 16)):
@@ -304,7 +311,7 @@ def _direct_coefficients(points: PointSet, coset: Coset) -> list:
             pt = coset.rep
             for ci, row in zip(cd, rows):
                 pt = pt + row.scale(ci)
-            if not points.contains(pt):
+            if not points.bits >> pt.rank & 1:
                 continue
             dot = sum(a * b for a, b in zip(td, cd)) % p
             if p == 2:
@@ -329,7 +336,7 @@ def test_restricted_spectrum_matches_definition(p, n, dim, seed):
         else:
             assert [(c.a, c.b) for c in spec.coefficients] == direct
         # trivial coefficient counts the members on the coset
-        assert spec.count == sum(1 for y in coset.points() if A.contains(y))
+        assert spec.count == sum(A.bits >> r & 1 for r in coset.point_ranks())
         if p == 2:
             assert spec.coefficients[0] == spec.count
         else:
@@ -359,13 +366,11 @@ def test_spectrum_value_at_matches_direct_average():
     space = random_subspace(stream, 2, 5, 3)
     coset = Coset.of(space, random_vector(stream, 2, 5))
     spec = restricted_spectrum(A, coset)
+    coset_pts = [GFVector.from_rank(2, 5, y) for y in coset.point_ranks()]
     for _ in range(10):
         r = random_vector(stream, 2, 5)
-        direct = sum(
-            (1 if A.contains(y) else 0) * (-1 if r.dot(y) else 1)
-            for y in coset.points()
-        )
-        assert spec.signed_value_at(r) == Fraction(direct, spec.scale)
+        direct = sum((A.bits >> y.rank & 1) * (-1 if r.dot(y) else 1) for y in coset_pts)
+        assert value_at(spec, r) == (direct, spec.scale)
     # p = 3 complex values
     B = random_subset(stream, 3, 3, Fraction(1, 2))
     space3 = random_subspace(stream, 3, 3, 2)
@@ -374,10 +379,10 @@ def test_spectrum_value_at_matches_direct_average():
     for _ in range(10):
         r = random_vector(stream, 3, 3)
         acc = (0, 0)
-        for y in coset3.points():
-            if B.contains(y):
-                acc = pair_add(acc, OMEGA_PAIRS[(-r.dot(y)) % 3])
-        value, scale = spec3.complex_value_at(r)
+        for y in coset3.point_ranks():
+            if B.bits >> y & 1:
+                acc = pair_add(acc, OMEGA_PAIRS[(-r.dot(GFVector.from_rank(3, 3, y))) % 3])
+        value, scale = value_at(spec3, r)
         assert (value.a, value.b) == acc
         assert scale == spec3.scale
 
@@ -393,10 +398,9 @@ def test_spectrum_magnitudes_are_anchor_independent():
         # anchoring at x + v for v in the subspace must not change magnitudes
         shifted = Coset.of(space, x + space.basis[0])
         assert shifted == coset
+        spec_shifted = restricted_spectrum(A, shifted)
         for t in range(space.size):
-            assert spec_canon.magnitude_sq(t) == restricted_spectrum(
-                A, shifted
-            ).magnitude_sq(t)
+            assert coef_sq(spec_canon.coefficients[t]) == coef_sq(spec_shifted.coefficients[t])
 
 
 # ---------------------------------------------------------------------------
@@ -435,25 +439,26 @@ def test_uniformity_witness_properties(p, n, dim, seed):
         report = uniformity_sup(A, coset)
         spec = restricted_spectrum(A, coset)
         # sup over t != 0 recomputed directly
-        sup = max(spec.magnitude_sq(t) for t in range(1, space.size))
+        squares = [Fraction(coef_sq(c), space.size**2) for c in spec.coefficients]
+        sup = max(squares[1:])
         assert report.sup_sq == sup
         if report.sup_sq == 0:
             continue
         t = report.witness_t
-        assert spec.magnitude_sq(t) == sup
+        assert squares[t] == sup
         # witness_t is the least class achieving the sup
-        assert all(spec.magnitude_sq(s) < sup for s in range(1, t))
+        assert all(squares[s] < sup for s in range(1, t))
         # witness_r induces class t and is the lex-least such vector
         r = report.witness_r
-        assert spec.class_index(r) == t
+        assert char_index(space, r) == t
         candidates = [
             rank
             for rank in range(p**n)
-            if spec.class_index(GFVector.from_rank(p, n, rank)) == t
+            if char_index(space, GFVector.from_rank(p, n, rank)) == t
         ]
         assert r.rank == min(candidates)
         # nontrivial class means r is outside the annihilator
-        assert not perp(space).contains(r)
+        assert r.rank not in perp(space).point_ranks()
 
 
 @pytest.mark.parametrize("p,n,seed", [(2, 4, 242), (2, 6, 243), (3, 3, 244), (3, 4, 245)])
@@ -467,7 +472,7 @@ def test_uniformity_from_annihilator_sums_of_full_transform(p, n, seed):
         space = random_subspace(stream, p, n, rand_below(stream, n + 1))
         table = A.membership_table()
         F = bf_wht2(table) if p == 2 else bf_dft3(table, n)
-        dual = list(perp(space).points())
+        dual = [GFVector.from_rank(p, n, s) for s in perp(space).point_ranks()]
         best = 0
         for rank in range(p**n):
             r = GFVector.from_rank(p, n, rank)
@@ -494,7 +499,7 @@ def test_packed_path_matches_transform_route():
         A = random_subset(stream, 2, n, Fraction(1, 2))
         space = random_subspace(stream, 2, n, k)
         coset = Coset.of(space, random_vector(stream, 2, n))
-        table = [int(A.contains(y)) for y in coset.points()]
+        table = [A.bits >> y & 1 for y in coset.point_ranks()]
         coeffs = bf_wht2(table) if k < 14 else rec_wht2(table)
         packed = sum(bit << i for i, bit in enumerate(table))
         count = packed.bit_count()
@@ -553,8 +558,8 @@ def test_coset_points_follow_coefficient_index_order():
     # table index c corresponds to the point rep + sum c_i b_i; spot-check
     space = rref_basis([GFVector(2, 4, (1, 0, 0, 1)), GFVector(2, 4, (0, 1, 1, 0))])
     coset = Coset.of(space, GFVector(2, 4, (0, 0, 0, 0)))
-    pts = list(coset.points())
-    assert pts[0].is_zero
+    pts = [GFVector.from_rank(2, 4, r) for r in coset.point_ranks()]
+    assert pts[0] == GFVector.zero(2, 4)
     assert pts[0b10] == space.basis[0]
     assert pts[0b01] == space.basis[1]
     assert pts[0b11] == space.basis[0] + space.basis[1]
