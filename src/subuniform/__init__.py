@@ -1,11 +1,7 @@
 """Exact Fourier uniformity toolkit over F_2^n and F_3^n."""
 
 from .errors import BudgetExceededError, InputError
-from .exact_arith import (
-    Eisenstein,
-    format_rational,
-    parse_rational,
-)
+from .exact_arith import format_rational, parse_rational
 from .gf_core import (
     Coset,
     GFVector,
@@ -49,7 +45,6 @@ from .randsets import random_point_set, splitmix64
 from .spectra import (
     Spectrum,
     UniformityReport,
-    dft3,
     lift_class,
     restricted_spectrum,
     uniformity_sup,
@@ -62,7 +57,6 @@ __all__ = [
     "AlmostColouring",
     "BudgetExceededError",
     "Coset",
-    "Eisenstein",
     "F3Report",
     "GFVector",
     "IncrementStep",
@@ -82,7 +76,6 @@ __all__ = [
     "coordinate_subspace",
     "coset_reps",
     "density_increment",
-    "dft3",
     "enumerate_subspaces",
     "exhaustive_best_subspace",
     "extend_span",

@@ -224,10 +224,6 @@ def _space_json(space: Optional[Subspace]) -> Optional[dict]:
     }
 
 
-def _fraction_json(value: Fraction) -> str:
-    return format_rational(value)
-
-
 def _approx(value: Fraction) -> float:
     return float(f"{value.numerator / value.denominator:.6g}")
 
@@ -236,10 +232,10 @@ def _uniformity_json(report) -> dict:
     return {
         "subspace": _space_json(report.coset.subspace),
         "rep": _vec_json(report.coset.rep),
-        "sup_sq": _fraction_json(report.sup_sq),
+        "sup_sq": format_rational(report.sup_sq),
         "witness_t": report.witness_t,
         "witness_r": _vec_json(report.witness_r),
-        "density": _fraction_json(report.density),
+        "density": format_rational(report.density),
     }
 
 
@@ -264,15 +260,15 @@ def _increment_json(trace: IncrementTrace) -> dict:
             {
                 "subspace": _space_json(step.coset.subspace),
                 "rep": _vec_json(step.coset.rep),
-                "density": _fraction_json(step.density),
+                "density": format_rational(step.density),
                 "witness_r": _vec_json(step.witness_r),
             }
             for step in trace.steps
         ],
         "step_count": trace.step_count,
         "final_codim": trace.final.subspace.codim,
-        "final_density": _fraction_json(trace.final_density),
-        "final_sup_sq": _fraction_json(trace.final_sup_sq),
+        "final_density": format_rational(trace.final_density),
+        "final_sup_sq": format_rational(trace.final_sup_sq),
     }
 
 
@@ -289,10 +285,10 @@ def _regularity_json(result: RegularityResult) -> dict:
     return {
         "succeeded": result.succeeded,
         "space": _space_json(result.space),
-        "good_fraction": _fraction_json(result.good_fraction),
+        "good_fraction": format_rational(result.good_fraction),
         "bad_reps": [rep.digits() for rep in result.bad_reps],
         "rounds": result.rounds,
-        "energy_trace": [_fraction_json(e) for e in result.energy_trace],
+        "energy_trace": [format_rational(e) for e in result.energy_trace],
     }
 
 
@@ -323,7 +319,7 @@ def _pipeline_json(report: PipelineReport) -> dict:
         exact["xs_quotient"] = [x.digits() for x in report.xs_quotient]
         exact["xs_ambient"] = [x.digits() for x in report.xs_ambient]
     if report.verification is not None:
-        exact["sup_sq"] = _fraction_json(report.verification.sup_sq)
+        exact["sup_sq"] = format_rational(report.verification.sup_sq)
         exact["witness_r"] = _vec_json(report.verification.witness_r)
         exact["bound_ok"] = report.bound_ok
     return exact
@@ -356,7 +352,7 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[int, dict, dict]:
     )
     exact = {
         "best_subspace": _space_json(winner),
-        "sup_sq": _fraction_json(sup_sq),
+        "sup_sq": format_rational(sup_sq),
     }
     return EXIT_OK, exact, {"sup_sq": _approx(sup_sq)}
 
@@ -366,9 +362,9 @@ def _f3_json(report: F3Report) -> dict:
         "n": report.n,
         "total_subspaces": report.total_subspaces,
         "all_passed": report.all_passed,
-        "min_sup_sq": _fraction_json(report.minimum),
+        "min_sup_sq": format_rational(report.minimum),
         # the floor the scan checked, read from its module at call time
-        "lower_bound_sq": _fraction_json(pipeline.LOWER_BOUND_SQ),
+        "lower_bound_sq": format_rational(pipeline.LOWER_BOUND_SQ),
         "failures": [_space_json(space) for space in report.failures],
     }
 
@@ -386,15 +382,11 @@ def _cmd_wht(args: argparse.Namespace) -> tuple[int, dict, dict]:
     spectrum = restricted_spectrum(
         points, Coset.whole_space(points.p, points.n)
     )
-    if points.p == 2:
-        coefficients = list(spectrum.coefficients)
-    else:
-        coefficients = [[c.a, c.b] for c in spectrum.coefficients]
     exact = {
         "p": points.p,
         "n": points.n,
         "scale": spectrum.scale,
-        "coefficients": coefficients,
+        "coefficients": list(spectrum.coefficients),
     }
     return EXIT_OK, exact, {}
 
@@ -406,7 +398,7 @@ def _cmd_gen_random(args: argparse.Namespace) -> tuple[int, dict, dict]:
     exact = {
         "p": args.p,
         "n": args.n,
-        "density": _fraction_json(density),
+        "density": format_rational(density),
         "seed": args.seed,
         "size": points.size,
         "generator": "splitmix64",

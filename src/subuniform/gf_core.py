@@ -101,20 +101,6 @@ class GFVector:
             tuple((a + b) % self.p for a, b in zip(self.coords, other.coords)),
         )
 
-    def __sub__(self, other: GFVector) -> GFVector:
-        self._check_same_space(other)
-        return GFVector(
-            self.p,
-            self.n,
-            tuple((a - b) % self.p for a, b in zip(self.coords, other.coords)),
-        )
-
-    def __neg__(self) -> GFVector:
-        return GFVector(self.p, self.n, tuple((-a) % self.p for a in self.coords))
-
-    def scale(self, c: int) -> GFVector:
-        return GFVector(self.p, self.n, tuple((c * a) % self.p for a in self.coords))
-
     def dot(self, other: GFVector) -> int:
         self._check_same_space(other)
         return sum(a * b for a, b in zip(self.coords, other.coords)) % self.p
@@ -199,10 +185,6 @@ class Subspace:
     def free_columns(self) -> tuple[int, ...]:
         pivot_set = set(self.pivots)
         return tuple(j for j in range(1, self.n + 1) if j not in pivot_set)
-
-    def point_ranks(self) -> list[int]:
-        """All member ranks, ordered by coefficient index (see spectra)."""
-        return _span_ranks(self.p, self.n, tuple(row.rank for row in self.basis))
 
 
 def rref_basis(vectors: Sequence[GFVector]) -> Subspace:
@@ -301,11 +283,6 @@ class PointSet:
     @classmethod
     def empty(cls, p: int, n: int) -> PointSet:
         return cls(p, n, 0)
-
-    @classmethod
-    def full(cls, p: int, n: int) -> PointSet:
-        _check_space(p, n)
-        return cls(p, n, (1 << p**n) - 1)
 
     @classmethod
     def from_ranks(cls, p: int, n: int, ranks: Iterable[int]) -> PointSet:

@@ -8,9 +8,10 @@ F_p^k relative to V's RREF basis,
 
 where coords(v) are v's coefficients in that basis and e_p(m) is the
 p-th root of unity exp(2*pi*i*m/p): a sign (-1)^m for p = 2, a power of
-w = exp(2*pi*i/3) for p = 3.  Coefficients stay unnormalized integers
-(or Eisenstein integers); the normalizing scale |V| is carried
-alongside so every derived quantity is an exact rational.
+w = exp(2*pi*i/3) for p = 3.  Coefficients stay unnormalized: integers
+for p = 2, and for p = 3 pairs (a, b) standing for a + b*w, whose
+squared magnitude a^2 - a*b + b^2 is an integer.  The normalizing scale
+|V| is carried alongside so every derived quantity is an exact rational.
 
 Character indices follow the rank convention: t = (t_1..t_k) has index
 sum(t_i p^(k-i)), so the numeric index order is the lexicographic order
@@ -33,7 +34,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .exact_arith import Eisenstein
 from .gf_core import Coset, GFVector, PointSet, Subspace, _unpacked, canonical_rep, perp
 
 
@@ -105,19 +105,13 @@ def wht2(table: Sequence[int], block: Optional[int] = None) -> list[int]:
     return memoryview(lanes.to_bytes(m * size, sys.byteorder)).cast(code.lower()).tolist()
 
 
-def dft3(table: Sequence[int | Eisenstein]) -> list[Eisenstein]:
-    """Character transform F(t) = sum_c f(c) w^(-t.c) on F_3^k.
-
-    Radix-3 butterfly passes, one per digit; no twiddle factors arise
-    because the group is a product of cyclic factors of order 3.
-    """
-    pairs = _dft3_pairs(
-        [(v.a, v.b) if isinstance(v, Eisenstein) else (v, 0) for v in table]
-    )
-    return [Eisenstein(a, b) for a, b in pairs]
-
-
 def _dft3_pairs(vals: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Character transform F(t) = sum_c f(c) w^(-t.c) on F_3^k, exact.
+
+    Entries are pairs (a, b) standing for a + b*w.  Radix-3 butterfly
+    passes, one per digit; no twiddle factors arise because the group
+    is a product of cyclic factors of order 3.
+    """
     m = len(vals)
     q = m
     if q == 0:
@@ -146,7 +140,8 @@ def _dft3_pairs(vals: list[tuple[int, int]]) -> list[tuple[int, int]]:
 class Spectrum:
     """Restricted spectrum of a set on one coset.
 
-    coefficients[t] is the unnormalized character sum at index t; scale
+    coefficients[t] is the unnormalized character sum at index t: an
+    int for p = 2, a pair (a, b) standing for a + b*w for p = 3.  scale
     is the coset size p^k.  The anchor (canonical representative) is
     kept so values at ambient frequencies can be reconstructed: the
     coset transform at ambient r equals
@@ -156,7 +151,6 @@ class Spectrum:
     """
 
     p: int
-    k: int
     coefficients: tuple
     scale: int
     basis: Subspace
@@ -166,7 +160,7 @@ class Spectrum:
     def count(self) -> int:
         """|A intersect coset| = coefficient at t = 0."""
         c0 = self.coefficients[0]
-        return c0.a if isinstance(c0, Eisenstein) else c0
+        return c0 if self.p == 2 else c0[0]
 
     @property
     def density(self) -> Fraction:
@@ -177,7 +171,7 @@ class Spectrum:
         if self.p == 2:
             squares = [c * c for c in self.coefficients]
         else:
-            squares = [c.norm() for c in self.coefficients]
+            squares = [a * a - a * b + b * b for a, b in self.coefficients]
         best = max(squares[1:], default=0)
         best_t = squares.index(best, 1) if best else None
         return UniformityReport(
@@ -196,10 +190,13 @@ def restricted_spectrum(points: PointSet, coset: Coset) -> Spectrum:
         raise InputError("point set and coset live in different ambient spaces")
     mem = _unpacked(points.bits, points.ambient_size)
     table = bytes([mem[r] for r in coset.point_ranks()])
+    if points.p == 2:
+        coefficients = wht2(table)
+    else:
+        coefficients = _dft3_pairs([(m, 0) for m in table])
     return Spectrum(
         p=points.p,
-        k=space.dim,
-        coefficients=tuple(wht2(table) if points.p == 2 else dft3(table)),
+        coefficients=tuple(coefficients),
         scale=space.size,
         basis=space,
         anchor=coset.rep,
@@ -222,10 +219,6 @@ class UniformityReport:
     witness_t: Optional[int]
     witness_r: Optional[GFVector]
     density: Fraction
-
-    @property
-    def scale(self) -> int:
-        return self.coset.size
 
 
 def lift_class(space: Subspace, t_index: int) -> GFVector:

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 
 from subuniform import (
     AlmostColouring,
-    Eisenstein,
+    Coset,
     GFVector,
     InputError,
     PointSet,
@@ -68,6 +68,16 @@ def random_subset(stream: Iterator[int], p: int, n: int, density: Fraction) -> P
     num, den = density.numerator, density.denominator
     ranks = [r for r in range(p**n) if next(stream) * den < num << 64]
     return PointSet.from_ranks(p, n, ranks)
+
+
+def full_set(p: int, n: int) -> PointSet:
+    """The whole of F_p^n: every rank's membership bit set."""
+    return PointSet(p, n, (1 << p**n) - 1)
+
+
+def span_ranks(space: Subspace) -> list[int]:
+    """The subspace's member ranks in coefficient-index order: its coset through 0."""
+    return Coset(space, GFVector.zero(space.p, space.n)).point_ranks()
 
 
 def random_int_table(stream: Iterator[int], length: int, bound: int = 9) -> list[int]:
@@ -198,7 +208,7 @@ def pair_norm(z: tuple[int, int]) -> int:
 
 
 def bf_dft3(table: Sequence[int], k: int) -> list[tuple[int, int]]:
-    """dft3 oracle: coefficient(t) = sum_c f(c) * omega^(-t.c), as (a, b) pairs."""
+    """_dft3_pairs oracle: coefficient(t) = sum_c f(c) * omega^(-t.c), as (a, b) pairs."""
     assert len(table) == 3**k
     out = []
     for t in range(3**k):
@@ -230,18 +240,18 @@ def char_index(space: Subspace, r: GFVector) -> int:
     return idx
 
 
-def value_at(spec: Spectrum, r: GFVector) -> tuple[int | Eisenstein, int]:
+def value_at(spec: Spectrum, r: GFVector) -> tuple[int | tuple[int, int], int]:
     """The coset transform at ambient frequency r, as (numerator, scale).
 
     The numerator is e_p(-r.anchor) * coefficients[t], t the character r
-    induces on the subspace: an integer for p = 2, an Eisenstein integer
-    for p = 3.
+    induces on the subspace: an integer for p = 2, an (a, b) pair
+    standing for a + b*omega for p = 3.
     """
     coef = spec.coefficients[char_index(spec.basis, r)]
     phase = -r.dot(spec.anchor) % spec.p
     if spec.p == 2:
         return (-1) ** phase * coef, spec.scale
-    return Eisenstein(*OMEGA_PAIRS[phase]) * coef, spec.scale
+    return pair_mul(OMEGA_PAIRS[phase], coef), spec.scale
 
 
 def check_union_structure(

@@ -25,7 +25,6 @@ from subuniform import (
     PointSet,
     coset_reps,
     density_increment,
-    dft3,
     enumerate_subspaces,
     exhaustive_best_subspace,
     extend_span,
@@ -41,6 +40,7 @@ from subuniform import (
     uniformity_sup,
     wht2,
 )
+from subuniform.spectra import _dft3_pairs
 
 from conftest import (
     OMEGA_PAIRS,
@@ -54,6 +54,7 @@ from conftest import (
     random_subspace,
     random_vector,
     rec_wht2,
+    span_ranks,
     value_at,
     words,
 )
@@ -118,7 +119,7 @@ def test_criterion_2_witness_identity():
             A = leading_one_set(n)
             members = set(A.member_ranks())
             for V in ternary_subspaces(n):
-                pts = [GFVector.from_rank(3, n, r) for r in V.point_ranks()]
+                pts = [GFVector.from_rank(3, n, r) for r in span_ranks(V)]
                 # least coordinate on which V is not identically zero
                 j = min(
                     i for i in range(1, n + 1) if any(v.coords[i - 1] for v in pts)
@@ -154,12 +155,12 @@ def test_criterion_3_transform_equivalence():
         for k in (1, 2):
             for values in product((0, 1), repeat=3**k):
                 f = list(values)
-                assert [(z.a, z.b) for z in dft3(f)] == bf_dft3(f, k)
+                assert _dft3_pairs([(v, 0) for v in f]) == bf_dft3(f, k)
         stream = words(304)
         for k, samples in ((3, 20), (4, 10), (5, 4), (6, 2)):
             for _ in range(samples):
                 f = random_int_table(stream, 3**k)
-                assert [(z.a, z.b) for z in dft3(f)] == bf_dft3(f, k)
+                assert _dft3_pairs([(v, 0) for v in f]) == bf_dft3(f, k)
 
 
 def test_criterion_4_parseval_and_involution():
@@ -280,8 +281,8 @@ def test_criterion_8_decomposition_identity():
                 r = GFVector.from_rank(2, n, rank)
                 rhs = sum(Fraction(*value_at(spec, r)) for spec in spec_ws)
                 assert Fraction(*value_at(spec_v, r)) * (1 << d) == rhs
-            v_perp = set(perp(V).point_ranks())
-            for rank in perp(W).point_ranks():
+            v_perp = set(span_ranks(perp(V)))
+            for rank in span_ranks(perp(W)):
                 if rank not in v_perp:
                     r = GFVector.from_rank(2, n, rank)
                     assert sum(-1 if r.dot(s) else 1 for s in sums) == 0
@@ -337,4 +338,4 @@ def test_criterion_10_structured_input_exactness():
             winner, sup = exhaustive_best_subspace(A, c, budget=10**7)
             assert sup == 0
             # sup 0 on the winner means the set is constant there
-            assert len({A.bits >> r & 1 for r in winner.point_ranks()}) == 1
+            assert len({A.bits >> r & 1 for r in span_ranks(winner)}) == 1

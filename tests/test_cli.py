@@ -27,7 +27,7 @@ from subuniform import (
 from subuniform import cli
 from subuniform.cli import parse_set_file, run_command, serialize_set_file
 
-from conftest import rand_below, random_subset, ref_serialize_set_file, words
+from conftest import full_set, rand_below, random_subset, ref_serialize_set_file, words
 
 
 def run(capsys, args):
@@ -66,7 +66,7 @@ def test_serialize_matches_digit_reference():
         for n in range(1, top + 1):
             for points in (
                 random_subset(stream, p, n, Fraction(1, 2)),
-                PointSet.full(p, n),
+                full_set(p, n),
                 PointSet.empty(p, n),
             ):
                 assert serialize_set_file(points) == ref_serialize_set_file(points)
@@ -178,7 +178,7 @@ def test_canonical_text_takes_the_bulk_route(monkeypatch, capsys, tmp_path):
         raise AssertionError("canonical text reached the line loop")
 
     stream = words(109)
-    cases = [PointSet.empty(2, 3), PointSet.full(3, 2)]
+    cases = [PointSet.empty(2, 3), full_set(3, 2)]
     for p, top in ((2, 12), (3, 6)):
         for n in range(1, top + 1):
             cases.append(random_subset(stream, p, n, Fraction(1, 2)))

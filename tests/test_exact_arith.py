@@ -1,9 +1,11 @@
-"""Eisenstein-integer and exact rational arithmetic.
+"""Exact rational plumbing and the (a, b) pair arithmetic of the F_3 oracles.
 
-The multiplication oracle used here is the closed form
-(a + bw)(c + dw) = (ac - bd) + (ad + bc - bd)w, derived by substituting
-w^2 = -1 - w; tests compare the implementation against it and against
-ring axioms.
+A pair (a, b) stands for a + b*w with w a primitive cube root of unity,
+w^2 = -1 - w.  The pair helpers in conftest (`pair_mul`, `pair_add`,
+`pair_norm`) carry the brute-force transform oracle `bf_dft3` and
+`value_at`; the tests here hold them to the ring laws, to the bilinear
+expansion with w^2 read from `OMEGA_PAIRS`, and to the squared complex
+magnitude |a + b*w|^2 = (a - b/2)^2 + 3 b^2 / 4.
 """
 
 from __future__ import annotations
@@ -14,20 +16,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subuniform import Eisenstein, InputError, format_rational, parse_rational
+from subuniform import InputError, format_rational, parse_rational
 
-from conftest import OMEGA_PAIRS, pair_mul, pair_norm
+from conftest import OMEGA_PAIRS, pair_add, pair_mul, pair_norm
 
 coeff = st.integers(min_value=-50, max_value=50)
-eisenstein = st.builds(Eisenstein, coeff, coeff)
+eisenstein = st.tuples(coeff, coeff)
 
 # w^0, w^1, w^2
-ONE, OMEGA, OMEGA_SQ = (Eisenstein(a, b) for a, b in OMEGA_PAIRS)
+ONE, OMEGA, OMEGA_SQ = OMEGA_PAIRS
 
 
-def conj(z: Eisenstein) -> Eisenstein:
+def conj(z: tuple[int, int]) -> tuple[int, int]:
     """Complex conjugate, the ring automorphism w -> w^2: (a - b) - b w."""
-    return Eisenstein(z.a - z.b, -z.b)
+    a, b = z
+    return (a - b, -b)
+
+
+def neg(z: tuple[int, int]) -> tuple[int, int]:
+    return (-z[0], -z[1])
 
 
 # ---------------------------------------------------------------------------
@@ -35,82 +42,87 @@ def conj(z: Eisenstein) -> Eisenstein:
 
 
 def test_omega_squared_is_minus_one_minus_omega():
-    assert OMEGA * OMEGA == Eisenstein(-1, -1)
-    assert OMEGA * OMEGA == OMEGA_SQ
+    assert pair_mul(OMEGA, OMEGA) == (-1, -1)
+    assert pair_mul(OMEGA, OMEGA) == OMEGA_SQ
 
 
 def test_one_plus_omega_squares_to_omega():
-    z = Eisenstein(1, 1)
-    assert z * z == OMEGA
+    z = (1, 1)
+    assert pair_mul(z, z) == OMEGA
 
 
 def test_cube_roots_of_unity():
-    assert OMEGA * OMEGA * OMEGA == ONE
-    assert OMEGA * OMEGA_SQ == ONE
-    assert ONE + OMEGA + OMEGA_SQ == Eisenstein(0, 0)
+    assert pair_mul(pair_mul(OMEGA, OMEGA), OMEGA) == ONE
+    assert pair_mul(OMEGA, OMEGA_SQ) == ONE
+    assert pair_add(pair_add(ONE, OMEGA), OMEGA_SQ) == (0, 0)
 
 
 def test_unit_norms():
     for w in (ONE, OMEGA, OMEGA_SQ):
-        assert w.norm() == 1
-        assert (-w).norm() == 1
-
-
-def test_str_forms():
-    assert str(Eisenstein(1, 1)) == "1+1w"
-    assert str(Eisenstein(0, 1)) == "0+1w"
-    assert str(Eisenstein(-1, -1)) == "-1-1w"
+        assert pair_norm(w) == 1
+        assert pair_norm(neg(w)) == 1
 
 
 # ---------------------------------------------------------------------------
-# ring laws against the closed-form oracle
+# ring laws
+
+
+def scaled(c: int, z: tuple[int, int]) -> tuple[int, int]:
+    return (c * z[0], c * z[1])
 
 
 @given(eisenstein, eisenstein)
 def test_multiplication_matches_closed_form(z, w):
-    expect = pair_mul((z.a, z.b), (w.a, w.b))
-    prod = z * w
-    assert (prod.a, prod.b) == expect
+    # (a + b w)(c + d w) = ac + (ad + bc) w + bd w^2, term by term
+    (a, b), (c, d) = z, w
+    expect = pair_add(
+        pair_add(scaled(a * c, ONE), scaled(a * d + b * c, OMEGA)), scaled(b * d, OMEGA_SQ)
+    )
+    assert pair_mul(z, w) == expect
 
 
 @given(eisenstein, eisenstein)
 def test_multiplication_commutes(z, w):
-    assert z * w == w * z
+    assert pair_mul(z, w) == pair_mul(w, z)
 
 
 @given(eisenstein, eisenstein, eisenstein)
 def test_associativity_and_distributivity(z, w, u):
-    assert (z * w) * u == z * (w * u)
-    assert z * (w + u) == z * w + z * u
+    assert pair_mul(pair_mul(z, w), u) == pair_mul(z, pair_mul(w, u))
+    assert pair_mul(z, pair_add(w, u)) == pair_add(pair_mul(z, w), pair_mul(z, u))
 
 
 @given(eisenstein)
 def test_norm_matches_oracle(z):
-    assert z.norm() == pair_norm((z.a, z.b))
-    assert z.norm() >= 0
+    # w = -1/2 + i sqrt(3)/2, so a + b w has real part a - b/2 and
+    # squared imaginary part 3 b^2 / 4
+    a, b = z
+    assert pair_norm(z) == (a - Fraction(b, 2)) ** 2 + Fraction(3 * b * b, 4)
+    assert pair_norm(z) >= 0
 
 
 @given(eisenstein, eisenstein)
 def test_norm_is_multiplicative(z, w):
-    assert (z * w).norm() == z.norm() * w.norm()
+    assert pair_norm(pair_mul(z, w)) == pair_norm(z) * pair_norm(w)
 
 
 @given(eisenstein, eisenstein)
 def test_conj_is_a_ring_homomorphism(z, w):
-    assert conj(z + w) == conj(z) + conj(w)
-    assert conj(z * w) == conj(z) * conj(w)
+    assert conj(pair_add(z, w)) == pair_add(conj(z), conj(w))
+    assert conj(pair_mul(z, w)) == pair_mul(conj(z), conj(w))
     assert conj(conj(z)) == z
 
 
 @given(eisenstein)
 def test_z_times_conj_is_norm(z):
-    assert z * conj(z) == Eisenstein(z.norm(), 0)
+    assert pair_mul(z, conj(z)) == (pair_norm(z), 0)
 
 
 @given(st.integers(min_value=-9, max_value=9), eisenstein)
 def test_integer_scaling(c, z):
-    assert c * z == Eisenstein(c * z.a, c * z.b)
-    assert c * z == Eisenstein(c, 0) * z
+    # bf_dft3 scales a root of unity by a table entry f as pair_mul((f, 0), w)
+    assert pair_mul((c, 0), z) == scaled(c, z)
+    assert pair_mul(z, (c, 0)) == scaled(c, z)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from subuniform import (
 from subuniform.increments import _scan_cosets
 
 from conftest import (
+    full_set,
     partition_energy,
     raw_coset_counts,
     random_subset,
@@ -82,7 +83,7 @@ def test_increment_frozen_half_space():
 
 
 def test_increment_trivial_sets():
-    for A in (PointSet.empty(2, 4), PointSet.full(2, 4)):
+    for A in (PointSet.empty(2, 4), full_set(2, 4)):
         trace = density_increment(A, Fraction(1, 8))
         assert trace.step_count == 0
         assert trace.final == Coset.whole_space(2, 4)
@@ -93,11 +94,11 @@ def test_increment_trivial_sets():
 
 def test_increment_validation():
     with pytest.raises(InputError):
-        density_increment(PointSet.full(3, 2), Fraction(1, 4))
+        density_increment(full_set(3, 2), Fraction(1, 4))
     with pytest.raises(InputError):
-        density_increment(PointSet.full(2, 3), Fraction(0))
+        density_increment(full_set(2, 3), Fraction(0))
     with pytest.raises(InputError):
-        density_increment(PointSet.full(2, 3), Fraction(5, 4))
+        density_increment(full_set(2, 3), Fraction(5, 4))
 
 
 @pytest.mark.parametrize(
@@ -142,7 +143,7 @@ def test_energy_frozen_examples():
     hyper = rref_basis([GFVector(2, 3, (0, 1, 0)), GFVector(2, 3, (0, 0, 1))])
     assert partition_energy(A, hyper) == Fraction(1, 2)
     assert partition_energy(PointSet.empty(2, 3), hyper) == 0
-    assert partition_energy(PointSet.full(2, 3), hyper) == 1
+    assert partition_energy(full_set(2, 3), hyper) == 1
 
 
 def test_energy_matches_direct_computation_p3():
@@ -289,9 +290,9 @@ def test_regularity_memory_bounded_on_full_space():
 
 
 def test_regularity_validation():
-    A = PointSet.full(2, 4)
+    A = full_set(2, 4)
     with pytest.raises(InputError):
-        regularity_decompose(PointSet.full(3, 2), Fraction(1, 4), Fraction(1, 8))
+        regularity_decompose(full_set(3, 2), Fraction(1, 4), Fraction(1, 8))
     with pytest.raises(InputError):
         regularity_decompose(A, Fraction(0), Fraction(1, 8))
     with pytest.raises(InputError):

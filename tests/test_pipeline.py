@@ -46,6 +46,7 @@ from conftest import (
     OMEGA_PAIRS,
     add_rank,
     check_union_structure,
+    full_set,
     pair_add,
     quotient_index,
     rand_below,
@@ -54,6 +55,7 @@ from conftest import (
     random_subspace,
     random_vector,
     ref_leading_one_set,
+    span_ranks,
     value_at,
     words,
 )
@@ -69,7 +71,7 @@ def half_space(n: int) -> PointSet:
 
 
 def test_pipeline_trivial_sets_succeed_on_the_whole_space():
-    for A, colour in ((PointSet.empty(2, 6), 0), (PointSet.full(2, 6), 4)):
+    for A, colour in ((PointSet.empty(2, 6), 0), (full_set(2, 6), 4)):
         report = find_uniform_subspace(A, PipelineParams(eps=Fraction(1, 4)))
         assert report.outcome == "success"
         assert report.V == Subspace.full(2, 6)
@@ -130,10 +132,10 @@ def test_pipeline_codim_exhausted_before_first_attempt():
 
 def test_pipeline_validation():
     with pytest.raises(InputError):
-        find_uniform_subspace(PointSet.full(3, 2), PipelineParams(eps=Fraction(1, 4)))
+        find_uniform_subspace(full_set(3, 2), PipelineParams(eps=Fraction(1, 4)))
     with pytest.raises(InputError):
         find_uniform_subspace(
-            PointSet.full(2, 4), PipelineParams(eps=Fraction(1, 4), min_codim=9)
+            full_set(2, 4), PipelineParams(eps=Fraction(1, 4), min_codim=9)
         )
 
 
@@ -142,6 +144,7 @@ def test_pipeline_reports_are_internally_consistent(seed):
     A = random_point_set(2, 7, Fraction(1, 2), seed=seed)
     params = PipelineParams(eps=Fraction(1, 4))
     report = find_uniform_subspace(A, params)
+    assert report.params == params
     assert report.outcome in ("success", "ramsey_failure", "codim_exhausted")
     depths = [a.min_codim for a in report.attempts]
     assert depths == sorted(depths)
@@ -305,7 +308,7 @@ def test_oracle_winner_annihilates_the_top_frequency():
         top = max(range(1, 64), key=lambda r: F[r] * F[r])
         winner, sup = exhaustive_best_subspace(A, 3)
         assert sup == 0
-        assert top in perp(winner).point_ranks()
+        assert top in span_ranks(perp(winner))
 
 
 def _engine(A, max_codim):
@@ -396,7 +399,7 @@ def test_f2_packed_screen_reads_both_frequencies(kind):
         V = [x for x in range(1 << n) if not any(bin(x & w).count("1") % 2 for w in spans[-1])]
         A = {
             "random": random_subset(words(102), 2, n, Fraction(1, 2)),
-            "full": PointSet.full(2, n),
+            "full": full_set(2, n),
             "subspace": PointSet.from_ranks(2, n, V),
         }[kind]
         F = wht2(A.membership_table())
@@ -525,7 +528,7 @@ def test_f3_packed_sums_at_the_packing_extremes():
     n = 6
     sets = {
         "empty": PointSet.empty(3, n),
-        "full": PointSet.full(3, n),
+        "full": full_set(3, n),
         "point": PointSet.from_ranks(3, n, [3 ** (n - 1)]),
     }
     for name, A in sets.items():
@@ -642,7 +645,7 @@ def test_f3_checks_read_each_check(n):
                 checks = pipeline._f3_checks(n, c, zero, unit)
                 for i, got in enumerate(checks):
                     V = pipeline._annihilated(3, n, [span[i] for span in spans])
-                    pts = [GFVector.from_rank(3, n, r) for r in V.point_ranks()]
+                    pts = [GFVector.from_rank(3, n, r) for r in span_ranks(V)]
                     ones = [A.bits >> v.rank & 1 for v in pts if v.coords[j - 1] == 1]
                     twos = [A.bits >> v.rank & 1 for v in pts if v.coords[j - 1] == 2]
                     # e_j lies in no W, so the slices are equal
@@ -746,7 +749,7 @@ def test_oracle_finds_exact_zero_on_coset_unions():
         winner, sup = exhaustive_best_subspace(A, codim)
         assert sup == 0
         # independent confirmation that A is constant on the winner
-        values = {A.bits >> r & 1 for r in winner.point_ranks()}
+        values = {A.bits >> r & 1 for r in span_ranks(winner)}
         assert len(values) == 1
 
 
@@ -789,8 +792,8 @@ def test_decomposition_identity_and_vanishing_product(seed, d):
         # frequencies separating V from W
         w_perp = perp(W)
         v_perp = perp(V)
-        w_perp_pts = [GFVector.from_rank(2, n, r) for r in w_perp.point_ranks()]
-        v_perp_ranks = set(v_perp.point_ranks())
+        w_perp_pts = [GFVector.from_rank(2, n, r) for r in span_ranks(w_perp)]
+        v_perp_ranks = set(span_ranks(v_perp))
         separating = [r for r in w_perp_pts if r.rank not in v_perp_ranks]
         assert len(separating) == (1 << w_perp.dim) - (1 << v_perp.dim)
         for r in separating:
@@ -826,7 +829,8 @@ def test_leading_one_set_shape():
         # exactly one of x, -x belongs to the set
         for rank in range(1, 3**n):
             v = GFVector.from_rank(3, n, rank)
-            assert A.bits >> v.rank & 1 != A.bits >> (-v).rank & 1
+            minus_v = GFVector(3, n, tuple(-c % 3 for c in v.coords))
+            assert A.bits >> v.rank & 1 != A.bits >> minus_v.rank & 1
         assert not A.bits & 1
     with pytest.raises(InputError):
         leading_one_set(0)
@@ -943,7 +947,7 @@ def test_f3_witness_identity_recomputed_directly():
     for V in chain(enumerate_subspaces(3, 2, 1), enumerate_subspaces(3, 2, 2)):
         j = V.pivots[0]
         e_j = GFVector.unit(3, 2, j)
-        pts = [GFVector.from_rank(3, 2, r) for r in V.point_ranks()]
+        pts = [GFVector.from_rank(3, 2, r) for r in span_ranks(V)]
         acc = (0, 0)
         for v in pts:
             if A.bits >> v.rank & 1:
@@ -970,7 +974,7 @@ def test_f3_scan_flags_broken_slices_and_identity(monkeypatch):
     expected, sup_ok = [], []
     for k in range(1, n + 1):
         for V in enumerate_subspaces(3, n, k):
-            pts = [GFVector.from_rank(3, n, r) for r in V.point_ranks()]
+            pts = [GFVector.from_rank(3, n, r) for r in span_ranks(V)]
             j = V.pivots[0]
             acc = (0, 0)
             for v in pts:
@@ -990,7 +994,7 @@ def test_f3_scan_flags_broken_slices_and_identity(monkeypatch):
                 sup_ok.append(sup >= LOWER_BOUND_SQ)
     report = scan_leading_one_set(n)
     assert report.failures == tuple(expected)
-    assert x.rank in report.failures[0].point_ranks()
+    assert x.rank in span_ranks(report.failures[0])
     assert any(sup_ok)  # some V fails only on the structural checks
 
 

@@ -12,6 +12,10 @@ src/: each must be read as an attribute, matched by name, in src/ or
 scripts/ outside its own body, or stand on TEST_ONLY_METHODS, which can
 only shrink in the same way.
 
+The fields of the public classes, the annotated names in a class body,
+are held to it as well: each must be read as an attribute, matched by
+name, in src/ or scripts/, or stand on the shrink-only TEST_ONLY_FIELDS.
+
 A public module-level function, class or constant in src/ that stays
 out of __all__ is held to the same rule: it must be read in src/ or
 scripts/ outside its own definition, or stand on the shrink-only
@@ -37,6 +41,12 @@ TEST_ONLY = {
 
 # Class.method -> why it is still there with no reader in src/ or scripts/
 TEST_ONLY_METHODS: dict[str, str] = {}
+
+# Class.field -> why it is still there with no reader in src/ or scripts/
+TEST_ONLY_FIELDS = {
+    "PipelineAttempt.colouring": "tests/test_pipeline.py::test_pipeline_reports_are_internally_consistent reads it",
+    "PipelineReport.params": "tests/test_pipeline.py::test_pipeline_reports_are_internally_consistent reads it",
+}
 
 # module-level name outside __all__ -> why it is still there with no reader
 UNLISTED_TEST_ONLY = {
@@ -129,4 +139,24 @@ def test_every_public_method_has_a_reader_outside_the_tests():
     assert unread == sorted(TEST_ONLY_METHODS), (
         f"public methods with no reader in src/ or scripts/: {unread}; "
         f"allowed: {sorted(TEST_ONLY_METHODS)}"
+    )
+
+
+def test_every_public_field_has_a_reader_outside_the_tests():
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    scripts = [ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / "scripts").glob("*.py"))]
+    reads = sum(map(_attribute_reads, trees + scripts), Counter())
+    fields = [
+        f"{cls.name}.{stmt.target.id}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    assert fields
+    unread = sorted(field for field in fields if not reads[field.split(".")[1]])
+    assert unread == sorted(TEST_ONLY_FIELDS), (
+        f"public fields with no reader in src/ or scripts/: {unread}; "
+        f"allowed: {sorted(TEST_ONLY_FIELDS)}"
     )

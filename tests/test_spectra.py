@@ -17,12 +17,10 @@ from hypothesis import strategies as st
 
 from subuniform import (
     Coset,
-    Eisenstein,
     GFVector,
     InputError,
     PointSet,
     Subspace,
-    dft3,
     lift_class,
     perp,
     restricted_spectrum,
@@ -31,7 +29,7 @@ from subuniform import (
     wht2,
 )
 from subuniform import spectra
-from subuniform.spectra import packed_max_coef_sq
+from subuniform.spectra import _dft3_pairs, packed_max_coef_sq
 
 from conftest import (
     OMEGA_PAIRS,
@@ -39,6 +37,7 @@ from conftest import (
     bf_dft3,
     bf_wht2,
     char_index,
+    full_set,
     pair_add,
     pair_mul,
     pair_norm,
@@ -48,6 +47,7 @@ from conftest import (
     random_subspace,
     random_vector,
     rec_wht2,
+    span_ranks,
     value_at,
     words,
 )
@@ -55,9 +55,9 @@ from conftest import (
 int_table = st.integers(min_value=-9, max_value=9)
 
 
-def coef_sq(c: int | Eisenstein) -> int:
+def coef_sq(c: int | tuple[int, int]) -> int:
     """Squared magnitude of an unnormalized coefficient."""
-    return c * c if isinstance(c, int) else pair_norm((c.a, c.b))
+    return c * c if isinstance(c, int) else pair_norm(c)
 
 
 def table_strategy(lengths=(2, 4, 8, 16)):
@@ -209,11 +209,15 @@ def test_wht2_rejects_bad_blocks():
 # cube-root transform (p = 3)
 
 
+def real_pairs(table: list[int]) -> list[tuple[int, int]]:
+    return [(v, 0) for v in table]
+
+
 def test_dft3_frozen_examples():
-    assert dft3([0, 1, 0]) == [Eisenstein(1, 0), Eisenstein(-1, -1), Eisenstein(0, 1)]
-    assert dft3([1, 0, 0]) == [Eisenstein(1, 0)] * 3
-    assert dft3([1, 1, 1]) == [Eisenstein(3, 0), Eisenstein(0, 0), Eisenstein(0, 0)]
-    assert dft3([5]) == [Eisenstein(5, 0)]
+    assert _dft3_pairs([(0, 0), (1, 0), (0, 0)]) == [(1, 0), (-1, -1), (0, 1)]
+    assert _dft3_pairs([(1, 0), (0, 0), (0, 0)]) == [(1, 0)] * 3
+    assert _dft3_pairs([(1, 0), (1, 0), (1, 0)]) == [(3, 0), (0, 0), (0, 0)]
+    assert _dft3_pairs([(5, 0)]) == [(5, 0)]
 
 
 def test_dft3_matches_bruteforce_exhaustive_indicators():
@@ -221,8 +225,7 @@ def test_dft3_matches_bruteforce_exhaustive_indicators():
         size = 3**k
         for mask in range(1 << size):
             table = [(mask >> i) & 1 for i in range(size)]
-            out = dft3(table)
-            assert [(c.a, c.b) for c in out] == bf_dft3(table, k)
+            assert _dft3_pairs(real_pairs(table)) == bf_dft3(table, k)
 
 
 def test_dft3_matches_bruteforce_random_tables():
@@ -230,8 +233,7 @@ def test_dft3_matches_bruteforce_random_tables():
     for k, reps in ((3, 12), (4, 4)):
         for _ in range(reps):
             table = random_int_table(stream, 3**k)
-            out = dft3(table)
-            assert [(c.a, c.b) for c in out] == bf_dft3(table, k)
+            assert _dft3_pairs(real_pairs(table)) == bf_dft3(table, k)
 
 
 def test_dft3_eisenstein_input_linearity():
@@ -239,12 +241,11 @@ def test_dft3_eisenstein_input_linearity():
     for _ in range(10):
         re = random_int_table(stream, 9)
         im = random_int_table(stream, 9)
-        mixed = [Eisenstein(a, b) for a, b in zip(re, im)]
-        out = dft3(mixed)
-        out_re = dft3(re)
-        out_im = dft3(im)
-        w = Eisenstein(0, 1)
-        assert out == [a + w * b for a, b in zip(out_re, out_im)]
+        out = _dft3_pairs(list(zip(re, im)))
+        out_re = _dft3_pairs(real_pairs(re))
+        out_im = _dft3_pairs(real_pairs(im))
+        w = OMEGA_PAIRS[1]
+        assert out == [pair_add(a, pair_mul(w, b)) for a, b in zip(out_re, out_im)]
 
 
 def test_dft3_inversion_up_to_scale_and_reflection():
@@ -252,11 +253,11 @@ def test_dft3_inversion_up_to_scale_and_reflection():
     for k in (1, 2, 3):
         size = 3**k
         table = random_int_table(stream, size)
-        twice = dft3(dft3(table))
+        twice = _dft3_pairs(_dft3_pairs(real_pairs(table)))
         for s in range(size):
             digits = base_p_digits(3, k, s)
             neg = sum(((-d) % 3) * 3 ** (k - 1 - i) for i, d in enumerate(digits))
-            assert twice[s] == Eisenstein(size * table[neg], 0)
+            assert twice[s] == (size * table[neg], 0)
 
 
 def test_dft3_parseval():
@@ -264,14 +265,14 @@ def test_dft3_parseval():
     for k in (1, 2, 3):
         size = 3**k
         table = random_int_table(stream, size)
-        coeffs = dft3(table)
-        assert sum(c.norm() for c in coeffs) == size * sum(f * f for f in table)
+        coeffs = _dft3_pairs(real_pairs(table))
+        assert sum(map(pair_norm, coeffs)) == size * sum(f * f for f in table)
 
 
 def test_dft3_rejects_bad_lengths():
     for bad in ([], [1, 2], [0] * 6):
         with pytest.raises(InputError):
-            dft3(bad)
+            _dft3_pairs(real_pairs(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,7 @@ def test_dft3_rejects_bad_lengths():
 def test_restricted_spectrum_frozen_f3_point():
     A = PointSet.from_ranks(3, 1, [1])
     spec = restricted_spectrum(A, Coset.whole_space(3, 1))
-    assert spec.coefficients == (Eisenstein(1, 0), Eisenstein(-1, -1), Eisenstein(0, 1))
+    assert spec.coefficients == ((1, 0), (-1, -1), (0, 1))
     assert spec.count == 1
     assert spec.density == Fraction(1, 3)
     assert spec.scale == 3
@@ -310,7 +311,8 @@ def _direct_coefficients(points: PointSet, coset: Coset) -> list:
             cd = base_p_digits(p, k, c)
             pt = coset.rep
             for ci, row in zip(cd, rows):
-                pt = pt + row.scale(ci)
+                for _ in range(ci):
+                    pt = pt + row
             if not points.bits >> pt.rank & 1:
                 continue
             dot = sum(a * b for a, b in zip(td, cd)) % p
@@ -331,16 +333,13 @@ def test_restricted_spectrum_matches_definition(p, n, dim, seed):
         coset = Coset.of(space, random_vector(stream, p, n))
         spec = restricted_spectrum(A, coset)
         direct = _direct_coefficients(A, coset)
-        if p == 2:
-            assert list(spec.coefficients) == direct
-        else:
-            assert [(c.a, c.b) for c in spec.coefficients] == direct
+        assert list(spec.coefficients) == direct
         # trivial coefficient counts the members on the coset
         assert spec.count == sum(A.bits >> r & 1 for r in coset.point_ranks())
         if p == 2:
             assert spec.coefficients[0] == spec.count
         else:
-            assert spec.coefficients[0] == Eisenstein(spec.count, 0)
+            assert spec.coefficients[0] == (spec.count, 0)
 
 
 @pytest.mark.parametrize("p,n,dim,seed", [(2, 5, 3, 211), (3, 3, 2, 212)])
@@ -356,7 +355,7 @@ def test_coefficient_magnitude_bound(p, n, dim, seed):
             if p == 2:
                 assert abs(spec.coefficients[t]) <= bound
             else:
-                assert spec.coefficients[t].norm() <= bound * bound
+                assert pair_norm(spec.coefficients[t]) <= bound * bound
 
 
 def test_spectrum_value_at_matches_direct_average():
@@ -383,7 +382,7 @@ def test_spectrum_value_at_matches_direct_average():
             if B.bits >> y & 1:
                 acc = pair_add(acc, OMEGA_PAIRS[(-r.dot(GFVector.from_rank(3, 3, y))) % 3])
         value, scale = value_at(spec3, r)
-        assert (value.a, value.b) == acc
+        assert value == acc
         assert scale == spec3.scale
 
 
@@ -414,11 +413,11 @@ def test_uniformity_frozen_half_space():
     assert report.witness_t == 4
     assert report.witness_r == GFVector(2, 3, (1, 0, 0))
     assert report.density == Fraction(1, 2)
-    assert report.scale == 8
+    assert report.coset.size == 8
 
 
 def test_uniformity_trivial_cases():
-    for A in (PointSet.empty(2, 4), PointSet.full(2, 4), PointSet.empty(3, 2)):
+    for A in (PointSet.empty(2, 4), full_set(2, 4), PointSet.empty(3, 2)):
         report = uniformity_sup(A, Coset.whole_space(A.p, A.n))
         assert report.sup_sq == 0
         assert report.witness_t is None and report.witness_r is None
@@ -458,7 +457,7 @@ def test_uniformity_witness_properties(p, n, dim, seed):
         ]
         assert r.rank == min(candidates)
         # nontrivial class means r is outside the annihilator
-        assert r.rank not in perp(space).point_ranks()
+        assert r.rank not in span_ranks(perp(space))
 
 
 @pytest.mark.parametrize("p,n,seed", [(2, 4, 242), (2, 6, 243), (3, 3, 244), (3, 4, 245)])
@@ -472,7 +471,7 @@ def test_uniformity_from_annihilator_sums_of_full_transform(p, n, seed):
         space = random_subspace(stream, p, n, rand_below(stream, n + 1))
         table = A.membership_table()
         F = bf_wht2(table) if p == 2 else bf_dft3(table, n)
-        dual = [GFVector.from_rank(p, n, s) for s in perp(space).point_ranks()]
+        dual = [GFVector.from_rank(p, n, s) for s in span_ranks(perp(space))]
         best = 0
         for rank in range(p**n):
             r = GFVector.from_rank(p, n, rank)
