@@ -28,8 +28,9 @@ n <= 24 for p = 2 and n <= 12 for p = 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, compress, product
+from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -385,21 +386,6 @@ class _TritAdder:
         return [h + l for h in H for l in L]
 
 
-def _free_columns(p: int, n: int, rows: Sequence[Sequence[int]]) -> list[int]:
-    """The free columns of V for a block of its annihilator rows over F_p.
-
-    Row f, w_f = e_f - sum_g A[g][f] e_g, has nonzero digits only at
-    pivot columns left of f, so its last nonzero digit is the 1 at f.
-    """
-    free = []
-    for row in rows:
-        col, x = n, row[0]
-        while x % p == 0:
-            col, x = col - 1, x // p
-        free.append(col)
-    return free
-
-
 @lru_cache(maxsize=1 << 12)
 def _pivot_digits(head: int, coeffs: tuple[int, ...], weight: int) -> tuple[int, ...]:
     """weight * ((head - sum_s coeffs[s] d_s) mod 3) for every d in {0, 1, 2}^s.
@@ -414,13 +400,13 @@ def _pivot_digits(head: int, coeffs: tuple[int, ...], weight: int) -> tuple[int,
     return tuple(digit[v % 3] for v in vals)
 
 
-def _trit_block_spans(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+def _trit_block_spans(n: int, free: Sequence[int], rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """The spans of a block of annihilators in F_3^n, as rank lists.
 
-    rows[f][j] is the rank of row w_f of the block's j-th annihilator W
-    (there is at least one row), as _rref_blocks(3, n, k) yields them.
-    Entry j of list i is the rank of point i of W, in the order of
-    _span_ranks.
+    free holds V's free columns and rows[f][j] the rank of row w_f of
+    the block's j-th annihilator W (there is at least one row), as
+    _rref_blocks(3, n, k) builds them.  Entry j of list i is the rank of
+    point i of W, in the order of _span_ranks.
 
     Point i is the sum of c_f w_f over the rows, c_f the base-3 digits
     of i with the first row most significant.  As w_f = e_f - sum over
@@ -434,7 +420,6 @@ def _trit_block_spans(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """
     weights = _weights(3, n)
     digits = [[row[0] // w % 3 for w in weights] for row in rows]
-    free = _free_columns(3, n, rows)
     pivots = [col for col in range(1, n + 1) if col not in free]
     slots = [
         (g, f) for g, pivot in enumerate(pivots) for f, col in enumerate(free) if col > pivot
@@ -464,9 +449,20 @@ def _trit_block_spans(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
 # A profile's trailing slots, at most this many subspaces' worth, form
 # the tail lists of one block; its leading slots run in an outer product.
 _TAIL_SIZE = 1 << 12
+# Blocks are cut so that their span lists hold at most _SPAN_CELLS
+# ranks, about 0.5 MB of list slots.
+_SPAN_CELLS = 1 << 16
 
 
-def _rref_blocks(p: int, n: int, k: int, most: int = 0) -> Iterator[list[list[int]]]:
+def _spans2(rows: list[list[int]]) -> list[list[int]]:
+    """The rank lists of a block's spans over F_2, in the order of _span_ranks."""
+    spans = [[0] * len(rows[0])]
+    for row in reversed(rows):
+        spans += [list(map(xor, span, row)) for span in spans]
+    return spans
+
+
+def _rref_blocks(p: int, n: int, k: int) -> Iterator[tuple[list[int], list[list[int]]]]:
     """The canonical walk of the k-dim subspaces V, one block at a time.
 
     Profiles are emitted in lexicographic order of the pivot-column
@@ -478,18 +474,26 @@ def _rref_blocks(p: int, n: int, k: int, most: int = 0) -> Iterator[list[list[in
 
     One block is yielded per (profile, head): the head fixes the leading
     slots, the trailing slots run inside the block.  A block holds at
-    most _TAIL_SIZE subspaces, and at most `most` when that is positive
-    (never fewer than one).  A block is its rows: rows[f][j] is the rank
-    of row f of the block's j-th subspace, and every subspace of a
-    block shares its pivot profile.  Row f's ranks are the head's start
-    rank plus the profile's tail list for row f, built once by doubling
-    over the tail slots, last slot first; each slot owns one coordinate
-    of one row, so head and tail touch disjoint digits and the sum never
-    carries.  A block without rows holds exactly one subspace (k = n).
+    most min(_TAIL_SIZE, _SPAN_CELLS // p^c) subspaces, c = n - k, and
+    never fewer than one.  A block is yielded as (free, spans): the
+    free columns of its profile, and its annihilators' span lists, in
+    which spans[i][j] is the rank of point i (_span_ranks order) of the
+    block's j-th W.  Row f's ranks are the head's start rank plus the
+    profile's tail list for row f, built once by doubling over the tail
+    slots, last slot first; each slot owns one coordinate of one row,
+    so head and tail touch disjoint digits and the sum never carries.
+    The spans come from the rows by XOR over F_2 and by digit sums over
+    F_3 (_trit_block_spans); the rows are not kept.  At k = n the one
+    block is ([], [[0]]): V is the whole space and W = {0}.
     """
+    if k == n:
+        yield [], [[0]]
+        return
     weights = _weights(p, n)
+    cap = min(_TAIL_SIZE, _SPAN_CELLS // p ** (n - k))
     for pivots in combinations(range(1, n + 1), k):
         free = [col for col in range(1, n + 1) if col not in pivots]
+        build = _spans2 if p == 2 else partial(_trit_block_spans, n, free)
         base = [weights[col - 1] for col in free]
         # one slot per free entry: the row it writes and its p values
         slots = [
@@ -498,7 +502,6 @@ def _rref_blocks(p: int, n: int, k: int, most: int = 0) -> Iterator[list[list[in
             for j, col in enumerate(free)
             if col > pivot
         ]
-        cap = min(_TAIL_SIZE, most) if most > 0 else _TAIL_SIZE
         cut, size = len(slots), 1
         tails = [[0] for _ in free]
         while cut and size * p <= cap:
@@ -514,7 +517,7 @@ def _rref_blocks(p: int, n: int, k: int, most: int = 0) -> Iterator[list[list[in
             start = base[:]
             for row, v in zip(head_rows, head):
                 start[row] += v
-            yield [[s + t for t in tail] for s, tail in zip(start, tails)]
+            yield free, build([[s + t for t in tail] for s, tail in zip(start, tails)])
 
 
 def enumerate_subspaces(p: int, n: int, k: int) -> Iterator[Subspace]:

@@ -32,22 +32,24 @@ whole space and reads each V through its annihilator W (dim W = codim
 V): by Poisson summation the coset sum S(r) of the full transform over
 r + W is |W| times V's coefficient at the character r induces on V.
 Both fields share one coset-sum engine, _CosetSums, with field hooks
-for the span lists, the per-subspace sums, the packing and the order.
-The walk comes in blocks that share a pivot profile; _CosetSums.screen
-rules out whole blocks by list gathers (_gather) through shifted tables
-x -> F(r + x), two r per table built for the block over F_2, and over
-F_3 both parts of F(x) = a + b*w of one r, one of each pair r, -r, per
-table shared by every block.  _CosetSums.tries scores what it leaves,
-one by one, by its own coset sums over all of the order.
+for the per-subspace sums, the packing and the order.  The walk
+(gf_core._rref_blocks) hands out blocks that share a pivot profile,
+each as its free columns and its annihilators' span lists;
+_CosetSums.screen rules out whole blocks by list gathers (_gather)
+through shifted tables x -> F(r + x), two r per table built for the
+block over F_2, and over F_3 both parts of F(x) = a + b*w of one r, one
+of each pair r, -r, per table shared by every block.  _CosetSums.tries
+scores what it leaves, one by one, by its own coset sums over all of
+the order.
 
 Over F_3 no analogous search can succeed: leading_one_set builds the
 set whose members have first nonzero coordinate 1, and
 scan_leading_one_set certifies, for every positive-dimensional subspace
 V, a nontrivial coefficient of squared magnitude >= 1/12.  It is one
-walk: _scores_below gives sup_sq, and on each block the same spans give
-S(0) and S(e_j), j the first pivot, which are |W| times |A n V| and
-V's coefficient a + b*w at e_j.  From those follow the identity
-3*b = -|V| and the slice counts behind it.
+walk: _scores_below gives sup_sq, and on each block one gather gives
+S(e_j), j the first pivot, which is |W| times V's coefficient a + b*w
+at e_j.  V passes when 3*b = -|V|, which puts the slice x_j = 1 inside
+the set and the slice x_j = 2 outside it.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, islice
 from math import ceil, isqrt
-from operator import xor
 from typing import Callable, Iterator, Optional, Sequence
 
+from . import gf_core
 from .errors import BudgetExceededError, InputError
 from .gf_core import (
     Coset,
@@ -67,10 +69,8 @@ from .gf_core import (
     PointSet,
     Subspace,
     _coset_rep_ranks,
-    _free_columns,
     _rref_blocks,
     _TritAdder,
-    _trit_block_spans,
     extend_span,
     gaussian_binomial,
     lift_from_quotient,
@@ -87,16 +87,13 @@ from .spectra import (
 )
 
 ORACLE_BUDGET = 10**7
-# The oracle and the ternary scan cut their blocks so that their span
-# lists hold at most _SPAN_CELLS ranks, about 0.5 MB of list slots.
-_SPAN_CELLS = 1 << 16
 # The F_3 block screen tries at most this many r, each through a shifted
 # table of 3^n entries kept for the whole walk; the kept tables hold at
-# most max(_SPAN_CELLS, 3^n) entries in all: 29 r at F_3^7, 9 at F_3^8,
-# 3 at F_3^9, 1 from F_3^10 on.  A subspace the screen leaves reads the
-# same tables, then the rest of order by its own sums.  F_2 keeps no
-# table: its screen builds each round's table per block and runs until
-# the blocks are small.
+# most max(gf_core._SPAN_CELLS, 3^n) entries in all: 29 r at F_3^7, 9
+# at F_3^8, 3 at F_3^9, 1 from F_3^10 on.  A subspace the screen leaves
+# reads the same tables, then the rest of order by its own sums.  F_2
+# keeps no table: its screen builds each round's table per block and
+# runs until the blocks are small.
 _ROUNDS = 32
 
 
@@ -225,7 +222,7 @@ def _gather(table: list[int], spans: list[list[int]]) -> list[int]:
 
 
 Sums = tuple[list[int], list[int]]  # the a- and b-parts of one S per subspace
-Visit = Callable[[list[list[int]], list[list[int]], Callable[[int], tuple[Sums, Sums]]], list[bool]]
+Visit = Callable[[list[int], list[list[int]], Callable[[int], Sums]], list[bool]]
 
 
 class _CosetSums:
@@ -241,15 +238,14 @@ class _CosetSums:
     S(r) and -r lies in W when r does.
 
     screen serves both fields, which differ in hooks set in __init__:
-    the span lists (spans: by XOR, or by digit sums), a subspace's own
-    sums over all of order (tries: by XOR, or through the kept tables
-    and then by digit halves), what one int of a screen round holds
-    (keep), the r a round takes (step) and the order.  `rounds` caps
-    the r a screen may try.  Over F_3 the shifted tables x -> base[r +
-    x] of order[:rounds] are kept for the whole walk; F_2 keeps none.
-    Over F_3, r + x comes from `trits`, gf_core's digit-halves adder,
-    kept for the walk like the tables.  pair and unpack read F_3 sums
-    only.
+    a subspace's own sums over all of order (tries: by XOR, or through
+    the kept tables and then by digit halves), what one int of a screen
+    round holds (keep), the r a round takes (step) and the order.
+    `rounds` caps the r a screen may try.  Over F_3 the shifted tables
+    x -> base[r + x] of order[:rounds] are kept for the whole walk; F_2
+    keeps none.  Over F_3, r + x comes from `trits`, gf_core's
+    digit-halves adder, kept for the walk like the tables.  read and
+    unpack read F_3 sums only.
     """
 
     def __init__(self, p: int, n: int, F: Sequence, max_codim: int) -> None:
@@ -261,19 +257,17 @@ class _CosetSums:
         if p == 2:
             self.order = sorted(range(1, self.size), key=[f * f for f in F].__getitem__, reverse=True)
             self.base = [f + bias for f in F]
-            self.keep, self.tries = self._keep2, self._tries2
-            self.spans, self.step = self._spans2, 2
+            self.keep, self.tries, self.step = self._keep2, self._tries2, 2
             # no table is kept, so the screen runs through all of order
             self.rounds = len(self.order)
         else:
             norms = [a * a - a * b + b * b for a, b in F]
             self.order = sorted(_leading_ones(n), key=norms.__getitem__, reverse=True)
             self.base = [((a + bias) << self.shift) + b + bias for a, b in F]
-            self.keep, self.tries = self._keep3, self._tries3
-            self.spans, self.step = partial(_trit_block_spans, n), 1
-            self.rounds = max(1, min(_ROUNDS, len(self.order), _SPAN_CELLS // self.size))
-            # pair's tables by r, and r + x by digit halves for the walk
-            self.paired: dict[int, list[int]] = {}
+            self.keep, self.tries, self.step = self._keep3, self._tries3, 1
+            self.rounds = max(1, min(_ROUNDS, len(self.order), gf_core._SPAN_CELLS // self.size))
+            # read's tables by r, and r + x by digit halves for the walk
+            self.read_tables: dict[int, list[int]] = {}
             self.trits = _TritAdder(n)
 
     def _tries2(self, span: Sequence[int], bound: int) -> Optional[int]:
@@ -370,21 +364,14 @@ class _CosetSums:
         A, B = self.unpack(_gather(self.table(i), spans), len(spans))
         return [a * a - a * b + b * b < best or x == r for a, b, x in zip(A, B, spans[at(r)])]
 
-    def _spans2(self, rows: list[list[int]]) -> list[list[int]]:
-        """The rank lists of a block's spans over F_2, in the order of gf_core._span_ranks."""
-        spans = [[0] * len(rows[0])]
-        for row in reversed(rows):
-            spans += [list(map(xor, span, row)) for span in spans]
-        return spans
-
     def screen(
-        self, best: int, rows: list[list[int]], spans: list[list[int]]
+        self, best: int, free: list[int], spans: list[list[int]]
     ) -> Iterator[tuple[int, ...]]:
         """W's span for each subspace of a block that no screen round rules out.
 
-        rows[f][j] is annihilator row f of the block's j-th subspace, all
-        of one pivot profile, and spans their rank lists (spans), for the
-        subspaces still in the running.  A round takes the next r of
+        free holds the free columns of the block's pivot profile and
+        spans the rank lists of the block's W (gf_core._rref_blocks), for
+        the subspaces still in the running.  A round takes the next r of
         order, two over F_2 and one over F_3, and sums S(r) for every
         kept subspace by one gather (keep); a subspace is dropped when
         the norm of S(r) is >= best, unless r lies in its W.  A round
@@ -392,11 +379,10 @@ class _CosetSums:
         more than it can save, so the rounds stop there or after
         `rounds` r, and the survivors' spans are yielded in walk order.
         """
-        p, n, c = self.p, self.n, len(rows)
-        # row f's last nonzero digit is the 1 at its free column, for the
-        # whole block; r's digits there pick the one span point that can
-        # equal r: point sum_f r_f p^(c-1-f)
-        free = _free_columns(p, n, rows)
+        p, n, c = self.p, self.n, len(free)
+        # annihilator row f's digits at the free columns are those of e_f,
+        # for the whole block; r's digits there pick the one span point
+        # that can equal r: point sum_f r_f p^(c-1-f)
         weights = [(p ** (n - col), p ** (c - 1 - f)) for f, col in enumerate(free)]
 
         def at(r: int) -> int:
@@ -410,17 +396,11 @@ class _CosetSums:
                 spans = [list(compress(span, keep)) for span in spans]
         return zip(*spans)
 
-    def pair(self, r: int, spans: list[list[int]]) -> tuple[Sums, Sums]:
-        """S(0) and S(r) on every span of a block, unpacked, by one gather; F_3 only."""
-        assert self.p == 3, "pair unpacks F_3 sums"
-        # a packed sum has 2K bits, so base[x] sits clear above base[r + x]
-        width = 2 * self.shift
-        if r not in self.paired:
-            self.paired[r] = [(x << width) + y for x, y in zip(self.base, self.shifted(r))]
-        both = _gather(self.paired[r], spans)
-        low = (1 << width) - 1
-        zero = self.unpack([s >> width for s in both], len(spans))
-        return zero, self.unpack([s & low for s in both], len(spans))
+    def read(self, r: int, spans: list[list[int]]) -> Sums:
+        """The a- and b-parts of S(r) on every span of a block, by one gather; F_3 only."""
+        if r not in self.read_tables:
+            self.read_tables[r] = self.shifted(r)
+        return self.unpack(_gather(self.read_tables[r], spans), len(spans))
 
 
 def _scores_below(
@@ -441,10 +421,10 @@ def _scores_below(
     threshold.  The walk ends at a block that starts with threshold()
     at 0, which no score is below.
 
-    visit(rows, spans, at), over F_3 only, with at(r) giving the
-    block's (a, b) lists of S(0) and S(r), sees each block before its
-    screen and returns which subspaces stay in the running; it may drop
-    only ones that score at least threshold().
+    visit(free, spans, at), over F_3 only, with at(r) giving the
+    block's (a, b) lists of S(r), sees each block before its screen and
+    returns which subspaces stay in the running; it may drop only ones
+    that score at least threshold().
     """
     p, n = points.p, points.n
     # the table and the transform are temporaries: the engine keeps base alone
@@ -454,18 +434,16 @@ def _scores_below(
     def candidates() -> Iterator[Sequence[int]]:
         """W's span for each subspace still in the running, codim 0 first."""
         for c in range(max_codim + 1):
-            most = max(1, _SPAN_CELLS // p**c)
-            for rows in _rref_blocks(p, n, n - c, most=most):
+            for free, spans in _rref_blocks(p, n, n - c):
                 bound = threshold()
                 if bound == 0:
                     return  # no score is below 0
-                spans = sums.spans(rows) if rows else [[0]]  # W = {0} at c = 0
                 if visit is not None:
-                    keep = visit(rows, spans, partial(sums.pair, spans=spans))
+                    keep = visit(free, spans, partial(sums.read, spans=spans))
                     if not all(keep):
                         spans = [list(compress(span, keep)) for span in spans]
                 # the survivors replace the block's lists, which can then go
-                yield from sums.screen(bound, rows, spans)
+                yield from sums.screen(bound, free, spans)
 
     for span in candidates():
         score = sums.tries(span, threshold())
@@ -547,28 +525,6 @@ class F3Report:
 LOWER_BOUND_SQ = Fraction(1, 12)
 
 
-def _f3_checks(n: int, c: int, zero: Sums, unit: Sums) -> list[tuple[bool, bool]]:
-    """The ternary scan's checks on each V of a codim-c block.
-
-    zero and unit are the (a, b) lists of S(0) and S(e_j), j the block's
-    first pivot.  As S(r) is |W| times V's coefficient sum over x in A
-    and V of w^(-r.x), S(0) / |W| is m = |A n V| and S(e_j) / |W| is
-    a + b w with a the members at x_j = 0 less those at x_j = 1 and b
-    those at x_j = 2 less those at x_j = 1.  So (m - a - b) / 3 members
-    lie at x_j = 1 and (m - a + 2b) / 3 at x_j = 2.  A pivot's unit
-    vector lies in no W, so each slice {x in V : x_j = t} holds |V| / 3
-    points.  Per V the result is (3b = -|V|, the x_j = 1 slice inside A
-    and the x_j = 2 slice outside it).
-    """
-    scale, size = 3**c, 3 ** (n - c)  # |W| and |V|
-    checks = []
-    for m, a, b in zip(zero[0], unit[0], unit[1]):
-        m, a, b = m // scale, a // scale, b // scale
-        ones, twos = (m - a - b) // 3, (m - a + 2 * b) // 3
-        checks.append((3 * b == -size, ones == size // 3 and twos == 0))
-    return checks
-
-
 def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
     """Certify the LOWER_BOUND_SQ = 1/12 floor on every subspace of F_3^n.
 
@@ -576,16 +532,18 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
     _scores_below over codimension 0..n-1, against the threshold
     max(best, ceil(9^n * LOWER_BOUND_SQ)), which never rises, so it
     yields the exact minimum and every V below the floor.  Its visit
-    reads, on each block, S(0) and S(e_j) for every V, with j the
-    block's first pivot (the first column free in none of its rows),
-    and V fails when any of these does not hold (_f3_checks):
+    reads, on each block, S(e_j) for every V, with j the block's first
+    pivot (the first column that is not free), and V fails when either
+    of these does not hold:
 
     * sup_sq >= LOWER_BOUND_SQ;
     * the coefficient at frequency e_j is a + b*w with 3*b = -|V|,
-      which alone forces a squared magnitude >= 1/12;
-    * the slice {x in V : x_j = 1} lies inside the set and the slice
-      {x in V : x_j = 2} misses it (each slice holds |V|/3 points, as
-      e_j, j a pivot, lies in no W).
+      which alone forces a squared magnitude >= 1/12.  With N_t the
+      members at x_j = t, b = N_2 - N_1, and each slice {x in V : x_j =
+      t} holds |V|/3 points, as e_j, j a pivot, lies in no W; so the
+      identity holds exactly when the slice x_j = 1 lies inside the set
+      and the slice x_j = 2 misses it.  As S(e_j) = |W| (a + b*w) and
+      |V| |W| = 3^n, it reads as: the b-part of S(e_j) is -3^(n-1).
 
     A V whose |S(e_j)|^2 already reaches the threshold scores at least
     that, so the visit drops it before the block screen; on the
@@ -612,16 +570,14 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
         # the walk order within a dimension is that of pivots, then basis ranks
         failures[V.dim, V.pivots, tuple(v.rank for v in V.basis)] = V
 
-    def visit(rows, spans, at) -> list[bool]:
+    def visit(free, spans, at) -> list[bool]:
         nonlocal total
         total += len(spans[0])
-        free = _free_columns(3, n, rows)
         j = next(col for col in range(1, n + 1) if col not in free)
-        zero, unit = at(3 ** (n - j))
         bound = max(best, floor)
         keep = []
-        for i, (passed, a, b) in enumerate(zip(_f3_checks(n, len(rows), zero, unit), *unit)):
-            if not all(passed):
+        for i, (a, b) in enumerate(zip(*at(3 ** (n - j)))):
+            if b != -(3 ** (n - 1)):
                 fail(_annihilated(3, n, [span[i] for span in spans]))
             keep.append(a * a - a * b + b * b < bound)
         return keep

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +38,6 @@ from subuniform import gf_core
 from subuniform.gf_core import (
     _coset_table,
     _span_ranks,
-    _trit_block_spans,
     _trit_shifts,
     _TritAdder,
 )
@@ -352,8 +351,13 @@ def _slot_entries(space: Subspace) -> tuple[int, ...]:
 
 
 def _flat(blocks):
-    """One tuple of rows per subspace, from _rref_blocks' row blocks."""
-    return [basis for rows in blocks for basis in (zip(*rows) if rows else [()])]
+    """(free columns, W's span) per subspace, from _rref_blocks' blocks."""
+    return [(free, span) for free, spans in blocks for span in zip(*spans)]
+
+
+def _rows(p, free, span):
+    """W's rows w_f, one per free column: span point p^(c-1-f), c = len(free)."""
+    return tuple(span[p ** (len(free) - 1 - f)] for f in range(len(free)))
 
 
 # a tail table of 1 puts every slot in the outer product, 4 splits them
@@ -368,7 +372,10 @@ def test_enumeration_order_and_annihilator_rows(monkeypatch, tail_size, p, n):
         assert keys == sorted(keys)
         walk = _flat(gf_core._rref_blocks(p, n, k))
         assert len(walk) == len(spaces)
-        for space, rows in zip(spaces, walk):
+        for space, (free, span) in zip(spaces, walk):
+            assert tuple(free) == space.free_columns
+            rows = _rows(p, free, span)
+            assert list(span) == _span_ranks(p, n, rows)
             dual = [GFVector.from_rank(p, n, r) for r in rows]
             # one row w_f per non-pivot column f: 1 at f, 0 at the others
             for row, f in zip(dual, space.free_columns):
@@ -378,13 +385,36 @@ def test_enumeration_order_and_annihilator_rows(monkeypatch, tail_size, p, n):
             assert (rref_basis(dual) if dual else Subspace.zero(p, n)) == perp(space)
 
 
+def _block_sizes(p, n, k, cap):
+    """The subspace count of each block of the walk, with blocks as large as cap allows.
+
+    A profile's s slots give p^s subspaces in blocks of p^t, t the
+    most slots, up to s, whose p^t subspaces fit under the cap.
+    """
+    sizes = []
+    for pivots in combinations(range(1, n + 1), k):
+        slots = sum(n - pivot - (k - 1 - i) for i, pivot in enumerate(pivots))
+        t = 0
+        while t < slots and p ** (t + 1) <= cap:
+            t += 1
+        sizes += [p**t] * p ** (slots - t)
+    return sizes
+
+
 @pytest.mark.parametrize("most", [1, 3, 8, 1 << 20])
-def test_rref_blocks_cap_keeps_the_walk(most):
+def test_rref_blocks_cap_keeps_the_walk(monkeypatch, most):
+    # span cells of most * p^c cap the codim-c blocks at most subspaces;
+    # under p^c cells a block still holds one subspace
     p, n, k = 2, 7, 3
     whole = _flat(gf_core._rref_blocks(p, n, k))
-    blocks = list(gf_core._rref_blocks(p, n, k, most=most))
-    assert all(len(rows[0]) <= min(most, gf_core._TAIL_SIZE) for rows in blocks)
-    assert _flat(blocks) == whole
+    for cells in (most * p ** (n - k), 1) if most == 1 else (most * p ** (n - k),):
+        monkeypatch.setattr(gf_core, "_SPAN_CELLS", cells)
+        cap = min(gf_core._TAIL_SIZE, cells // p ** (n - k))
+        blocks = list(gf_core._rref_blocks(p, n, k))
+        sizes = [len(spans[0]) for _, spans in blocks]
+        assert sizes == _block_sizes(p, n, k, max(1, cap))
+        assert all(1 <= size <= max(1, cap) for size in sizes)
+        assert _flat(blocks) == whole
 
 
 def test_enumeration_is_deterministic_with_frozen_head():
@@ -540,19 +570,22 @@ def test_trit_span_and_coset_scan_match_tuple_span(n, dim, seed):
 def test_trit_block_spans_match_tuple_span(n, k):
     # every block of the walk, zipped, against one span each; codim 2 in
     # F_3^5 has profiles of up to 6 slots, 729 subspaces
-    for rows in gf_core._rref_blocks(3, n, k):
-        spans = _trit_block_spans(n, rows)
-        assert len(spans) == 3 ** len(rows)
-        for j, col in enumerate(zip(*rows)):
-            ranks = [span[j] for span in spans]
-            assert ranks == _span_ranks(3, n, col)
-        vectors = [GFVector.from_rank(3, n, w).coords for w in col]
-        assert {GFVector.from_rank(3, n, r).coords for r in ranks} == tuple_span(3, vectors)
+    for free, spans in gf_core._rref_blocks(3, n, k):
+        assert len(spans) == 3 ** len(free)
+        for span in zip(*spans):
+            rows = _rows(3, free, span)
+            assert list(span) == _span_ranks(3, n, rows)
+            vectors = [GFVector.from_rank(3, n, w).coords for w in rows]
+            # row f is e_f at the free columns
+            assert [[v[col - 1] for col in free] for v in vectors] == [
+                [int(col == f) for col in free] for f in free
+            ]
+            assert {GFVector.from_rank(3, n, r).coords for r in span} == tuple_span(3, vectors)
 
 
-def _cut_groups(n, rows):
+def _cut_groups(n, spans):
     """Pivots of a block with one slot fixed by its head and one in its tail."""
-    spaces = [perp(rref_basis([GFVector.from_rank(3, n, w) for w in col])) for col in zip(*rows)]
+    spaces = [perp(rref_basis([GFVector.from_rank(3, n, w) for w in span])) for span in zip(*spans)]
     cut = []
     for g, pivot in enumerate(spaces[0].pivots):
         slots = [col for col in spaces[0].free_columns if col > pivot]
@@ -565,7 +598,8 @@ def _cut_groups(n, rows):
 # every annihilator block of F_3^n and every codim: up to n = 6 at the
 # default tail and under a cap of 30 subspaces, up to n = 5 at tails of 4
 # and 1 and under a cap of 5; tails of 4 and caps of 5 and 30 cut pivot
-# groups between head and tail, a tail of 1 leaves one subspace a block
+# groups between head and tail, a tail of 1 leaves one subspace a block.
+# A cap of `most` subspaces is most * 3^c span cells at codim c
 @pytest.mark.parametrize(
     "tail_size,most,top,cuts",
     [
@@ -578,15 +612,23 @@ def _cut_groups(n, rows):
 )
 def test_trit_block_spans_on_every_annihilator_block(monkeypatch, tail_size, most, top, cuts):
     monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
-    cut = []
+    cells, cut, more = gf_core._SPAN_CELLS, [], False
     for n in range(1, top + 1):
         for c in range(1, n + 1):
-            for rows in gf_core._rref_blocks(3, n, n - c, most=most):
-                spans = _trit_block_spans(n, rows)
-                assert list(zip(*spans)) == [tuple(_span_ranks(3, n, col)) for col in zip(*rows)]
+            monkeypatch.setattr(gf_core, "_SPAN_CELLS", cells)
+            unpatched = sum(1 for _ in gf_core._rref_blocks(3, n, n - c))
+            monkeypatch.setattr(gf_core, "_SPAN_CELLS", most * 3**c or cells)
+            blocks = list(gf_core._rref_blocks(3, n, n - c))
+            more |= len(blocks) > unpatched
+            for free, spans in blocks:
+                assert list(zip(*spans)) == [
+                    tuple(_span_ranks(3, n, _rows(3, free, span))) for span in zip(*spans)
+                ]
                 if n == 4:
-                    cut += _cut_groups(n, rows)
+                    cut += _cut_groups(n, spans)
     assert bool(cut) == cuts
+    # the caps reach the walk: they split blocks that it yields whole
+    assert more == bool(most)
 
 
 def test_trit_shifts_match_digit_loop():

@@ -269,19 +269,45 @@ def test_oracle_matches_transform_route(kind, p, n, max_codim, seed):
         assert winner == ref_space
 
 
+def _patch_caps(monkeypatch, p, n, max_codim, tail_size, span_cells):
+    """Patch the walk's block caps, and check that they reach the walk.
+
+    At each codim up to max_codim where a block of the default walk
+    holds more subspaces than the patched cap, the patched walk yields
+    more blocks; over F_3, fewer span cells also keep fewer tables.
+    """
+
+    def walk():
+        sizes = [
+            [len(spans[0]) for _, spans in gf_core._rref_blocks(p, n, n - c)]
+            for c in range(max_codim + 1)
+        ]
+        return sizes, _engine(PointSet.empty(p, n), max_codim).rounds
+
+    (whole, rounds), cells = walk(), gf_core._SPAN_CELLS
+    monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
+    monkeypatch.setattr(gf_core, "_SPAN_CELLS", span_cells)
+    patched, patched_rounds = walk()
+    for c, (before, after) in enumerate(zip(whole, patched)):
+        assert sum(after) == sum(before)
+        if max(before) > max(1, min(tail_size, span_cells // p**c)):
+            assert len(after) > len(before), c
+    if p == 3:
+        assert (patched_rounds < rounds) == (span_cells < cells)
+
+
 # a tail of 4 gives many heads, so many blocks, per profile; a tail of 1
 # gives one-subspace blocks, which skip the list rounds altogether;
 # 128 span cells cap the blocks at 128 / p^codim subspaces each
 @pytest.mark.parametrize(
     "tail_size,span_cells",
-    [(4, pipeline._SPAN_CELLS), (1, pipeline._SPAN_CELLS), (gf_core._TAIL_SIZE, 128)],
+    [(4, gf_core._SPAN_CELLS), (1, gf_core._SPAN_CELLS), (gf_core._TAIL_SIZE, 128)],
 )
 @pytest.mark.parametrize("kind,p,n,max_codim,seed", ORACLE_CASES)
 def test_oracle_matches_transform_route_in_small_blocks(
     monkeypatch, tail_size, span_cells, kind, p, n, max_codim, seed
 ):
-    monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
-    monkeypatch.setattr(pipeline, "_SPAN_CELLS", span_cells)
+    _patch_caps(monkeypatch, p, n, max_codim, tail_size, span_cells)
     test_oracle_matches_transform_route(kind, p, n, max_codim, seed)
 
 
@@ -318,11 +344,24 @@ def _engine(A, max_codim):
     return pipeline._CosetSums(A.p, A.n, F, max_codim)
 
 
-def _f2_screen(F, order, best, rows):
+def _f2_screen(F, order, best, block):
     """The survivors of the engine's F_2 screen of one block, run over order."""
-    sums = pipeline._CosetSums(2, (len(F) - 1).bit_length(), F, len(rows))
+    free, spans = block
+    sums = pipeline._CosetSums(2, (len(F) - 1).bit_length(), F, len(free))
     sums.order, sums.rounds = order, len(order)
-    return list(sums.screen(best, rows, sums.spans(rows)))
+    return list(sums.screen(best, free, spans))
+
+
+def _first_block(p, n, c):
+    """The walk's first codim-c block, and W's span for each of its subspaces."""
+    block = next(gf_core._rref_blocks(p, n, n - c))
+    spans = list(zip(*block[1]))
+    # each span is that of its rows by _span_ranks, row f at point p^(c-1-f)
+    assert spans == [
+        tuple(gf_core._span_ranks(p, n, tuple(span[p ** (c - 1 - f)] for f in range(c))))
+        for span in spans
+    ]
+    return block, spans
 
 
 def test_f2_block_filter_keeps_r_in_w_and_drops_ties():
@@ -331,8 +370,7 @@ def test_f2_block_filter_keeps_r_in_w_and_drops_ties():
     F = wht2(A.membership_table())
     order = sorted(range(1, 1 << n), key=lambda r: F[r] * F[r], reverse=True)
     # the first codim-2 profile, pivots 1..4: 8 slots, one block
-    rows = next(gf_core._rref_blocks(2, n, n - 2))
-    spans = [tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)]
+    block, spans = _first_block(2, n, 2)
     assert len(spans) == 256
 
     def sq(span, r):
@@ -341,7 +379,7 @@ def test_f2_block_filter_keeps_r_in_w_and_drops_ties():
     sups = [max(sq(span, r) for r in order if r not in span) for span in spans]
 
     def survivors(best):
-        return _f2_screen(F, order, best, rows)
+        return _f2_screen(F, order, best, block)
 
     # above every sup only an r inside W could rule a subspace out; the
     # sum over such a coset is the one over W itself and does not count
@@ -388,8 +426,7 @@ def test_f2_packed_screen_reads_both_frequencies(kind):
     # each end of a half's range sits on a multiple of 2^K.  A two-entry
     # order is one round, and 256 subspaces always run it.
     n = 6
-    rows = next(gf_core._rref_blocks(2, n, n - 2))
-    spans = [tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)]
+    block, spans = _first_block(2, n, 2)
     if kind == "extreme":
         e = min(set(range(1 << n)) - set(spans[0]))
         low = set(spans[0]) | {e ^ w for w in spans[0]}  # W_0 and one more coset
@@ -411,7 +448,7 @@ def test_f2_packed_screen_reads_both_frequencies(kind):
         for r in range(1, 1 << n):
             for best in {s * s for s in sums[r]} - {0} | {above}:
                 for order in ([q, r], [r, q]):
-                    got = _f2_screen(F, order, best, rows)
+                    got = _f2_screen(F, order, best, block)
                     assert got == [
                         span for j, span in enumerate(spans)
                         if all(x in span or sums[x][j] ** 2 < best for x in order)
@@ -429,7 +466,7 @@ def test_f2_packed_screen_reads_both_frequencies(kind):
 
 
 def test_f2_screen_pairs_the_last_r_with_itself():
-    # an odd-length order runs out on r paired with itself; with the
+    # an odd-length order runs out on r that pairs with itself; with the
     # rounds running to the end, the survivors are those of one r at a
     # time.  A coset r + W holds |W| frequencies with one sum, so over a
     # full order the last r never drops what an earlier one kept; the
@@ -439,13 +476,12 @@ def test_f2_screen_pairs_the_last_r_with_itself():
         A = random_subset(words(seed), 2, n, Fraction(1, 2))
         F = wht2(A.membership_table())
         order = sorted(range(1, 1 << n), key=lambda r: F[r] * F[r], reverse=True)
-        rows = next(gf_core._rref_blocks(2, n, n - 2))
-        spans = [tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)]
+        block, spans = _first_block(2, n, 2)
         for best in (36, 64):
             for run in (order, order[::-1], [order[-1], order[-2], order[0]]):
                 kept, reached = _f2_screen_reference(F, run, best, spans)
                 assert reached, (seed, best, run)
-                assert _f2_screen(F, run, best, rows) == kept
+                assert _f2_screen(F, run, best, block) == kept
                 if len(run) == 3:
                     assert kept != _f2_screen_reference(F, run[:2], best, spans)[0]
 
@@ -463,8 +499,7 @@ def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
     lead = {r for k in range(n) for r in range(3**k, 2 * 3**k)}
     assert sums.order == [r for r in order if r in lead]
     # the first codim-2 profile, pivots 1 and 2: 4 slots, one block
-    rows = next(gf_core._rref_blocks(3, n, n - 2))
-    spans = [tuple(gf_core._span_ranks(3, n, col)) for col in zip(*rows)]
+    block, spans = _first_block(3, n, 2)
     assert len(spans) == 81
 
     def sq(span, r):
@@ -475,8 +510,7 @@ def test_f3_block_filter_keeps_r_in_w_and_drops_ties():
     sups = [max(sq(span, r) for r in order if r not in span) for span in spans]
 
     def survivors(best):
-        block = gf_core._trit_block_spans(n, rows)
-        return list(sums.screen(best, rows, block))
+        return list(sums.screen(best, *block))
 
     # above every sup only an r inside W could rule a subspace out; the
     # sum over such a coset is the one over W itself and does not count
@@ -509,8 +543,8 @@ def test_f3_order_holds_one_r_of_each_pair():
     norms = [a * a - a * b + b * b for a, b in map(F3.__getitem__, sums.order)]
     assert norms == sorted(norms, reverse=True)
     for c in (1, 2):
-        for rows in gf_core._rref_blocks(3, n, n - c):
-            for span in zip(*gf_core._trit_block_spans(n, rows)):
+        for _, spans in gf_core._rref_blocks(3, n, n - c):
+            for span in zip(*spans):
                 for r in range(1, 3**n):
                     minus = add_rank(3, n, r, r)
                     assert (r in span) == (minus in span)
@@ -566,8 +600,8 @@ def test_f3_below_scores_every_subspace(monkeypatch, rounds):
     sums = _engine(A, 2)
     assert sums.rounds == min(rounds, 3**n - 2)
     for c in (1, 2):
-        for rows in gf_core._rref_blocks(3, n, n - c):
-            for span in zip(*gf_core._trit_block_spans(n, rows)):
+        for _, spans in gf_core._rref_blocks(3, n, n - c):
+            for span in zip(*spans):
                 norms = []
                 for r in range(1, 3**n):
                     if r not in span:
@@ -587,8 +621,8 @@ def test_f2_below_scores_every_subspace():
     sums = _engine(A, 3)
     assert sums.rounds == 2**n - 1
     for c in (1, 2, 3):
-        for rows in gf_core._rref_blocks(2, n, n - c):
-            for span in (tuple(gf_core._span_ranks(2, n, col)) for col in zip(*rows)):
+        for _, spans in gf_core._rref_blocks(2, n, n - c):
+            for span in zip(*spans):
                 sq = [sum(F[r ^ x] for x in span) ** 2 for r in range(1, 2**n) if r not in span]
                 assert sums.tries(span, 4**n + 1) == max(sq), span
                 assert sums.tries(span, max(sq)) is None
@@ -624,8 +658,11 @@ def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_f3_checks_read_each_check(n):
-    # every block of F_3^n, with j its first pivot: each check read from
-    # S(0) and S(e_j) equals its count over V's points
+    # every block of F_3^n, with j its first pivot: the one gather of
+    # S(e_j) gives |W| (N_0 - N_1) and |W| (N_2 - N_1), N_t the members
+    # in V's slice x_j = t, counted here point by point; its b-part is
+    # -3^(n-1) exactly when the x_j = 1 slice lies inside the set and
+    # the x_j = 2 slice misses it, so the scan's one check is both
     stream = words(130 + n)
     lead = leading_one_set(n)
     sets = [
@@ -637,24 +674,17 @@ def test_f3_checks_read_each_check(n):
     for A in sets:
         sums = _engine(A, n)
         for c in range(n):
-            for rows in gf_core._rref_blocks(3, n, n - c):
-                spans = gf_core._trit_block_spans(n, rows) if rows else [[0]]
-                free = gf_core._free_columns(3, n, rows)
+            for free, spans in gf_core._rref_blocks(3, n, n - c):
                 j = next(col for col in range(1, n + 1) if col not in free)
-                zero, unit = sums.pair(3 ** (n - j), spans)
-                checks = pipeline._f3_checks(n, c, zero, unit)
-                for i, got in enumerate(checks):
+                for i, (a, b) in enumerate(zip(*sums.read(3 ** (n - j), spans))):
                     V = pipeline._annihilated(3, n, [span[i] for span in spans])
+                    assert V.pivots[0] == j
                     pts = [GFVector.from_rank(3, n, r) for r in span_ranks(V)]
-                    ones = [A.bits >> v.rank & 1 for v in pts if v.coords[j - 1] == 1]
-                    twos = [A.bits >> v.rank & 1 for v in pts if v.coords[j - 1] == 2]
+                    N = [[A.bits >> v.rank & 1 for v in pts if v.coords[j - 1] == t] for t in range(3)]
                     # e_j lies in no W, so the slices are equal
-                    assert 3 * len(ones) == 3 * len(twos) == V.size
-                    expected = (
-                        3 * (sum(twos) - sum(ones)) == -V.size,
-                        all(ones) and not any(twos),
-                    )
-                    assert got == expected, (A, V, j)
+                    assert 3 * len(N[1]) == 3 * len(N[2]) == V.size
+                    assert (a, b) == (3**c * (sum(N[0]) - sum(N[1])), 3**c * (sum(N[2]) - sum(N[1])))
+                    expected = (b == -(3 ** (n - 1)), all(N[1]) and not any(N[2]))
                     seen.add(expected)
     # the two checks stand or fall together (3b = -|V| forces both slices)
     assert seen == {(True, True), (False, False)}
@@ -1004,11 +1034,10 @@ def test_f3_scan_flags_broken_slices_and_identity(monkeypatch):
 # profile whole: the largest holds 9 subspaces of 9 points)
 @pytest.mark.parametrize(
     "tail_size,span_cells",
-    [(4, pipeline._SPAN_CELLS), (1, pipeline._SPAN_CELLS), (gf_core._TAIL_SIZE, 9)],
+    [(4, gf_core._SPAN_CELLS), (1, gf_core._SPAN_CELLS), (gf_core._TAIL_SIZE, 9)],
 )
 def test_f3_scan_across_block_boundaries(monkeypatch, tail_size, span_cells):
-    monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
-    monkeypatch.setattr(pipeline, "_SPAN_CELLS", span_cells)
+    _patch_caps(monkeypatch, 3, 3, 2, tail_size, span_cells)
     test_f3_scan_frozen_results()
     with monkeypatch.context() as patch:
         test_f3_scan_failure_path(patch)

@@ -9,7 +9,7 @@ two-colouring for small m.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
