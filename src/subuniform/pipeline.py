@@ -242,8 +242,8 @@ class _CosetSums:
     the kept tables and then by digit halves), what one int of a screen
     round holds (keep), the r a round takes (step) and the order.
     `rounds` caps the r a screen may try.  Over F_3 the shifted tables
-    x -> base[r + x] of order[:rounds] are kept for the whole walk; F_2
-    keeps none.  Over F_3, r + x comes from `trits`, gf_core's
+    x -> base[r + x] of order[:rounds], and of the r that read takes, are
+    kept by r for the whole walk; F_2 keeps none.  Over F_3, r + x comes from `trits`, gf_core's
     digit-halves adder, kept for the walk like the tables.  read and
     unpack read F_3 sums only.
     """
@@ -253,7 +253,7 @@ class _CosetSums:
         self.bias = bias = max(map(abs, F if p == 2 else chain.from_iterable(F)))
         self.shift = (2 * bias * p**max_codim).bit_length()
         self.mask = (1 << self.shift) - 1
-        self.tables: list[list[int]] = []
+        self.tables: dict[int, list[int]] = {}
         if p == 2:
             self.order = sorted(range(1, self.size), key=[f * f for f in F].__getitem__, reverse=True)
             self.base = [f + bias for f in F]
@@ -266,8 +266,7 @@ class _CosetSums:
             self.base = [((a + bias) << self.shift) + b + bias for a, b in F]
             self.keep, self.tries, self.step = self._keep3, self._tries3, 1
             self.rounds = max(1, min(_ROUNDS, len(self.order), gf_core._SPAN_CELLS // self.size))
-            # read's tables by r, and r + x by digit halves for the walk
-            self.read_tables: dict[int, list[int]] = {}
+            # r + x by digit halves for the walk
             self.trits = _TritAdder(n)
 
     def _tries2(self, span: Sequence[int], bound: int) -> Optional[int]:
@@ -289,10 +288,10 @@ class _CosetSums:
     def _tries3(self, span: Sequence[int], bound: int) -> Optional[int]:
         """_tries2 over F_3: order[:rounds] through the kept tables, then r + x by halves."""
         norm, count, tables, rounds, top = self._norm3, len(span), self.tables, self.rounds, 0
-        for i, r in enumerate(self.order[:rounds]):
+        for r in self.order[:rounds]:
             if r in span:
                 continue
-            table = tables[i] if i < len(tables) else self.table(i)
+            table = tables[r] if r in tables else self.table(r)
             s = 0
             for x in span:
                 s += table[x]
@@ -321,11 +320,11 @@ class _CosetSums:
         """x -> base[r + x] for every rank x."""
         return list(map(self.base.__getitem__, self.trits.shifts(r)))
 
-    def table(self, i: int) -> list[int]:
-        """The shifted table of order[i], for i < rounds."""
-        while len(self.tables) <= i:
-            self.tables.append(self.shifted(self.order[len(self.tables)]))
-        return self.tables[i]
+    def table(self, r: int) -> list[int]:
+        """The shifted table of r, built once and kept for the walk."""
+        if r not in self.tables:
+            self.tables[r] = self.shifted(r)
+        return self.tables[r]
 
     def _norm3(self, s: int, count: int) -> int:
         """a^2 - ab + b^2 for a sum s of `count` entries of base."""
@@ -361,7 +360,7 @@ class _CosetSums:
     def _keep3(self, i: int, best: int, spans: list[list[int]], at: Callable[[int], int]) -> list[bool]:
         """The F_3 round at order[i]: one gather of its kept table sums both parts of S(r)."""
         r = self.order[i]
-        A, B = self.unpack(_gather(self.table(i), spans), len(spans))
+        A, B = self.unpack(_gather(self.table(r), spans), len(spans))
         return [a * a - a * b + b * b < best or x == r for a, b, x in zip(A, B, spans[at(r)])]
 
     def screen(
@@ -398,9 +397,7 @@ class _CosetSums:
 
     def read(self, r: int, spans: list[list[int]]) -> Sums:
         """The a- and b-parts of S(r) on every span of a block, by one gather; F_3 only."""
-        if r not in self.read_tables:
-            self.read_tables[r] = self.shifted(r)
-        return self.unpack(_gather(self.read_tables[r], spans), len(spans))
+        return self.unpack(_gather(self.table(r), spans), len(spans))
 
 
 def _scores_below(

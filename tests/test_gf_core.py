@@ -360,6 +360,22 @@ def _rows(p, free, span):
     return tuple(span[p ** (len(free) - 1 - f)] for f in range(len(free)))
 
 
+def _annihilator_rows(space: Subspace) -> tuple[int, ...]:
+    """W's rows w_f as ranks, built from V's RREF basis, one per free column f.
+
+    w_f is 1 at f, -v_i[f] at the pivot of basis row v_i and 0 at the
+    other free columns, so w_f . v_i = v_i[f] - v_i[f] = 0.
+    """
+    p, n, rows = space.p, space.n, []
+    for f in space.free_columns:
+        row = [0] * n
+        row[f - 1] = 1
+        for v, pivot in zip(space.basis, space.pivots):
+            row[pivot - 1] = -v.coords[f - 1] % p
+        rows.append(GFVector(p, n, tuple(row)).rank)
+    return tuple(rows)
+
+
 # a tail table of 1 puts every slot in the outer product, 4 splits them
 @pytest.mark.parametrize("tail_size", [gf_core._TAIL_SIZE, 1, 4])
 @pytest.mark.parametrize("p,n", [(2, 5), (3, 3)])
@@ -568,19 +584,27 @@ def test_trit_span_and_coset_scan_match_tuple_span(n, dim, seed):
 # annihilator blocks, as the oracle and the ternary scan walk them
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 2), (5, 3)], ids=["3-1", "4-2", "5-2", "5-3"])
 def test_trit_block_spans_match_tuple_span(n, k):
-    # every block of the walk, zipped, against one span each; codim 2 in
+    # every block of the walk, zipped, against one span each and against
+    # the annihilator of the matching enumerate_subspaces V; codim 2 in
     # F_3^5 has profiles of up to 6 slots, 729 subspaces
+    spaces = enumerate_subspaces(3, n, k)
     for free, spans in gf_core._rref_blocks(3, n, k):
         assert len(spans) == 3 ** len(free)
         for span in zip(*spans):
+            V = next(spaces)
             rows = _rows(3, free, span)
             assert list(span) == _span_ranks(3, n, rows)
+            assert rows == _annihilator_rows(V)
+            W = perp(V)
+            assert set(span) == set(_span_ranks(3, n, [w.rank for w in W.basis]))
+            assert rref_basis([GFVector.from_rank(3, n, w) for w in rows]) == W
             vectors = [GFVector.from_rank(3, n, w).coords for w in rows]
             # row f is e_f at the free columns
             assert [[v[col - 1] for col in free] for v in vectors] == [
                 [int(col == f) for col in free] for f in free
             ]
             assert {GFVector.from_rank(3, n, r).coords for r in span} == tuple_span(3, vectors)
+    assert next(spaces, None) is None
 
 
 def _cut_groups(n, spans):
@@ -620,12 +644,17 @@ def test_trit_block_spans_on_every_annihilator_block(monkeypatch, tail_size, mos
             monkeypatch.setattr(gf_core, "_SPAN_CELLS", most * 3**c or cells)
             blocks = list(gf_core._rref_blocks(3, n, n - c))
             more |= len(blocks) > unpatched
+            spaces = enumerate_subspaces(3, n, n - c)
             for free, spans in blocks:
-                assert list(zip(*spans)) == [
-                    tuple(_span_ranks(3, n, _rows(3, free, span))) for span in zip(*spans)
-                ]
+                # each span is the span of W's rows w_f, built here from
+                # the matching V, and those rows are the span's own
+                for span in zip(*spans):
+                    rows = _annihilator_rows(next(spaces))
+                    assert _rows(3, free, span) == rows
+                    assert span == tuple(_span_ranks(3, n, rows))
                 if n == 4:
                     cut += _cut_groups(n, spans)
+            assert next(spaces, None) is None
     assert bool(cut) == cuts
     # the caps reach the walk: they split blocks that it yields whole
     assert more == bool(most)
