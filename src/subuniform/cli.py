@@ -163,17 +163,13 @@ def _parse_lines(lines: list[str]) -> PointSet:
 
 def serialize_set_file(points: PointSet) -> str:
     """Canonical SetFile text: header plus members in rank order."""
-    n = points.n
-    lines = [f"p={points.p} n={n}"]
-    if points.p == 2:
-        lines += [format(r, f"0{n}b") for r in points.member_ranks()]
-    else:
-        # a rank's digit string is its high half's then its low half's;
-        # product counts in base 3, first digit most significant
-        low = 3 ** (n // 2)
-        highs = ["".join(d) for d in product("012", repeat=n - n // 2)]
-        lows = ["".join(d) for d in product("012", repeat=n // 2)]
-        lines += [highs[r // low] + lows[r % low] for r in points.member_ranks()]
+    p, n = points.p, points.n
+    # a rank's digit string is its high half's then its low half's;
+    # product counts in base p, first digit most significant
+    low, digits = p ** (n // 2), "012"[:p]
+    highs = ["".join(d) for d in product(digits, repeat=n - n // 2)]
+    lows = ["".join(d) for d in product(digits, repeat=n // 2)]
+    lines = [f"p={p} n={n}"] + [highs[r // low] + lows[r % low] for r in points.member_ranks()]
     return "\n".join(lines) + "\n"
 
 
@@ -181,7 +177,7 @@ def _parse_vector(text: str, p: int, n: int) -> GFVector:
     digits = text.strip()
     if len(digits) != n:
         raise InputError(f"vector {text!r} has length {len(digits)}, expected {n}")
-    if any(ch not in "0123456789" or int(ch) >= p for ch in digits):
+    if digits.strip("012"[:p]):
         raise InputError(f"vector {text!r} has digits not in F_{p}")
     return GFVector(p, n, tuple(int(ch) for ch in digits))
 

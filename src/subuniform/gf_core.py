@@ -20,6 +20,9 @@ Conventions used throughout the package:
   and the rest, and reads r + x as one entry of each of r's two
   halves.  Where the parts of a sum share no nonzero digit nothing
   carries, and their ranks add as integers (_trit_block_spans).
+* The canonical walk of the subspaces (_rref_blocks) hands them out in
+  blocks of as many as fit in _SPAN_CELLS span points, at least one; it
+  alone cuts each pivot profile's free entries into head and tail.
 
 Ambient sizes are capped so tables of p^n entries stay addressable:
 n <= 24 for p = 2 and n <= 12 for p = 3.
@@ -28,7 +31,7 @@ n <= 24 for p = 2 and n <= 12 for p = 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, compress, product
 from operator import xor
 from typing import Iterable, Iterator, Sequence
@@ -258,10 +261,6 @@ class Coset:
     def whole_space(cls, p: int, n: int) -> Coset:
         return cls(Subspace.full(p, n), GFVector.zero(p, n))
 
-    @property
-    def size(self) -> int:
-        return self.subspace.size
-
     def point_ranks(self) -> list[int]:
         space = self.subspace
         rows = tuple(row.rank for row in space.basis)
@@ -388,69 +387,52 @@ class _TritAdder:
 
 @lru_cache(maxsize=1 << 12)
 def _pivot_digits(head: int, coeffs: tuple[int, ...], weight: int) -> tuple[int, ...]:
-    """weight * ((head - sum_s coeffs[s] d_s) mod 3) for every d in {0, 1, 2}^s.
+    """weight * ((head - sum_s coeffs[s] d_s) mod 3 - head) for every d in {0, 1, 2}^s.
 
-    The values a pivot digit takes over one pivot group's tail slots,
-    first slot most significant (_trit_block_spans).
+    What one pivot's tail slots add to a rank whose digit at that pivot
+    is head, for each of their entries d, first slot most significant
+    (_trit_block_spans).
     """
     vals = [head]
     for c in coeffs:
         vals = [v - c * d for v in vals for d in range(3)]
-    digit = (0, weight, 2 * weight)
-    return tuple(digit[v % 3] for v in vals)
+    return tuple((v % 3 - head) * weight for v in vals)
 
 
-def _trit_block_spans(n: int, free: Sequence[int], rows: Sequence[Sequence[int]]) -> list[list[int]]:
+def _trit_block_spans(n: int, first: Sequence[int], tail: Sequence[tuple[int, int]]) -> list[list[int]]:
     """The spans of a block of annihilators in F_3^n, as rank lists.
 
-    free holds V's free columns and rows[f][j] the rank of row w_f of
-    the block's j-th annihilator W (there is at least one row), as
-    _rref_blocks(3, n, k) builds them.  Entry j of list i is the rank of
-    point i of W, in the order of _span_ranks.
+    first holds the ranks of the rows w_f of the block's first
+    annihilator W (there is at least one row), and tail the block's tail
+    slots as (f, weight of the slot's pivot column), as _rref_blocks(3,
+    n, k) cuts them.  Entry j of list i is the rank of point i of the
+    block's j-th W, in the order of _span_ranks.
 
     Point i is the sum of c_f w_f over the rows, c_f the base-3 digits
     of i with the first row most significant.  As w_f = e_f - sum over
     pivots g of A[g][f] e_g, the point has digit c_f at each free column
     f and -sum_f c_f A[g][f] at each pivot column g: every digit is one
-    column's, so the point is an integer sum of digit-disjoint parts and
-    nothing carries.  The free digits and the head slots are fixed for
-    the block; a tail slot (g, f) moves only the digit at pivot g.  So
-    point i of every subspace is one constant plus one entry per tail
-    pivot group, from a small list over that group's tail slots.
+    column's.  A tail slot (g, f) moves only the digit at pivot g.  So
+    point i of every W is point i of the first W plus one move per tail
+    pivot, from a small list over that pivot's tail slots; the moves
+    touch disjoint digits, so nothing carries.
     """
-    weights = _weights(3, n)
-    digits = [[row[0] // w % 3 for w in weights] for row in rows]
-    pivots = [col for col in range(1, n + 1) if col not in free]
-    slots = [
-        (g, f) for g, pivot in enumerate(pivots) for f, col in enumerate(free) if col > pivot
-    ]
-    # the block runs the last t slots, 3^t subspaces (_rref_blocks)
-    t = 0
-    while 3**t < len(rows[0]):
-        t += 1
     groups: dict[int, list[int]] = {}
-    for g, f in slots[len(slots) - t :]:
-        groups.setdefault(g, []).append(f)
+    for f, weight in tail:
+        groups.setdefault(weight, []).append(f)
     spans = []
-    for coeffs in product(range(3), repeat=len(rows)):
-        point = [sum(c * weights[col - 1] for c, col in zip(coeffs, free))]
-        # the digit that the block's first subspace puts at each pivot
-        heads = [sum(c * ds[pivot - 1] for c, ds in zip(coeffs, digits)) % 3 for pivot in pivots]
-        for g, pivot in enumerate(pivots):
-            if g not in groups:
-                point[0] += heads[g] * weights[pivot - 1]
-        for g, tail in groups.items():
-            part = _pivot_digits(heads[g], tuple(coeffs[f] for f in tail), weights[pivots[g] - 1])
+    for coeffs, x in zip(product(range(3), repeat=len(first)), _span_ranks(3, n, first)):
+        point = [x]
+        for weight, rows in groups.items():
+            part = _pivot_digits(x // weight % 3, tuple(coeffs[f] for f in rows), weight)
             point = [u + v for u in point for v in part]
         spans.append(point)
     return spans
 
 
-# A profile's trailing slots, at most this many subspaces' worth, form
-# the tail lists of one block; its leading slots run in an outer product.
-_TAIL_SIZE = 1 << 12
 # Blocks are cut so that their span lists hold at most _SPAN_CELLS
-# ranks, about 0.5 MB of list slots.
+# ranks, about 0.5 MB of list slots; ranks above 256 are int objects
+# of their own, so a full block costs more than its slots.
 _SPAN_CELLS = 1 << 16
 
 
@@ -472,52 +454,50 @@ def _rref_blocks(p: int, n: int, k: int) -> Iterator[tuple[list[int], list[list[
     lists them.  V is given by the rows w_f = e_f - sum_i A[i][f]
     e_{pivot i}, one per non-pivot column f, which span its annihilator.
 
-    One block is yielded per (profile, head): the head fixes the leading
-    slots, the trailing slots run inside the block.  A block holds at
-    most min(_TAIL_SIZE, _SPAN_CELLS // p^c) subspaces, c = n - k, and
-    never fewer than one.  A block is yielded as (free, spans): the
-    free columns of its profile, and its annihilators' span lists, in
-    which spans[i][j] is the rank of point i (_span_ranks order) of the
-    block's j-th W.  Row f's ranks are the head's start rank plus the
-    profile's tail list for row f, built once by doubling over the tail
-    slots, last slot first; each slot owns one coordinate of one row,
-    so head and tail touch disjoint digits and the sum never carries.
-    The spans come from the rows by XOR over F_2 and by digit sums over
-    F_3 (_trit_block_spans); the rows are not kept.  At k = n the one
-    block is ([], [[0]]): V is the whole space and W = {0}.
+    This is the one place that cuts a profile's slots into head and
+    tail: the tail is the most trailing slots whose subspaces fit in
+    _SPAN_CELLS // p^c, c = n - k, and the head the rest.  One block is
+    yielded per (profile, head), the tail running inside it, so a block
+    holds at most that many subspaces and never fewer than one.  A
+    block is yielded as (free, spans): the free columns of its profile,
+    and its annihilators' span lists, in which spans[i][j] is the rank
+    of point i (_span_ranks order) of the block's j-th W.  The head
+    fixes the block's first W, whose row f is e_f plus the head's
+    entries in row f; each slot owns one digit of one row, so head and
+    tail touch disjoint digits and their ranks add.  Over F_2 row f's
+    ranks are the first W's plus the profile's tail list for row f,
+    built once by doubling over the tail slots, last slot first, and the
+    spans come from the rows by XOR (_spans2); over F_3 the spans come
+    from the first W's rows and the tail slots (_trit_block_spans).  At
+    k = n the one block is ([], [[0]]): V is the whole space and W = {0}.
     """
     if k == n:
         yield [], [[0]]
         return
     weights = _weights(p, n)
-    cap = min(_TAIL_SIZE, _SPAN_CELLS // p ** (n - k))
+    cap = _SPAN_CELLS // p ** (n - k)
     for pivots in combinations(range(1, n + 1), k):
         free = [col for col in range(1, n + 1) if col not in pivots]
-        build = _spans2 if p == 2 else partial(_trit_block_spans, n, free)
         base = [weights[col - 1] for col in free]
-        # one slot per free entry: the row it writes and its p values
-        slots = [
-            (j, [-d % p * weights[pivot - 1] for d in range(p)])
-            for pivot in pivots
-            for j, col in enumerate(free)
-            if col > pivot
-        ]
+        # one slot per free entry: the row it writes and its pivot's weight
+        slots = [(f, weights[pivot - 1]) for pivot in pivots for f, col in enumerate(free) if col > pivot]
         cut, size = len(slots), 1
-        tails = [[0] for _ in free]
         while cut and size * p <= cap:
-            cut -= 1
-            row, values = slots[cut]
-            tails = [
-                [v + t for v in values for t in tail] if f == row else tail * p
-                for f, tail in enumerate(tails)
-            ]
-            size *= p
-        head_rows = [row for row, _ in slots[:cut]]
-        for head in product(*[values for _, values in slots[:cut]]):
-            start = base[:]
-            for row, v in zip(head_rows, head):
-                start[row] += v
-            yield free, build([[s + t for t in tail] for s, tail in zip(start, tails)])
+            cut, size = cut - 1, size * p
+        head, tail = slots[:cut], slots[cut:]
+        if p == 2:
+            tails = [[0] for _ in free]
+            for row, weight in reversed(tail):
+                tails = [t + [v + weight for v in t] if f == row else t + t for f, t in enumerate(tails)]
+        head_rows = [f for f, _ in head]
+        for entries in product(*[[-d % p * weight for d in range(p)] for _, weight in head]):
+            first = base[:]
+            for f, v in zip(head_rows, entries):
+                first[f] += v
+            if p == 2:
+                yield free, _spans2([[s + t for t in row] for s, row in zip(first, tails)])
+            else:
+                yield free, _trit_block_spans(n, first, tail)
 
 
 def enumerate_subspaces(p: int, n: int, k: int) -> Iterator[Subspace]:

@@ -78,7 +78,7 @@ from .gf_core import (
     rref_basis,
 )
 from .increments import PipelineParams, RegularityResult, regularity_decompose
-from .ramsey import AlmostColouring, UnionStructure, bucket_colouring, find_union_structure
+from .ramsey import UnionStructure, bucket_colouring, find_union_structure
 from .spectra import (
     UniformityReport,
     _dft3_pairs,
@@ -103,7 +103,6 @@ class PipelineAttempt:
 
     min_codim: int
     regularity: RegularityResult
-    colouring: Optional[AlmostColouring]
     structure: Optional[UnionStructure]
 
 
@@ -118,7 +117,6 @@ class PipelineReport:
     """
 
     outcome: str
-    params: PipelineParams
     d: int
     buckets: int
     attempts: tuple[PipelineAttempt, ...]
@@ -155,10 +153,9 @@ def find_uniform_subspace(points: PointSet, params: PipelineParams) -> PipelineR
             points, params.eps, params.eta, min_codim=depth, max_codim=max_codim
         )
         if not reg.succeeded:
-            attempts.append(PipelineAttempt(depth, reg, None, None))
+            attempts.append(PipelineAttempt(depth, reg, None))
             return PipelineReport(
                 outcome="codim_exhausted",
-                params=params,
                 d=d,
                 buckets=buckets,
                 attempts=tuple(attempts),
@@ -169,7 +166,7 @@ def find_uniform_subspace(points: PointSet, params: PipelineParams) -> PipelineR
         good = [q for q, rep in enumerate(_coset_rep_ranks(space)) if rep not in bad]
         colouring = bucket_colouring(reg.coset_counts, space, buckets, good)
         structure = find_union_structure(colouring, d)
-        attempts.append(PipelineAttempt(depth, reg, colouring, structure))
+        attempts.append(PipelineAttempt(depth, reg, structure))
         if structure is None:
             depth = space.codim + 1
             continue
@@ -183,7 +180,6 @@ def find_uniform_subspace(points: PointSet, params: PipelineParams) -> PipelineR
         bound = Fraction(params.slack) * params.eps
         return PipelineReport(
             outcome="success",
-            params=params,
             d=d,
             buckets=buckets,
             attempts=tuple(attempts),
@@ -199,7 +195,6 @@ def find_uniform_subspace(points: PointSet, params: PipelineParams) -> PipelineR
     # max_codim; that is a codimension-budget problem, not a failed search
     return PipelineReport(
         outcome="ramsey_failure" if attempts else "codim_exhausted",
-        params=params,
         d=d,
         buckets=buckets,
         attempts=tuple(attempts),
@@ -360,7 +355,7 @@ class _CosetSums:
     def _keep3(self, i: int, best: int, spans: list[list[int]], at: Callable[[int], int]) -> list[bool]:
         """The F_3 round at order[i]: one gather of its kept table sums both parts of S(r)."""
         r = self.order[i]
-        A, B = self.unpack(_gather(self.table(r), spans), len(spans))
+        A, B = self.read(r, spans)
         return [a * a - a * b + b * b < best or x == r for a, b, x in zip(A, B, spans[at(r)])]
 
     def screen(

@@ -64,10 +64,6 @@ class UnionStructure:
     xs: tuple[GFVector, ...]
     colour: int
 
-    @property
-    def d(self) -> int:
-        return len(self.xs)
-
 
 def bucket_colouring(
     counts: Sequence[int],

@@ -74,7 +74,7 @@ def criterion(num: int, name: str):
 
 
 def coset_density(points: PointSet, coset: Coset) -> Fraction:
-    return Fraction(sum(points.bits >> r & 1 for r in coset.point_ranks()), coset.size)
+    return Fraction(sum(points.bits >> r & 1 for r in coset.point_ranks()), coset.subspace.size)
 
 
 def oracle_sup_sq(points: PointSet, coset: Coset) -> Fraction:
@@ -83,7 +83,7 @@ def oracle_sup_sq(points: PointSet, coset: Coset) -> Fraction:
     coeffs = rec_wht2(table)
     if len(coeffs) == 1:
         return Fraction(0)
-    return Fraction(max(c * c for c in coeffs[1:]), coset.size**2)
+    return Fraction(max(c * c for c in coeffs[1:]), coset.subspace.size**2)
 
 
 def ternary_subspaces(n: int):

@@ -269,7 +269,7 @@ def test_coset_canonicalization_and_validation():
     coset = Coset.of(V, GFVector(2, 3, (1, 0, 0)))
     assert coset.rep == GFVector(2, 3, (0, 0, 1))
     assert canonical_rep(GFVector(2, 3, (1, 0, 0)), V) == coset.rep
-    assert coset.size == 2
+    assert coset.subspace.size == 2
     whole = Coset.whole_space(2, 3)
     assert whole.subspace == Subspace.full(2, 3) and whole.rep == GFVector.zero(2, 3)
 
@@ -376,12 +376,13 @@ def _annihilator_rows(space: Subspace) -> tuple[int, ...]:
     return tuple(rows)
 
 
-# a tail table of 1 puts every slot in the outer product, 4 splits them
-@pytest.mark.parametrize("tail_size", [gf_core._TAIL_SIZE, 1, 4])
+# most * p^c span cells cap the codim-c blocks at most subspaces: 4096
+# leaves every profile whole, 1 puts every slot in the heads, 4 splits them
+@pytest.mark.parametrize("most", [4096, 1, 4])
 @pytest.mark.parametrize("p,n", [(2, 5), (3, 3)])
-def test_enumeration_order_and_annihilator_rows(monkeypatch, tail_size, p, n):
-    monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
+def test_enumeration_order_and_annihilator_rows(monkeypatch, most, p, n):
     for k in range(n + 1):
+        monkeypatch.setattr(gf_core, "_SPAN_CELLS", most * p ** (n - k))
         spaces = list(enumerate_subspaces(p, n, k))
         # canonical order: pivot profile, then free entries lexicographically
         keys = [(s.pivots, _slot_entries(s)) for s in spaces]
@@ -425,12 +426,24 @@ def test_rref_blocks_cap_keeps_the_walk(monkeypatch, most):
     whole = _flat(gf_core._rref_blocks(p, n, k))
     for cells in (most * p ** (n - k), 1) if most == 1 else (most * p ** (n - k),):
         monkeypatch.setattr(gf_core, "_SPAN_CELLS", cells)
-        cap = min(gf_core._TAIL_SIZE, cells // p ** (n - k))
+        cap = cells // p ** (n - k)
         blocks = list(gf_core._rref_blocks(p, n, k))
         sizes = [len(spans[0]) for _, spans in blocks]
         assert sizes == _block_sizes(p, n, k, max(1, cap))
         assert all(1 <= size <= max(1, cap) for size in sizes)
         assert _flat(blocks) == whole
+
+
+def test_rref_blocks_are_cut_by_span_cells_alone():
+    # at the default _SPAN_CELLS a codim-c block holds up to
+    # _SPAN_CELLS // p^c subspaces: codim 3 in F_2^8 has profiles of up
+    # to 2^15 subspaces, cut into 60 blocks of at most 8,192, and codim 2
+    # in F_3^7 profiles of up to 3^10, cut into 31 blocks of at most 6,561
+    for p, n, c, count, most in ((2, 8, 3, 60, 8192), (3, 7, 2, 31, 6561)):
+        sizes = [len(spans[0]) for _, spans in gf_core._rref_blocks(p, n, n - c)]
+        assert sizes == _block_sizes(p, n, n - c, gf_core._SPAN_CELLS // p**c)
+        assert (len(sizes), max(sizes)) == (count, most)
+        assert sum(sizes) == gaussian_binomial(p, n, n - c)
 
 
 def test_enumeration_is_deterministic_with_frozen_head():
@@ -620,22 +633,15 @@ def _cut_groups(n, spans):
 
 
 # every annihilator block of F_3^n and every codim: up to n = 6 at the
-# default tail and under a cap of 30 subspaces, up to n = 5 at tails of 4
-# and 1 and under a cap of 5; tails of 4 and caps of 5 and 30 cut pivot
-# groups between head and tail, a tail of 1 leaves one subspace a block.
-# A cap of `most` subspaces is most * 3^c span cells at codim c
+# default span cells and under a cap of 30 subspaces, up to n = 5 under
+# caps of 4, 5 and 1; caps of 4, 5 and 30 cut pivot groups between head
+# and tail, a cap of 1 leaves one subspace a block.  A cap of `most`
+# subspaces is most * 3^c span cells at codim c, 0 the default
 @pytest.mark.parametrize(
-    "tail_size,most,top,cuts",
-    [
-        (4096, 0, 6, False),
-        (4096, 30, 6, True),
-        (4, 0, 5, True),
-        (1, 0, 5, False),
-        (4096, 5, 5, True),
-    ],
+    "most,top,cuts",
+    [(0, 6, False), (30, 6, True), (4, 5, True), (1, 5, False), (5, 5, True)],
 )
-def test_trit_block_spans_on_every_annihilator_block(monkeypatch, tail_size, most, top, cuts):
-    monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
+def test_trit_block_spans_on_every_annihilator_block(monkeypatch, most, top, cuts):
     cells, cut, more = gf_core._SPAN_CELLS, [], False
     for n in range(1, top + 1):
         for c in range(1, n + 1):

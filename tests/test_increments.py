@@ -47,7 +47,7 @@ def half_space(n: int) -> PointSet:
 
 
 def coset_density(points: PointSet, coset: Coset) -> Fraction:
-    return Fraction(sum(points.bits >> r & 1 for r in coset.point_ranks()), coset.size)
+    return Fraction(sum(points.bits >> r & 1 for r in coset.point_ranks()), coset.subspace.size)
 
 
 def oracle_sup_sq(points: PointSet, coset: Coset) -> Fraction:
@@ -57,7 +57,7 @@ def oracle_sup_sq(points: PointSet, coset: Coset) -> Fraction:
     if len(coeffs) == 1:
         return Fraction(0)
     worst = max(c * c for c in coeffs[1:])
-    return Fraction(worst, coset.size ** 2)
+    return Fraction(worst, coset.subspace.size ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from subuniform import (
     PipelineParams,
     PointSet,
     Subspace,
+    bucket_colouring,
     canonical_rep,
     coset_reps,
     enumerate_subspaces,
@@ -144,22 +145,25 @@ def test_pipeline_reports_are_internally_consistent(seed):
     A = random_point_set(2, 7, Fraction(1, 2), seed=seed)
     params = PipelineParams(eps=Fraction(1, 4))
     report = find_uniform_subspace(A, params)
-    assert report.params == params
+    assert (report.d, report.buckets) == (params.resolved_d, params.resolved_buckets)
     assert report.outcome in ("success", "ramsey_failure", "codim_exhausted")
     depths = [a.min_codim for a in report.attempts]
     assert depths == sorted(depths)
-    # each colouring gives every good coset of its W the colour
-    # floor(B * count / |W|) and leaves the bad cosets uncoloured
+    # each colouring, rebuilt from its attempt's scan, gives every good
+    # coset of its W the colour floor(B * count / |W|) and leaves the bad
+    # cosets uncoloured
     for attempt in report.attempts:
-        if attempt.colouring is None:
+        if not attempt.regularity.succeeded:
             continue
         W = attempt.regularity.space
         bad = {quotient_index(W, rep) for rep in attempt.regularity.bad_reps}
+        good = [q for q in range(2**W.codim) if q not in bad]
+        colouring = bucket_colouring(attempt.regularity.coset_counts, W, report.buckets, good)
         expect = tuple(
             None if q in bad else report.buckets * count // W.size
             for q, count in enumerate(raw_coset_counts(A, W))
         )
-        assert attempt.colouring.colours == expect
+        assert colouring.colours == expect
     if report.outcome != "success":
         assert report.V is None
         return
@@ -172,7 +176,8 @@ def test_pipeline_reports_are_internally_consistent(seed):
     # quotient points and their ambient lifts agree
     for q, a in zip(report.xs_quotient, report.xs_ambient):
         assert quotient_index(report.W, a) == q.rank
-    assert check_union_structure(last.colouring, last.structure)
+    # the last attempt is the successful one, so colouring is its own
+    assert check_union_structure(colouring, last.structure)
     assert last.structure.colour == report.colour
     # verification is reproducible and the slack bound is evaluated exactly
     fresh = uniformity_sup(A, Coset.of(report.V, GFVector.zero(2, 7)))
@@ -269,59 +274,70 @@ def test_oracle_matches_transform_route(kind, p, n, max_codim, seed):
         assert winner == ref_space
 
 
-def _patch_caps(monkeypatch, p, n, max_codim, tail_size, span_cells):
-    """Patch the walk's block caps, and check that they reach the walk.
+def _patch_caps(monkeypatch, p, n, max_codim, most, span_cells):
+    """Cap the oracle's codim-c blocks at min(most, span_cells // p^c) subspaces.
 
-    At each codim up to max_codim where a block of the default walk
-    holds more subspaces than the patched cap, the patched walk yields
-    more blocks; over F_3, fewer span cells also keep fewer tables.
+    _SPAN_CELLS alone sizes the blocks, so span_cells stays in force and
+    the oracle's walk runs each codim c under min(span_cells, most p^c)
+    cells.  Checks that the caps reach the walk: at each codim up to
+    max_codim where a block of the default walk holds more subspaces
+    than the cap, the patched walk yields more blocks; over F_3, fewer
+    span cells also keep fewer tables.
     """
+    walk = pipeline._rref_blocks
 
-    def walk():
-        sizes = [
-            [len(spans[0]) for _, spans in gf_core._rref_blocks(p, n, n - c)]
-            for c in range(max_codim + 1)
-        ]
-        return sizes, _engine(PointSet.empty(p, n), max_codim).rounds
+    def capped(p, n, k):
+        with monkeypatch.context() as patch:
+            patch.setattr(gf_core, "_SPAN_CELLS", min(span_cells, most * p ** (n - k)))
+            # the walk reads _SPAN_CELLS as it starts, so it runs in full here
+            return iter(list(walk(p, n, k)))
 
-    (whole, rounds), cells = walk(), gf_core._SPAN_CELLS
-    monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
+    def sizes():
+        blocks = [pipeline._rref_blocks(p, n, n - c) for c in range(max_codim + 1)]
+        rounds = _engine(PointSet.empty(p, n), max_codim).rounds
+        return [[len(spans[0]) for _, spans in b] for b in blocks], rounds
+
+    (whole, rounds), cells = sizes(), gf_core._SPAN_CELLS
     monkeypatch.setattr(gf_core, "_SPAN_CELLS", span_cells)
-    patched, patched_rounds = walk()
+    monkeypatch.setattr(pipeline, "_rref_blocks", capped)
+    patched, patched_rounds = sizes()
     for c, (before, after) in enumerate(zip(whole, patched)):
         assert sum(after) == sum(before)
-        if max(before) > max(1, min(tail_size, span_cells // p**c)):
+        if max(before) > max(1, min(most, span_cells // p**c)):
             assert len(after) > len(before), c
     if p == 3:
         assert (patched_rounds < rounds) == (span_cells < cells)
 
 
-# a tail of 4 gives many heads, so many blocks, per profile; a tail of 1
+# a cap of 4 gives many heads, so many blocks, per profile; a cap of 1
 # gives one-subspace blocks, which skip the list rounds altogether;
-# 128 span cells cap the blocks at 128 / p^codim subspaces each
+# 128 span cells cap the blocks at 128 / p^codim subspaces each, and a
+# cap of 4096 leaves the cells alone
 @pytest.mark.parametrize(
-    "tail_size,span_cells",
-    [(4, gf_core._SPAN_CELLS), (1, gf_core._SPAN_CELLS), (gf_core._TAIL_SIZE, 128)],
+    "most,span_cells",
+    [(4, gf_core._SPAN_CELLS), (1, gf_core._SPAN_CELLS), (4096, 128)],
 )
 @pytest.mark.parametrize("kind,p,n,max_codim,seed", ORACLE_CASES)
 def test_oracle_matches_transform_route_in_small_blocks(
-    monkeypatch, tail_size, span_cells, kind, p, n, max_codim, seed
+    monkeypatch, most, span_cells, kind, p, n, max_codim, seed
 ):
-    _patch_caps(monkeypatch, p, n, max_codim, tail_size, span_cells)
+    _patch_caps(monkeypatch, p, n, max_codim, most, span_cells)
     test_oracle_matches_transform_route(kind, p, n, max_codim, seed)
 
 
 def test_oracle_through_profiles_of_several_blocks(monkeypatch):
-    # codim 3 in F_2^8 has profiles of up to 15 slots, so up to 8 blocks
-    # of 4096 subspaces each; codim 2 in F_3^6 has profiles of up to 8
-    # slots, so up to 3 blocks of 2,187; one-subspace blocks are the
-    # per-subspace loop alone and serve as the reference
-    for p, n, codim, seed in ((2, 8, 3, 101), (3, 6, 2, 105)):
+    # codim 3 in F_2^8 has profiles of up to 15 slots, so up to 4 blocks
+    # of 8,192 subspaces each, checked against one-subspace blocks (1
+    # span cell), the per-subspace loop alone; codim 2 in F_3^7 has
+    # profiles of up to 10 slots, so up to 9 blocks of 6,561 screened
+    # through 29 tables, checked against blocks of 243 and one table
+    # (3^7 span cells), as one-subspace blocks there take seconds
+    for p, n, codim, seed, cells in ((2, 8, 3, 101, 1), (3, 7, 2, 105, 3**7)):
         A = random_subset(words(seed), p, n, Fraction(1, 2))
-        monkeypatch.setattr(gf_core, "_TAIL_SIZE", 1 << 12)
         winner, sup = exhaustive_best_subspace(A, codim)
-        monkeypatch.setattr(gf_core, "_TAIL_SIZE", 1)
-        assert exhaustive_best_subspace(A, codim) == (winner, sup)
+        with monkeypatch.context() as patch:
+            patch.setattr(gf_core, "_SPAN_CELLS", cells)
+            assert exhaustive_best_subspace(A, codim) == (winner, sup)
         assert uniformity_sup(A, Coset.of(winner, GFVector.zero(p, n))).sup_sq == sup
 
 
@@ -630,9 +646,10 @@ def test_f2_below_scores_every_subspace():
 
 def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
     # at most one shifted table per screen round for the whole walk, the
-    # tables of a prefix of order, each built once; with tails of 27 the
-    # codim-3 walk of F_3^5 screens many blocks, which run more rounds
-    # between them than there are tables
+    # tables of a prefix of order, each built once; the codim-2 walk of
+    # F_3^7 cuts profiles of up to 59,049 subspaces into blocks of 6,561
+    # and screens many blocks, which run more rounds between them than
+    # there are tables (29 at F_3^7)
     built, gathers = [], []
     shifted, gather = pipeline._CosetSums.shifted, pipeline._gather
     monkeypatch.setattr(
@@ -641,9 +658,7 @@ def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
     monkeypatch.setattr(
         pipeline, "_gather", lambda t, s: gathers.append(t) or gather(t, s)
     )
-    n = 5
-    for tail_size, max_codim in ((gf_core._TAIL_SIZE, 2), (27, 3)):
-        monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
+    for n, max_codim in ((5, 2), (7, 2)):
         for seed in (120, 121):
             A = random_subset(words(seed), 3, n, Fraction(1, 2))
             sums = _engine(A, max_codim)
@@ -652,7 +667,7 @@ def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
             exhaustive_best_subspace(A, max_codim)
             assert 0 < len(built) <= sums.rounds < 3**n - 1
             assert built == sums.order[: len(built)]
-            if tail_size == 27:
+            if n == 7:
                 assert len(gathers) > len(built)
 
 
@@ -700,14 +715,15 @@ def test_f3_oracle_past_the_kept_rounds(monkeypatch, kind, p, n, max_codim, seed
     test_oracle_matches_transform_route(kind, p, n, max_codim, seed)
 
 
-@pytest.mark.parametrize("tail_size", [gf_core._TAIL_SIZE, 1])
+# 4096 span cells leave every profile whole, 1 cell gives one-subspace blocks
+@pytest.mark.parametrize("span_cells", [4096, 1])
 @pytest.mark.parametrize("p,n,seed", [(2, 6, 97), (3, 4, 99)])
-def test_scores_below_yields_the_record_setters(monkeypatch, tail_size, p, n, seed):
+def test_scores_below_yields_the_record_setters(monkeypatch, span_cells, p, n, seed):
     # planted coset unions with 1/16 of the points flipped set 4 or 5
     # records each; against the oracle's running best the walk yields
     # exactly those, each with its exact score, on blocks or one by one;
     # like the oracle it stops at 0, which no score is below
-    monkeypatch.setattr(gf_core, "_TAIL_SIZE", tail_size)
+    monkeypatch.setattr(gf_core, "_SPAN_CELLS", span_cells)
     for A in _noisy_planted(p, n, seed):
         expected = _records(A, 3)
         assert len(expected) >= 4
@@ -833,7 +849,7 @@ def test_decomposition_identity_and_vanishing_product(seed, d):
         for s in subset_sums:
             coset = Coset.of(W, s)
             dens = Fraction(
-                sum(A.bits >> y & 1 for y in coset.point_ranks()), coset.size
+                sum(A.bits >> y & 1 for y in coset.point_ranks()), coset.subspace.size
             )
             for r in w_perp_pts:
                 sign = -1 if r.dot(s) else 1
@@ -1028,16 +1044,16 @@ def test_f3_scan_flags_broken_slices_and_identity(monkeypatch):
     assert any(sup_ok)  # some V fails only on the structural checks
 
 
-# the default blocks hold whole profiles; a tail of 4 or 1 splits the
+# the default blocks hold whole profiles; a cap of 4 or 1 splits the
 # profiles of F_3^3 into several blocks, and so do 9 span cells, which cap
 # the blocks at 9 / 3^k subspaces each (81 cells would leave every
 # profile whole: the largest holds 9 subspaces of 9 points)
 @pytest.mark.parametrize(
-    "tail_size,span_cells",
-    [(4, gf_core._SPAN_CELLS), (1, gf_core._SPAN_CELLS), (gf_core._TAIL_SIZE, 9)],
+    "most,span_cells",
+    [(4, gf_core._SPAN_CELLS), (1, gf_core._SPAN_CELLS), (4096, 9)],
 )
-def test_f3_scan_across_block_boundaries(monkeypatch, tail_size, span_cells):
-    _patch_caps(monkeypatch, 3, 3, 2, tail_size, span_cells)
+def test_f3_scan_across_block_boundaries(monkeypatch, most, span_cells):
+    _patch_caps(monkeypatch, 3, 3, 2, most, span_cells)
     test_f3_scan_frozen_results()
     with monkeypatch.context() as patch:
         test_f3_scan_failure_path(patch)

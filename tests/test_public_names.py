@@ -20,12 +20,16 @@ A public module-level function, class or constant in src/ that stays
 out of __all__ is held to the same rule: it must be read in src/ or
 scripts/ outside its own definition, or stand on the shrink-only
 UNLISTED_TEST_ONLY.
+
+Matching by name lets a member that two public classes define pass on
+the other class's reader.  SHARED_NAMES lists every such name, exactly,
+with one reader per owner.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import subuniform
@@ -43,9 +47,45 @@ TEST_ONLY = {
 TEST_ONLY_METHODS: dict[str, str] = {}
 
 # Class.field -> why it is still there with no reader in src/ or scripts/
-TEST_ONLY_FIELDS = {
-    "PipelineAttempt.colouring": "tests/test_pipeline.py::test_pipeline_reports_are_internally_consistent reads it",
-    "PipelineReport.params": "tests/test_pipeline.py::test_pipeline_reports_are_internally_consistent reads it",
+TEST_ONLY_FIELDS: dict[str, str] = {}
+
+# member name that two or more public classes define -> {owner class: the
+# package or script function, as module.qualname, that reads the name on
+# that class's objects}, each pairing checked by hand
+SHARED_NAMES = {
+    "basis": {"Subspace": "gf_core.perp", "Spectrum": "spectra.Spectrum.uniformity"},
+    "buckets": {
+        "PipelineParams": "increments.PipelineParams.resolved_buckets",
+        "PipelineReport": "cli._pipeline_json",
+    },
+    "colour": {"PipelineReport": "cli._pipeline_json", "UnionStructure": "pipeline.find_uniform_subspace"},
+    "coset": {"IncrementStep": "cli._increment_json", "UniformityReport": "cli._uniformity_json"},
+    "d": {"PipelineParams": "increments.PipelineParams.resolved_d", "PipelineReport": "cli._pipeline_json"},
+    "density": {
+        "IncrementStep": "cli._increment_json",
+        "Spectrum": "spectra.Spectrum.uniformity",
+        "UniformityReport": "cli._uniformity_json",
+    },
+    "min_codim": {
+        "PipelineParams": "pipeline.find_uniform_subspace",
+        "PipelineAttempt": "cli._pipeline_json",
+    },
+    "n": {
+        "GFVector": "gf_core.rref_basis",
+        "Subspace": "gf_core.perp",
+        "PointSet": "pipeline.exhaustive_best_subspace",
+        "F3Report": "cli._f3_json",
+    },
+    "p": {
+        "GFVector": "gf_core.rref_basis",
+        "Subspace": "gf_core.perp",
+        "PointSet": "pipeline.exhaustive_best_subspace",
+        "Spectrum": "spectra.Spectrum.count",
+    },
+    "size": {"Subspace": "ramsey.bucket_colouring", "PointSet": "cli._parse_canonical"},
+    "sup_sq": {"PipelineReport": "cli._cmd_pipeline", "UniformityReport": "cli._uniformity_json"},
+    "witness_r": {"IncrementStep": "cli._increment_json", "UniformityReport": "cli._uniformity_json"},
+    "zero": {"GFVector": "pipeline.find_uniform_subspace", "Subspace": "gf_core.perp"},
 }
 
 # module-level name outside __all__ -> why it is still there with no reader
@@ -118,18 +158,37 @@ def _attribute_reads(tree: ast.AST) -> Counter:
     )
 
 
-def test_every_public_method_has_a_reader_outside_the_tests():
-    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
-    scripts = [ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / "scripts").glob("*.py"))]
-    reads = sum(map(_attribute_reads, trees + scripts), Counter())
-    methods = [
+def _trees() -> tuple[list[ast.Module], list[ast.Module]]:
+    """The parsed modules of src/ and of scripts/."""
+    return tuple(
+        [ast.parse(path.read_text(), str(path)) for path in sorted(folder.glob("*.py"))]
+        for folder in (SRC, ROOT / "scripts")
+    )
+
+
+def _public_members(trees: list[ast.Module]) -> list[tuple[str, ast.stmt]]:
+    """(class, statement) for each statement in a public class body."""
+    return [
         (cls.name, stmt)
         for tree in trees
         for cls in tree.body
         if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
         for stmt in cls.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.endswith("__")
     ]
+
+
+def _is_method(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.endswith("__")
+
+
+def _is_field(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+
+
+def test_every_public_method_has_a_reader_outside_the_tests():
+    trees, scripts = _trees()
+    reads = sum(map(_attribute_reads, trees + scripts), Counter())
+    methods = [(cls, stmt) for cls, stmt in _public_members(trees) if _is_method(stmt)]
     assert methods
     unread = sorted(
         f"{cls}.{method.name}"
@@ -143,20 +202,41 @@ def test_every_public_method_has_a_reader_outside_the_tests():
 
 
 def test_every_public_field_has_a_reader_outside_the_tests():
-    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
-    scripts = [ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / "scripts").glob("*.py"))]
+    trees, scripts = _trees()
     reads = sum(map(_attribute_reads, trees + scripts), Counter())
-    fields = [
-        f"{cls.name}.{stmt.target.id}"
-        for tree in trees
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
-        for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-    ]
+    fields = [f"{cls}.{stmt.target.id}" for cls, stmt in _public_members(trees) if _is_field(stmt)]
     assert fields
     unread = sorted(field for field in fields if not reads[field.split(".")[1]])
     assert unread == sorted(TEST_ONLY_FIELDS), (
         f"public fields with no reader in src/ or scripts/: {unread}; "
         f"allowed: {sorted(TEST_ONLY_FIELDS)}"
     )
+
+
+def _function(path: str) -> ast.AST:
+    """The function at module.qualname, the module in src/ or scripts/."""
+    module, *qualname = path.split(".")
+    file = SRC / f"{module}.py"
+    node = ast.parse((file if file.exists() else ROOT / "scripts" / f"{module}.py").read_text())
+    for name in qualname:
+        node = next(stmt for stmt in node.body if getattr(stmt, "name", None) == name)
+    return node
+
+
+def test_every_shared_member_name_has_a_reader_per_owner():
+    trees, _ = _trees()
+    owners = defaultdict(set)
+    for cls, stmt in _public_members(trees):
+        if _is_method(stmt):
+            owners[stmt.name].add(cls)
+        elif _is_field(stmt):
+            owners[stmt.target.id].add(cls)
+    shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
+    assert shared == {name: set(readers) for name, readers in SHARED_NAMES.items()}
+    unread = [
+        f"{cls}.{name} by {function}"
+        for name, readers in SHARED_NAMES.items()
+        for cls, function in readers.items()
+        if not _attribute_reads(_function(function))[name]
+    ]
+    assert unread == []

@@ -132,7 +132,7 @@ def test_structure_frozen_examples():
     s = find_union_structure(full, 2)
     assert [x.digits() for x in s.xs] == ["01", "10"]
     assert s.colour == 1
-    assert s.d == 2
+    assert len(s.xs) == 2
     assert check_union_structure(full, s)
 
     blocked = AlmostColouring(2, 2, (None, 2, 1, 1))

@@ -413,7 +413,7 @@ def test_uniformity_frozen_half_space():
     assert report.witness_t == 4
     assert report.witness_r == GFVector(2, 3, (1, 0, 0))
     assert report.density == Fraction(1, 2)
-    assert report.coset.size == 8
+    assert report.coset.subspace.size == 8
 
 
 def test_uniformity_trivial_cases():
