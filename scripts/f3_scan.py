@@ -4,14 +4,14 @@
 For each n the scan walks every positive-dimensional subspace V of
 F_3^n, computes the exact uniformity sup of the leading-one set on V,
 and checks it never drops below the 1/12 squared-magnitude floor
-(n = 7, with --long-run, takes about 20 s).  The
+(n = 7, with --long-run, takes 11 to 14 s on a 2-vCPU VM).  The
 table printed here shows how close the minimum gets to the floor as n
 grows; any failing subspace is listed under its row.
 
 Example:
 
     python3 scripts/f3_scan.py --max-n 4
-    python3 scripts/f3_scan.py --min-n 5 --max-n 6 --long-run  # about 0.6 s
+    python3 scripts/f3_scan.py --min-n 5 --max-n 6 --long-run  # about 0.3 s
 """
 
 from __future__ import annotations

@@ -83,8 +83,14 @@ def parse_set_file(text: str) -> PointSet:
     serialize_set_file writes it) is read in bulk.  Any other text, and
     any text with an error, goes through the line loop, the one place
     that handles comments, blanks and whitespace and words the errors.
+    Lines end at \\n, \\r\\n and \\r, as text mode's newline translation
+    ends them, and a final newline opens no line of its own.
     """
-    lines = text.splitlines()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     points = _parse_canonical(lines)
     return _parse_lines(lines) if points is None else points
 
@@ -201,8 +207,6 @@ def _load_set(path: str) -> PointSet:
         raise InputError(
             f"cannot read set file {path}: not UTF-8 (byte {exc.start}: {exc.reason})"
         ) from None
-    # splitlines ends lines at \r\n and \r as text mode's newline
-    # translation would
     return parse_set_file(text)
 
 

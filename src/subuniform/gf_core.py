@@ -16,10 +16,11 @@ Conventions used throughout the package:
   That canonical representative is the unique coset element whose pivot
   coordinates are all zero.
 * F_3 vectors add on ranks, digit by digit: digit i of r + x is
-  (r_i + x_i) mod 3.  _TritAdder splits x into its low n // 2 digits
-  and the rest, and reads r + x as one entry of each of r's two
-  halves.  Where the parts of a sum share no nonzero digit nothing
-  carries, and their ranks add as integers (_trit_block_spans).
+  (r_i + x_i) mod 3.  _trit_halves splits x into its low n // 2
+  digits and the rest, and reads r + x as one entry of each of r's two
+  halves, whose tables are cached for the process.  Where the parts of
+  a sum share no nonzero digit nothing carries, and their ranks add as
+  integers (_trit_block_spans).
 * The canonical walk of the subspaces (_rref_blocks) hands them out in
   blocks of as many as fit in _SPAN_CELLS span points, at least one; it
   alone cuts each pivot profile's free entries into head and tail.
@@ -328,10 +329,9 @@ def _span_ranks(p: int, n: int, rows: tuple[int, ...], start: int = 0) -> list[i
     """
     pts = [start]
     if p == 3:
-        adder = _TritAdder(n)
-        cut = adder.cut
+        cut = 3 ** (n // 2)
         for row in reversed(rows):
-            H, L = adder.halves(row)
+            H, L = _trit_halves(n, row)
             once = [H[x // cut] + L[x % cut] for x in pts]
             pts += once + [H[x // cut] + L[x % cut] for x in once]
         return pts
@@ -341,48 +341,34 @@ def _span_ranks(p: int, n: int, rows: tuple[int, ...], start: int = 0) -> list[i
     return pts
 
 
-def _trit_shifts(n: int, r: int) -> list[int]:
-    """Ranks of r + x for x = 0 .. 3^n - 1, in that order: one of _TritAdder's halves.
+@lru_cache(maxsize=None)
+def _trit_shifts(n: int, r: int, scale: int) -> tuple[int, ...]:
+    """scale * (r + x) on ranks of F_3^n for x = 0 .. 3^n - 1, in that order.
 
     Built digit by digit, most significant first, as sums of one value
-    per digit, (r_i + x_i) mod 3 times its weight.
+    per digit, (r_i + x_i) mod 3 times its weight.  Kept for the life
+    of the process: per ambient n, _trit_halves asks for at most
+    3^ceil(n/2) + 3^floor(n/2) tables, each of at most 3^ceil(n/2)
+    entries.  The tables are shared by every caller, hence tuples.
     """
     out = [0]
     for w in _weights(3, n):
         d = r // w % 3
-        column = [(d + e) % 3 * w for e in range(3)]
+        column = [(d + e) % 3 * w * scale for e in range(3)]
         out = [o + v for o in out for v in column]
-    return out
+    return tuple(out)
 
 
-class _TritAdder:
-    """r + x on ranks of F_3^n, by digit halves, for the life of one call.
+def _trit_halves(n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(H, L) with r + x = H[x // cut] + L[x % cut] for every rank x of F_3^n.
 
-    With cut = 3^(n // 2), x % cut holds the low n // 2 digits of x and
-    x // cut the rest, and r + x = H[x // cut] + L[x % cut] for r's
-    halves (H, L).  The halves are built by _trit_shifts and kept by
-    r's digit pattern in each half, so each kind holds at most 3^n list
-    slots when every pattern is met.
+    cut = 3^(n // 2): x % cut holds the low n // 2 digits of x and
+    x // cut the rest, and each half of r + x is that of r plus that of
+    x, digit by digit.  H is pre-scaled by cut.
     """
-
-    def __init__(self, n: int) -> None:
-        self.n, self.cut = n, 3 ** (n // 2)
-        self.highs: dict[int, list[int]] = {}
-        self.lows: dict[int, list[int]] = {}
-
-    def halves(self, r: int) -> tuple[list[int], list[int]]:
-        """(H, L) with r + x = H[x // cut] + L[x % cut] for every rank x of F_3^n."""
-        high, low = divmod(r, self.cut)
-        if high not in self.highs:
-            self.highs[high] = [y * self.cut for y in _trit_shifts(self.n - self.n // 2, high)]
-        if low not in self.lows:
-            self.lows[low] = _trit_shifts(self.n // 2, low)
-        return self.highs[high], self.lows[low]
-
-    def shifts(self, r: int) -> list[int]:
-        """r + x for every rank x of F_3^n, in rank order."""
-        H, L = self.halves(r)
-        return [h + l for h in H for l in L]
+    cut = 3 ** (n // 2)
+    high, low = divmod(r, cut)
+    return _trit_shifts(n - n // 2, high, cut), _trit_shifts(n // 2, low, 1)
 
 
 @lru_cache(maxsize=1 << 12)

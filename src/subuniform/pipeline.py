@@ -70,7 +70,7 @@ from .gf_core import (
     Subspace,
     _coset_rep_ranks,
     _rref_blocks,
-    _TritAdder,
+    _trit_halves,
     extend_span,
     gaussian_binomial,
     lift_from_quotient,
@@ -238,9 +238,9 @@ class _CosetSums:
     round holds (keep), the r a round takes (step) and the order.
     `rounds` caps the r a screen may try.  Over F_3 the shifted tables
     x -> base[r + x] of order[:rounds], and of the r that read takes, are
-    kept by r for the whole walk; F_2 keeps none.  Over F_3, r + x comes from `trits`, gf_core's
-    digit-halves adder, kept for the walk like the tables.  read and
-    unpack read F_3 sums only.
+    kept by r for the whole walk; F_2 keeps none.  Over F_3, r + x comes
+    from gf_core's digit halves (_trit_halves).  read reads F_3 sums
+    only.
     """
 
     def __init__(self, p: int, n: int, F: Sequence, max_codim: int) -> None:
@@ -261,8 +261,6 @@ class _CosetSums:
             self.base = [((a + bias) << self.shift) + b + bias for a, b in F]
             self.keep, self.tries, self.step = self._keep3, self._tries3, 1
             self.rounds = max(1, min(_ROUNDS, len(self.order), gf_core._SPAN_CELLS // self.size))
-            # r + x by digit halves for the walk
-            self.trits = _TritAdder(n)
 
     def _tries2(self, span: Sequence[int], bound: int) -> Optional[int]:
         """max S(r)^2 over r outside W, or None at the first one >= bound; by XOR."""
@@ -295,12 +293,12 @@ class _CosetSums:
                 return None
             if sq > top:
                 top = sq
-        inside, base, halves, cut = set(span), self.base, self.trits.halves, self.trits.cut
+        inside, base, n, cut = set(span), self.base, self.n, 3 ** (self.n // 2)
         highs, lows = [x // cut for x in span], [x % cut for x in span]
         for r in islice(self.order, rounds, None):
             if r in inside:
                 continue
-            H, L = halves(r)
+            H, L = _trit_halves(n, r)
             s = 0
             for u, v in zip(highs, lows):
                 s += base[H[u] + L[v]]
@@ -311,14 +309,11 @@ class _CosetSums:
                 top = sq
         return top
 
-    def shifted(self, r: int) -> list[int]:
-        """x -> base[r + x] for every rank x."""
-        return list(map(self.base.__getitem__, self.trits.shifts(r)))
-
     def table(self, r: int) -> list[int]:
-        """The shifted table of r, built once and kept for the walk."""
+        """The shifted table x -> base[r + x] of r, built once and kept for the walk."""
         if r not in self.tables:
-            self.tables[r] = self.shifted(r)
+            (H, L), base = _trit_halves(self.n, r), self.base
+            self.tables[r] = [base[h + l] for h in H for l in L]
         return self.tables[r]
 
     def _norm3(self, s: int, count: int) -> int:
@@ -326,11 +321,6 @@ class _CosetSums:
         off = count * self.bias
         a, b = (s >> self.shift) - off, (s & self.mask) - off
         return a * a - a * b + b * b
-
-    def unpack(self, sums: list[int], count: int) -> Sums:
-        """The a- and b-parts of packed F_3 sums of `count` entries each."""
-        mask, off = self.mask, count * self.bias
-        return [(s >> self.shift) - off for s in sums], [(s & mask) - off for s in sums]
 
     def _keep2(self, i: int, best: int, spans: list[list[int]], at: Callable[[int], int]) -> list[bool]:
         """The F_2 round at order[i]: one gather sums S(r0) and S(r1).
@@ -392,7 +382,8 @@ class _CosetSums:
 
     def read(self, r: int, spans: list[list[int]]) -> Sums:
         """The a- and b-parts of S(r) on every span of a block, by one gather; F_3 only."""
-        return self.unpack(_gather(self.table(r), spans), len(spans))
+        sums, mask, off = _gather(self.table(r), spans), self.mask, len(spans) * self.bias
+        return [(s >> self.shift) - off for s in sums], [(s & mask) - off for s in sums]
 
 
 def _scores_below(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import runpy
@@ -103,6 +104,11 @@ def test_parse_accepts_comments_blanks_and_any_order():
         ("p=2 n=2\n12\n", "line 2: vector '12' has digits not in F_2"),
         ("p=2 n=2\n1x\n", "line 2: vector '1x' has digits not in F_2"),
         ("p=2 n=2\n01\n01\n", "line 3: duplicate vector '01' (first at line 2)"),
+        # lines end at \n, \r\n and \r only, as in text mode
+        ("p=2 n=2\n10\x0c01\n", "line 2: vector '10\\x0c01' has length 5, expected 2"),
+        ("p=2 n=2\n10\x0c01\n1\n", "line 2: vector '10\\x0c01' has length 5, expected 2"),
+        ("p=2 n=2\n10\u202801\n", "line 2: vector '10\\u202801' has length 5, expected 2"),
+        ("p=2 n=2\r01\r\n1\r", "line 3: vector '1' has length 1, expected 2"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, message):
@@ -126,6 +132,11 @@ def _mutate(stream, p: int, text: str, kind: str) -> str:
         lines.insert(rand_below(stream, len(lines) + 1), "")
     elif kind == "crlf":
         return "\r\n".join(lines) + "\r\n"
+    elif kind == "line separator":
+        # splitlines breaks here, text mode does not
+        sep = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"[rand_below(stream, 8)]
+        j = rand_below(stream, n + 1)
+        lines[at] = lines[at][:j] + sep + lines[at][j:]
     elif kind == "leading space":
         lines[at] = " " + lines[at]
     elif kind == "trailing space":
@@ -154,10 +165,15 @@ def _outcome(parse, text: str):
 
 
 MUTATIONS = (
-    "comment", "trailing comment", "blank", "crlf", "leading space",
-    "trailing space", "short", "long", "digit", "duplicate", "empty",
-    "header on line 2",
+    "comment", "trailing comment", "blank", "crlf", "line separator",
+    "leading space", "trailing space", "short", "long", "digit",
+    "duplicate", "empty", "header on line 2",
 )
+
+
+def _text_mode_lines(text: str) -> list[str]:
+    """The lines that a file opened in text mode would read."""
+    return [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
 
 
 def test_parse_routes_agree_on_mutated_canonical_text():
@@ -169,7 +185,7 @@ def test_parse_routes_agree_on_mutated_canonical_text():
             for kind in MUTATIONS:
                 points = random_subset(stream, p, n, Fraction(1, 2))
                 text = _mutate(stream, p, serialize_set_file(points), kind)
-                expected = _outcome(lambda t: cli._parse_lines(t.splitlines()), text)
+                expected = _outcome(lambda t: cli._parse_lines(_text_mode_lines(t)), text)
                 assert _outcome(parse_set_file, text) == expected, (kind, text)
 
 

@@ -38,8 +38,8 @@ from subuniform import gf_core
 from subuniform.gf_core import (
     _coset_table,
     _span_ranks,
+    _trit_halves,
     _trit_shifts,
-    _TritAdder,
 )
 
 from conftest import (
@@ -530,22 +530,23 @@ def test_pointset_decoder_shapes():
 
 
 def test_trit_adder_matches_digit_loop():
-    # every pair in F_3^1 .. F_3^4, through both the halves and the full list
+    # every pair in F_3^1 .. F_3^4, read by x's halves and as the full
+    # list in rank order, high half major, as the shifted tables read it
     for n in range(1, 5):
-        adder = _TritAdder(n)
+        cut = 3 ** (n // 2)
         for r in range(3**n):
             expected = [add_rank(3, n, r, x) for x in range(3**n)]
-            H, L = adder.halves(r)
-            assert [H[x // adder.cut] + L[x % adder.cut] for x in range(3**n)] == expected
-            assert adder.shifts(r) == expected
+            H, L = _trit_halves(n, r)
+            assert [H[x // cut] + L[x % cut] for x in range(3**n)] == expected
+            assert [h + l for h in H for l in L] == expected
     stream = words(31)
     n = 12
-    adder = _TritAdder(n)
+    cut = 3 ** (n // 2)
     xs = [rand_below(stream, 3**n) for _ in range(50)]
     ys = [rand_below(stream, 3**n) for _ in range(50)]
     for x in xs:
-        H, L = adder.halves(x)
-        assert [H[y // adder.cut] + L[y % adder.cut] for y in ys] == [
+        H, L = _trit_halves(n, x)
+        assert [H[y // cut] + L[y % cut] for y in ys] == [
             add_rank(3, n, x, y) for y in ys
         ]
 
@@ -667,6 +668,8 @@ def test_trit_block_spans_on_every_annihilator_block(monkeypatch, most, top, cut
 
 
 def test_trit_shifts_match_digit_loop():
+    # the tables are cached and shared by every caller, so they are tuples
     for n in range(1, 5):
         for r in range(3**n):
-            assert _trit_shifts(n, r) == [add_rank(3, n, r, x) for x in range(3**n)]
+            assert _trit_shifts(n, r, 1) == tuple(add_rank(3, n, r, x) for x in range(3**n))
+            assert _trit_shifts(n, r, 3) == tuple(3 * add_rank(3, n, r, x) for x in range(3**n))

@@ -589,8 +589,7 @@ def test_f3_packed_sums_at_the_packing_extremes():
             assert sums.shift == (2 * sums.bias * size).bit_length()
             spans = [[x] for x in range(size)]
             for r in range(0, 3**n, size):
-                table = sums.shifted(r)
-                (a,), (b,) = sums.unpack(pipeline._gather(table, spans), size)
+                (a,), (b,) = sums.read(r, spans)
                 assert (a, b) == (
                     sum(F3[r + x][0] for x in range(size)),
                     sum(F3[r + x][1] for x in range(size)),
@@ -599,7 +598,7 @@ def test_f3_packed_sums_at_the_packing_extremes():
             # B = 1, and 2 e_1 + W for W of dim n - 1 reaches 2 B 3^(n-1)
             top = _engine(A, n - 1)
             assert top.bias == 1
-            table = top.shifted(2 * 3 ** (n - 1))
+            table = top.table(2 * 3 ** (n - 1))
             low = pipeline._gather(table, [[x] for x in range(3 ** (n - 1))])[0]
             assert low & ((1 << top.shift) - 1) == 2 * 3 ** (n - 1)
 
@@ -651,10 +650,14 @@ def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
     # and screens many blocks, which run more rounds between them than
     # there are tables (29 at F_3^7)
     built, gathers = [], []
-    shifted, gather = pipeline._CosetSums.shifted, pipeline._gather
-    monkeypatch.setattr(
-        pipeline._CosetSums, "shifted", lambda sums, r: built.append(r) or shifted(sums, r)
-    )
+    table, gather = pipeline._CosetSums.table, pipeline._gather
+
+    def counted(sums, r):
+        if r not in sums.tables:  # table builds r's table now
+            built.append(r)
+        return table(sums, r)
+
+    monkeypatch.setattr(pipeline._CosetSums, "table", counted)
     monkeypatch.setattr(
         pipeline, "_gather", lambda t, s: gathers.append(t) or gather(t, s)
     )

@@ -8,6 +8,10 @@ constant that only tests read fails here and should go.  The same holds
 for each method of a module-level private class, other than dunders: it
 must be read as an attribute somewhere in the package outside its own
 body.
+
+Every function cached with functools.lru_cache hands the same object
+to every caller, so it must return an immutable value: its return
+annotation is int or tuple[...].
 """
 
 from __future__ import annotations
@@ -84,3 +88,36 @@ def test_every_private_class_method_has_a_caller_in_the_package():
         if reads[method.name] == _attribute_reads(method)[method.name]
     )
     assert not unused, f"private-class methods with no caller in the package: {unused}"
+
+
+def _cached(func: ast.FunctionDef) -> bool:
+    """Whether a def carries lru_cache or cache, bare, called or as functools'."""
+    for deco in func.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name in ("lru_cache", "cache"):
+            return True
+    return False
+
+
+def _immutable(returns: ast.expr | None) -> bool:
+    """Whether a return annotation reads int or tuple[...]."""
+    if isinstance(returns, ast.Subscript):
+        returns = returns.value
+    return isinstance(returns, ast.Name) and returns.id in ("int", "tuple")
+
+
+def test_every_cached_function_returns_an_immutable_value():
+    # a cached list is shared by every caller: one caller's mutation
+    # would corrupt every later call's result
+    cached = [
+        (path.name, node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _cached(node)
+    ]
+    assert cached
+    mutable = sorted(
+        f"{module}: {node.name}" for module, node in cached if not _immutable(node.returns)
+    )
+    assert not mutable, f"cached functions without an int or tuple[...] return: {mutable}"
