@@ -32,15 +32,24 @@ whole space and reads each V through its annihilator W (dim W = codim
 V): by Poisson summation the coset sum S(r) of the full transform over
 r + W is |W| times V's coefficient at the character r induces on V.
 Both fields share one coset-sum engine, _CosetSums, with field hooks
-for the per-subspace sums, the packing and the order.  The walk
-(gf_core._rref_blocks) hands out blocks that share a pivot profile,
-each as its free columns and its annihilators' span lists;
-_CosetSums.screen rules out whole blocks by list gathers (_gather)
-through shifted tables x -> F(r + x), two r per table built for the
-block over F_2, and over F_3 both parts of F(x) = a + b*w of one r, one
-of each pair r, -r, per table shared by every block.  _CosetSums.tries
-scores what it leaves, one by one, by its own coset sums over all of
-the order.
+for the per-subspace sums, the packing, the order and the values a
+squared coefficient can take.  The walk (gf_core._rref_blocks) hands
+out blocks that share a pivot profile, each as its free columns and its
+annihilators' span lists, and four filters drop, in this order, the
+subspaces that score at least the best so far:
+
+1. a caller's visit, which sees every subspace of the block;
+2. the Parseval round (_CosetSums.parseval): one gather of S(0) = |W| m,
+   m = |A cap V|, and V is out when |W|^2 times the least value its
+   largest nontrivial squared coefficient can take, given that the
+   squares sum to |V| m - m^2 over the |V| - 1 nontrivial characters,
+   reaches the best; the gather is skipped when no m could get there;
+3. _CosetSums.screen, list gathers (_gather) through shifted tables
+   x -> F(r + x), two r per table built for the block over F_2, and
+   over F_3 both parts of F(x) = a + b*w of one r, one of each pair r,
+   -r, per table shared by every block;
+4. _CosetSums.tries, which scores each survivor by its own coset sums
+   over all of the order.
 
 Over F_3 no analogous search can succeed: leading_one_set builds the
 set whose members have first nonzero coordinate 1, and
@@ -216,6 +225,29 @@ def _gather(table: list[int], spans: list[list[int]]) -> list[int]:
     return sums
 
 
+def _kept(spans: list[list[int]], keep: list[bool]) -> list[list[int]]:
+    """A block's span lists cut down to the subspaces that keep marks."""
+    return spans if all(keep) else [list(compress(span, keep)) for span in spans]
+
+
+def _mean_sq(v: int, m: int) -> int:
+    """ceil((v m - m^2) / (v - 1)): the v - 1 nontrivial squared magnitudes on
+    a V of v points holding m members sum to v m - m^2, so the largest is
+    at least this."""
+    return -((m * m - v * m) // (v - 1))
+
+
+def _least2(q: int, m: int) -> int:
+    """The least t^2 >= q with t = m mod 2: each F_2 coefficient on V is m minus an even number."""
+    t = isqrt(q - 1) + 1 if q else 0
+    return (t + (t - m) % 2) ** 2
+
+
+def _least3(q: int, m: int) -> int:
+    """The least u >= q with u = m^2 mod 3: a^2 - ab + b^2 = (a + b)^2 = m^2 mod 3 over F_3."""
+    return q + (m * m - q) % 3
+
+
 Sums = tuple[list[int], list[int]]  # the a- and b-parts of one S per subspace
 Visit = Callable[[list[int], list[list[int]], Callable[[int], Sums]], list[bool]]
 
@@ -235,7 +267,10 @@ class _CosetSums:
     screen serves both fields, which differ in hooks set in __init__:
     a subspace's own sums over all of order (tries: by XOR, or through
     the kept tables and then by digit halves), what one int of a screen
-    round holds (keep), the r a round takes (step) and the order.
+    round holds (keep), the r a round takes (step), the order, and, for
+    the Parseval round (parseval), the values a squared coefficient can
+    take (least) and the bit offset of the part of base that S(0) is
+    read from (real: 0, or the a-part's shift over F_3).
     `rounds` caps the r a screen may try.  Over F_3 the shifted tables
     x -> base[r + x] of order[:rounds], and of the r that read takes, are
     kept by r for the whole walk; F_2 keeps none.  Over F_3, r + x comes
@@ -253,6 +288,7 @@ class _CosetSums:
             self.order = sorted(range(1, self.size), key=[f * f for f in F].__getitem__, reverse=True)
             self.base = [f + bias for f in F]
             self.keep, self.tries, self.step = self._keep2, self._tries2, 2
+            self.least, self.real = _least2, 0
             # no table is kept, so the screen runs through all of order
             self.rounds = len(self.order)
         else:
@@ -260,6 +296,7 @@ class _CosetSums:
             self.order = sorted(_leading_ones(n), key=norms.__getitem__, reverse=True)
             self.base = [((a + bias) << self.shift) + b + bias for a, b in F]
             self.keep, self.tries, self.step = self._keep3, self._tries3, 1
+            self.least, self.real = _least3, self.shift
             self.rounds = max(1, min(_ROUNDS, len(self.order), gf_core._SPAN_CELLS // self.size))
 
     def _tries2(self, span: Sequence[int], bound: int) -> Optional[int]:
@@ -348,6 +385,40 @@ class _CosetSums:
         A, B = self.read(r, spans)
         return [a * a - a * b + b * b < best or x == r for a, b, x in zip(A, B, spans[at(r)])]
 
+    def floor(self, v: int, m: int) -> int:
+        """The least value |c|^2 can take at V's largest nontrivial coefficient c.
+
+        V has v points and holds m members; its trivial coefficient is m
+        and the squared magnitudes of all v sum to v m (Parseval), so the
+        largest nontrivial one is at least _mean_sq(v, m), and at least
+        the next value >= that it can take (least: _least2, _least3).
+        """
+        return self.least(_mean_sq(v, m), m)
+
+    def top_floor(self, v: int) -> int:
+        """At least floor(v, m) for every m: _mean_sq(v, m) peaks at m = v // 2,
+        and least grows with its q and reads m mod p alone."""
+        q = _mean_sq(v, v // 2)
+        return max(self.least(q, m) for m in range(self.p))
+
+    def parseval(self, best: int, spans: list[list[int]]) -> list[list[int]]:
+        """The block's span lists without each subspace that Parseval rules out.
+
+        One gather of the unshifted base over the spans gives S(0) = |W|
+        m, m the members in V (over F_3 as its a-part), and V is dropped
+        when |W|^2 floor(|V|, m) >= best: its score is at least that.
+        The gather is skipped when the block has one-point V or no
+        subspace left, and when |W|^2 top_floor(|V|) < best, so that no
+        V could be dropped.
+        """
+        w = len(spans)  # |W|
+        v, cut = self.size // w, w * w
+        if v == 1 or not spans[0] or cut * self.top_floor(v) < best:
+            return spans
+        sums, real, off = _gather(self.base, spans), self.real, w * self.bias
+        drop = {s: cut * self.floor(v, ((s >> real) - off) // w) >= best for s in set(sums)}
+        return _kept(spans, [not drop[s] for s in sums])
+
     def screen(
         self, best: int, free: list[int], spans: list[list[int]]
     ) -> Iterator[tuple[int, ...]]:
@@ -375,9 +446,7 @@ class _CosetSums:
         for i in range(0, self.rounds, self.step):
             if len(spans[0]) * len(spans) < self.size:
                 break
-            keep = self.keep(i, best, spans, at)
-            if not all(keep):
-                spans = [list(compress(span, keep)) for span in spans]
+            spans = _kept(spans, self.keep(i, best, spans, at))
         return zip(*spans)
 
     def read(self, r: int, spans: list[list[int]]) -> Sums:
@@ -397,17 +466,21 @@ def _scores_below(
     and S(r) the sum of F(r + s) over s in W, V's score is the integer
     p^(2n) * sup_sq(V) = max over r outside W of |S(r)|^2.  r is tried
     by descending |F(r)|^2, and V is dropped at the first r with
-    |S(r)|^2 >= threshold(): first by _CosetSums.screen, which rules out
-    whole blocks by list gathers against the threshold at the block's
-    start, then by _CosetSums.tries per subspace, which sums S(r) over
-    all of the order.  That is exact because no caller ever raises its
-    threshold.  The walk ends at a block that starts with threshold()
-    at 0, which no score is below.
+    |S(r)|^2 >= threshold().  Against the threshold at the block's
+    start, visit (below) sees the whole block, then the Parseval round
+    (_CosetSums.parseval) drops each V whose S(0) = |W| |A cap V| alone
+    forces a score that high, then _CosetSums.screen rules out subspaces
+    by list gathers of S(r), r by r, and last _CosetSums.tries sums S(r)
+    per subspace over all of the order against threshold() itself.
+    That is exact because no caller ever raises its threshold: with a
+    fixed threshold the walk yields every V that scores below it, in
+    walk order, with its exact score.  The walk ends at a block that
+    starts with threshold() at 0, which no score is below.
 
     visit(free, spans, at), over F_3 only, with at(r) giving the
-    block's (a, b) lists of S(r), sees each block before its screen and
-    returns which subspaces stay in the running; it may drop only ones
-    that score at least threshold().
+    block's (a, b) lists of S(r), sees each block first and returns
+    which subspaces stay in the running; it may drop only ones that
+    score at least threshold().
     """
     p, n = points.p, points.n
     # the table and the transform are temporaries: the engine keeps base alone
@@ -422,11 +495,9 @@ def _scores_below(
                 if bound == 0:
                     return  # no score is below 0
                 if visit is not None:
-                    keep = visit(free, spans, partial(sums.read, spans=spans))
-                    if not all(keep):
-                        spans = [list(compress(span, keep)) for span in spans]
+                    spans = _kept(spans, visit(free, spans, partial(sums.read, spans=spans)))
                 # the survivors replace the block's lists, which can then go
-                yield from sums.screen(bound, free, spans)
+                yield from sums.screen(bound, free, sums.parseval(bound, spans))
 
     for span in candidates():
         score = sums.tries(span, threshold())

@@ -771,6 +771,173 @@ def test_scores_below_yields_nothing_at_threshold_zero(p, n):
     assert list(pipeline._scores_below(PointSet.empty(p, n), n, lambda: 0)) == []
 
 
+# ---------------------------------------------------------------------------
+# the Parseval round and the walk's contract
+
+
+def _least_ref(p: int, v: int, m: int) -> int:
+    """The least |c|^2 at or above the mean nontrivial one on a V of v points holding m members.
+
+    Searched upward: over F_2 among t^2 with t = m mod 2, over F_3 among
+    the integers = m^2 mod 3.
+    """
+    mean = Fraction(v * m - m * m, v - 1)
+    if p == 2:
+        t = m % 2
+        while t * t < mean:
+            t += 2
+        return t * t
+    u = 0
+    while u < mean or (u - m * m) % 3:
+        u += 1
+    return u
+
+
+@lru_cache(maxsize=None)
+def _scored_walk(A: PointSet, max_codim: int) -> tuple:
+    """(V, score) in walk order, the score p^(2n) sup_sq from the per-coset transform route."""
+    p, n = A.p, A.n
+    zero = GFVector.zero(p, n)
+    return tuple(
+        (V, int(uniformity_sup(A, Coset.of(V, zero)).sup_sq * p ** (2 * n)))
+        for c in range(max_codim + 1)
+        for V in enumerate_subspaces(p, n, n - c)
+    )
+
+
+@pytest.mark.parametrize("p,n", [*((2, n) for n in range(1, 7)), *((3, n) for n in range(1, 5))])
+def test_parseval_round_drops_exactly_what_the_floor_reaches(p, n):
+    # on every block, against every positive score of the block and one
+    # above them all as best (the walk ends at a best of 0): the
+    # survivors are those whose floor |W|^2 least(m) stays below best,
+    # with m counted on V's own points and least searched upward, and
+    # every dropped V scores at least best
+    stream = words(160 + 10 * p + n)
+    sets = [random_subset(stream, p, n, d) for d in (Fraction(1, 2), Fraction(1, 8))]
+    dropped = 0
+    for A in sets:
+        sums = _engine(A, n)
+        scores = dict(_scored_walk(A, n))
+        for c in range(n + 1):
+            w, v = p**c, p ** (n - c)
+            for _, spans in gf_core._rref_blocks(p, n, n - c):
+                block = list(zip(*spans))
+                spaces = [pipeline._annihilated(p, n, span) for span in block]
+                true = [scores[V] for V in spaces]
+                floors = [
+                    0 if v == 1 else w * w * _least_ref(p, v, sum(A.bits >> x & 1 for x in span_ranks(V)))
+                    for V in spaces
+                ]
+                for best in {*true, max(true) + 1} - {0}:
+                    kept = list(zip(*sums.parseval(best, spans)))
+                    assert kept == [span for span, f in zip(block, floors) if f < best], (c, best)
+                    out = [s for span, s in zip(block, true) if span not in kept]
+                    assert all(s >= best for s in out)
+                    dropped += len(out)
+    assert dropped or n == 1
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 3), (3, 4)])
+def test_parseval_round_is_tight_on_a_flat_v(p, n):
+    # a one-point set meets each V in one point or none; a 2-dim V over
+    # F_2, or a line over F_3, through the point has m = 1, every
+    # coefficient of magnitude 1 and score |W|^2, which its floor
+    # (q = 1, least 1) reaches: it is dropped at best = its score and
+    # kept one above; a V that misses the point has floor 0
+    c = n - (2 if p == 2 else 1)
+    x = p ** n - 1
+    A = PointSet.from_ranks(p, n, [x])
+    sums, w = _engine(A, c), p**c
+    scores = dict(_scored_walk(A, c))
+    through = 0
+    for _, spans in gf_core._rref_blocks(p, n, n - c):
+        block = list(zip(*spans))
+        meets = [x in span_ranks(pipeline._annihilated(p, n, span)) for span in block]
+        for span, hit in zip(block, meets):
+            assert scores[pipeline._annihilated(p, n, span)] == (w * w if hit else 0)
+        assert list(zip(*sums.parseval(w * w + 1, spans))) == block
+        assert list(zip(*sums.parseval(w * w, spans))) == [s for s, hit in zip(block, meets) if not hit]
+        through += sum(meets)
+    assert through
+
+
+def test_parseval_floors_and_skip_bound():
+    # floor(v, m) is the searched least for every m, and the skip bound
+    # is at least every floor, for every |V| up to 2^12 and 3^7
+    for p, top in ((2, 12), (3, 7)):
+        sums = _engine(PointSet.empty(p, 2), 2)
+        for k in range(1, top + 1):
+            v = p**k
+            bound = sums.top_floor(v)
+            for m in range(v + 1):
+                floor = sums.floor(v, m)
+                assert floor <= bound, (p, v, m)
+                if k <= 8:
+                    assert floor == _least_ref(p, v, m), (p, v, m)
+
+
+@pytest.mark.parametrize("p,n", [(2, 14), (3, 8)])
+def test_parseval_round_gathers_nothing_at_codim_one(monkeypatch, p, n):
+    # at codim 1 no floor can reach the best, so the round skips its
+    # gather: the walk makes no more gathers than with the round gone
+    # (a gather on every block there made F_2^16 codim 1 ten times slower)
+    A = random_subset(words(170 + p), p, n, Fraction(1, 2))
+    gather = pipeline._gather
+
+    def counted() -> tuple:
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_gather", lambda t, s: calls.append(t) or gather(t, s))
+            result = exhaustive_best_subspace(A, 1)
+        return result, len(calls)
+
+    result, calls = counted()
+    monkeypatch.setattr(pipeline._CosetSums, "parseval", lambda self, best, spans: spans)
+    without = counted()
+    assert result == without[0]
+    assert calls <= without[1]
+
+
+@pytest.mark.parametrize("span_cells", [gf_core._SPAN_CELLS, 1])
+@pytest.mark.parametrize("p,n,max_codim,seed", [(2, 6, 3, 180), (3, 4, 2, 181)])
+def test_scores_below_yields_every_subspace_below_a_fixed_threshold(
+    monkeypatch, span_cells, p, n, max_codim, seed
+):
+    # with a threshold that never moves, the walk yields exactly the V of
+    # codim <= max_codim that score below it, in walk order, each with
+    # its exact score: whatever visit, the Parseval round, the screen
+    # and tries drop scores at least the threshold.  Over F_3 the walk
+    # runs also with a visit that drops V at |S(e_j)|^2 >= threshold
+    monkeypatch.setattr(gf_core, "_SPAN_CELLS", span_cells)
+    stream = words(seed)
+    parseval, dropped = pipeline._CosetSums.parseval, []
+
+    def counted(sums, best, spans):
+        kept = parseval(sums, best, spans)
+        dropped.append(len(spans[0]) - len(kept[0]))
+        return kept
+
+    monkeypatch.setattr(pipeline._CosetSums, "parseval", counted)
+    for density in (Fraction(1, 2), Fraction(1, 8)):
+        A = random_subset(stream, p, n, density)
+        walk = _scored_walk(A, max_codim)
+        scores = sorted({score for _, score in walk})
+        for T in {scores[0] + 1, scores[len(scores) // 4], scores[len(scores) // 2], scores[-1], scores[-1] + 1}:
+            expected = [(V, score) for V, score in walk if score < T]
+
+            def visit(free, spans, at):
+                j = next(col for col in range(1, n + 1) if col not in free)
+                return [a * a - a * b + b * b < T for a, b in zip(*at(3 ** (n - j)))]
+
+            for seen in (None, visit) if p == 3 else (None,):
+                got = [
+                    (pipeline._annihilated(p, n, span), score)
+                    for span, score in pipeline._scores_below(A, max_codim, lambda: T, seen)
+                ]
+                assert got == expected, (density, T, seen)
+    assert sum(dropped)
+
+
 def test_oracle_budget_accounting():
     assert subspace_scan_count(2, 5, 2) == 1 + 31 + 155
     assert subspace_scan_count(3, 3, 1) == 1 + 13
