@@ -24,6 +24,9 @@ Conventions used throughout the package:
 * The canonical walk of the subspaces (_rref_blocks) hands them out in
   blocks of as many as fit in _SPAN_CELLS span points, at least one; it
   alone cuts each pivot profile's free entries into head and tail.
+* Over F_2 a set's coset-major layout (_coset_table) is its mask read
+  through a linear bijection of F_2^n, applied to the mask by delta
+  swaps; no list of ranks is built.
 
 Ambient sizes are capped so tables of p^n entries stay addressable:
 n <= 24 for p = 2 and n <= 12 for p = 3.
@@ -316,7 +319,7 @@ class PointSet:
 def _unpacked(bits: int, size: int) -> bytes:
     """0/1 bytes of the low `size` bits of `bits`; entry i is bit i."""
     # the one mask decoder, as PointSet.from_ranks is the one encoder
-    digits = format(bits, f"0{size}b")[::-1].encode()  # bit 0 first
+    digits = format(bits & (1 << size) - 1, f"0{size}b")[::-1].encode()  # bit 0 first
     return digits.translate(bytes.maketrans(b"01", b"\0\1"))
 
 
@@ -542,25 +545,66 @@ def coset_reps(space: Subspace) -> list[GFVector]:
     ]
 
 
-def _coset_rep_ranks(space: Subspace, rows: tuple[int, ...] = ()) -> list[int]:
-    """Ranks of rep_q + the span of rows for each coset q, q-major.
+def _coset_rep_ranks(space: Subspace) -> list[int]:
+    """Ranks of the canonical coset reps, by quotient index.
 
     rep_q is point q of the span of the free columns' unit vectors.
     """
     weights = _weights(space.p, space.n)
     units = tuple(weights[col - 1] for col in space.free_columns)
-    return _span_ranks(space.p, space.n, units + rows)
+    return _span_ranks(space.p, space.n, units)
 
 
-def _coset_table(mem: Sequence[int], space: Subspace) -> bytes:
-    """Entry q p^k + i is mem at point i (point_ranks order) of coset q.
+def _bit_masks(n: int, bits: Iterable[int]) -> dict[int, int]:
+    """{b: the 2^n-bit int whose bit x is bit b of x} for each b in bits."""
+    size = 1 << n
+    full = (1 << size) - 1  # trims the one-byte patterns at n < 3
+    masks = {}
+    for b in bits:
+        if b < 3:
+            unit = bytes([(0xAA, 0xCC, 0xF0)[b]])
+        else:
+            unit = bytes(1 << b - 3) + b"\xff" * (1 << b - 3)
+        reps = -(-size // (8 * len(unit)))
+        masks[b] = int.from_bytes(unit * reps, "little") & full
+    return masks
 
-    `mem` is a 0/1 membership table, such as _unpacked's bytes; k = dim,
-    q the quotient index.  The 0/1 entries come back as bytes, the form
-    wht2 packs in one step.
+
+def _coset_table(bits: int, space: Subspace) -> bytes:
+    """Entry q 2^k + i is bit r of `bits`, r point i (point_ranks order) of coset q.
+
+    F_2 only; k = dim, q the quotient index.  The layout is the mask
+    read through a linear bijection of F_2^n, built on the mask itself.
+    Bit b of a rank is column n - b.  Each off-pivot 1 of row j, at
+    free column f, is the transvection y -> y + y_(pivot j) e_f; then at
+    most n - 1 transpositions of the index bits put the free columns
+    above the pivots, each group in column order.  Each step (d, x, y)
+    is one delta swap on the whole mask, of the bits at the indices with
+    bit x set and bit y clear with those d above them.  The 0/1 entries
+    come back as bytes, the form wht2 packs in one step.
     """
-    rows = tuple(row.rank for row in space.basis)
-    return bytes([mem[r] for r in _coset_rep_ranks(space, rows)])
+    n = space.n
+    free = space.free_columns
+    steps = [
+        (1 << n - col, n - pivot, n - col)
+        for row, pivot in zip(space.basis, space.pivots)
+        for col in free
+        if row.coords[col - 1]
+    ]
+    # index bit b reads rank bit target[b]: the pivots low, the free columns high
+    target = [n - col for col in reversed(free + space.pivots)]
+    label = list(range(n))
+    for b in range(n):
+        if label[b] != target[b]:
+            c = label.index(target[b])
+            steps.append(((1 << c) - (1 << b), b, c))
+            label[b], label[c] = label[c], label[b]
+    masks = _bit_masks(n, {x for _, a, b in steps for x in (a, b)})
+    g = bits
+    for d, x, y in steps:
+        t = (g ^ g >> d) & masks[x] & ~masks[y]
+        g ^= t | t << d
+    return _unpacked(g, 1 << n)
 
 
 def lift_from_quotient(space: Subspace, index: int) -> GFVector:

@@ -37,7 +37,6 @@ from .gf_core import (
     Subspace,
     _coset_rep_ranks,
     _coset_table,
-    _unpacked,
     extend_span,
     perp,
 )
@@ -147,7 +146,7 @@ def coordinate_subspace(p: int, n: int, codim: int) -> Subspace:
 
 
 def _scan_cosets(
-    mem: Sequence[int], space: Subspace, eps: Fraction
+    bits: int, space: Subspace, eps: Fraction
 ) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
     """One pass over the cosets: ([(rep rank, witness t) of bad cosets], counts).
 
@@ -158,7 +157,7 @@ def _scan_cosets(
     size = space.size
     # sup_sq > eps^2 reads |c| > eps |V|, and |c| is an integer
     limit = eps.numerator * size // eps.denominator
-    coefs = wht2(_coset_table(mem, space), size)
+    coefs = wht2(_coset_table(bits, space), size)
     mags = list(map(abs, coefs))
     bad: list[tuple[int, int]] = []
     for start, rep in zip(range(0, len(coefs), size), _coset_rep_ranks(space)):
@@ -198,12 +197,11 @@ def regularity_decompose(
             f"need 0 <= min_codim <= max_codim <= n, got {min_codim}, {max_codim}, {n}"
         )
     space = coordinate_subspace(2, n, min_codim)
-    mem = _unpacked(points.bits, points.ambient_size)
     energy_trace: list[Fraction] = []
     rounds = 0
     # codim grows strictly every round, so n + 1 scans always suffice
     for _ in range(n + 1):
-        bad, counts = _scan_cosets(mem, space, eps)
+        bad, counts = _scan_cosets(points.bits, space, eps)
         cosets = len(counts)
         energy_trace.append(_energy(counts, space.size))
         good_fraction = Fraction(cosets - len(bad), cosets)

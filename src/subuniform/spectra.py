@@ -34,7 +34,16 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .gf_core import Coset, GFVector, PointSet, Subspace, _unpacked, canonical_rep, perp
+from .gf_core import (
+    Coset,
+    GFVector,
+    PointSet,
+    Subspace,
+    _coset_table,
+    _unpacked,
+    canonical_rep,
+    perp,
+)
 
 
 def wht2(table: Sequence[int], block: Optional[int] = None) -> list[int]:
@@ -188,12 +197,16 @@ def restricted_spectrum(points: PointSet, coset: Coset) -> Spectrum:
     space = coset.subspace
     if (points.p, points.n) != (space.p, space.n):
         raise InputError("point set and coset live in different ambient spaces")
-    mem = _unpacked(points.bits, points.ambient_size)
-    table = bytes([mem[r] for r in coset.point_ranks()])
     if points.p == 2:
-        coefficients = wht2(table)
+        q = 0  # the quotient index: the rep's free coordinates, read in binary
+        for col in space.free_columns:
+            q = q << 1 | coset.rep.coords[col - 1]
+        size = space.size
+        table = _coset_table(points.bits, space)
+        coefficients = wht2(table[q * size : (q + 1) * size])
     else:
-        coefficients = _dft3_pairs([(m, 0) for m in table])
+        mem = _unpacked(points.bits, points.ambient_size)
+        coefficients = _dft3_pairs([(mem[r], 0) for r in coset.point_ranks()])
     return Spectrum(
         p=points.p,
         coefficients=tuple(coefficients),

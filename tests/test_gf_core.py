@@ -32,6 +32,7 @@ from subuniform import (
     gaussian_binomial,
     lift_from_quotient,
     perp,
+    restricted_spectrum,
     rref_basis,
 )
 from subuniform import gf_core
@@ -40,6 +41,7 @@ from subuniform.gf_core import (
     _span_ranks,
     _trit_halves,
     _trit_shifts,
+    _unpacked,
 )
 
 from conftest import (
@@ -51,6 +53,7 @@ from conftest import (
     random_subspace,
     random_vector,
     raw_coset_counts,
+    rec_wht2,
     quotient_index,
     ref_member_ranks,
     span_ranks,
@@ -525,6 +528,65 @@ def test_pointset_decoder_shapes():
     assert full_set(3, 2).membership_table() == [1] * 9
 
 
+def test_unpacked_reads_only_the_low_bits():
+    assert _unpacked(0b111, 2) == b"\1\1"
+    assert _unpacked(0b1011, 3) == b"\1\1\0"
+    assert _unpacked(1 << 8 | 1, 8) == b"\1" + bytes(7)
+    assert _unpacked(0, 4) == bytes(4)
+
+
+# ---------------------------------------------------------------------------
+# the F_2 coset layout
+
+
+def gathered_table(points: PointSet, space: Subspace) -> bytes:
+    """The coset-major table gathered point by point, coset q's block q-th."""
+    return bytes(
+        points.bits >> r & 1
+        for q in range(2**space.codim)
+        for r in Coset(space, lift_from_quotient(space, q)).point_ranks()
+    )
+
+
+def check_layout(points: PointSet, space: Subspace, quotients) -> None:
+    # the table, and restricted_spectrum of each coset q listed, against
+    # the gathered points of the coset and the recursive transform
+    assert _coset_table(points.bits, space) == gathered_table(points, space)
+    for q in quotients:
+        coset = Coset(space, lift_from_quotient(space, q))
+        block = [points.bits >> r & 1 for r in coset.point_ranks()]
+        spectrum = restricted_spectrum(points, coset)
+        assert spectrum.coefficients == tuple(rec_wht2(block))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_coset_layout_on_every_subspace_and_coset(n):
+    # every set at n <= 2 (n = 1 and 2 have masks shorter than a byte),
+    # random sets, the empty and the full set above
+    if n <= 2:
+        sets = [PointSet(2, n, bits) for bits in range(1 << (1 << n))]
+    else:
+        stream = words(95 + n)
+        sets = [random_subset(stream, 2, n, Fraction(1, 2)) for _ in range(6)]
+        sets += [PointSet.empty(2, n), full_set(2, n)]
+    for k in range(n + 1):
+        for space in enumerate_subspaces(2, n, k):
+            for A in sets:
+                check_layout(A, space, range(2**space.codim))
+
+
+@pytest.mark.parametrize("n,seed", [(9, 97), (16, 98)])
+def test_coset_layout_on_random_subspaces(n, seed):
+    # every dim at n = 9, every dim down to codim 9 at n = 16; each
+    # subspace's first, last and one random coset through restricted_spectrum
+    stream = words(seed)
+    A = random_subset(stream, 2, n, Fraction(1, 2))
+    for k in range(max(n - 9, 0), n + 1):
+        space = random_subspace(stream, 2, n, k)
+        last = 2**space.codim - 1
+        check_layout(A, space, sorted({0, rand_below(stream, last + 1), last}))
+
+
 # ---------------------------------------------------------------------------
 # the F_3 rank adder and span order
 
@@ -587,12 +649,11 @@ def test_trit_span_and_coset_scan_match_tuple_span(n, dim, seed):
         return  # the coset scan below reads all 3^n points
     A = random_subset(stream, 3, n, Fraction(1, 2))
     mem = A.membership_table()
-    table = _coset_table(mem, space)
-    blocks = [table[i : i + space.size] for i in range(0, len(table), space.size)]
+    blocks = [
+        [mem[r] for r in Coset(space, lift_from_quotient(space, q)).point_ranks()]
+        for q in range(3**space.codim)
+    ]
     assert [sum(block) for block in blocks] == raw_coset_counts(A, space)
-    for q, block in enumerate(blocks):
-        coset = Coset(space, lift_from_quotient(space, q))
-        assert list(block) == [mem[r] for r in coset.point_ranks()]
 
 
 # annihilator blocks, as the oracle and the ternary scan walk them

@@ -196,7 +196,7 @@ def test_scan_cosets_matches_per_coset_recount(n):
         for density in (Fraction(1, 2), Fraction(1, 8)):
             A = random_subset(stream, 2, n, density)
             for eps in (Fraction(1, 8), Fraction(1, 3), Fraction(1, 2)):
-                scan = _scan_cosets(A.membership_table(), space, eps)
+                scan = _scan_cosets(A.bits, space, eps)
                 assert scan == recount_scan(A, space, eps)
                 bad_seen += len(scan[0])
     assert bad_seen
@@ -207,7 +207,7 @@ def test_scan_cosets_of_points_has_no_bad_coset():
     # the counts are the membership table itself
     A = random_subset(words(78), 2, 5, Fraction(1, 2))
     mem = A.membership_table()
-    assert _scan_cosets(mem, Subspace.zero(2, 5), Fraction(1, 64)) == ([], tuple(mem))
+    assert _scan_cosets(A.bits, Subspace.zero(2, 5), Fraction(1, 64)) == ([], tuple(mem))
 
 
 def test_scan_witness_is_least_t_across_signs():
@@ -223,7 +223,7 @@ def test_scan_witness_is_least_t_across_signs():
         points = Coset(space, reps[q]).point_ranks()
         ranks += [r for r, m in zip(points, restriction) if m]
     A = PointSet.from_ranks(2, 4, ranks)
-    bad, counts = _scan_cosets(A.membership_table(), space, Fraction(1, 8))
+    bad, counts = _scan_cosets(A.bits, space, Fraction(1, 8))
     assert bad == [(reps[1].rank, 1), (reps[2].rank, 1)]
     assert counts == (0, 1, 3, 0)
     assert (bad, counts) == recount_scan(A, space, Fraction(1, 8))

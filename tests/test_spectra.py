@@ -515,6 +515,8 @@ def test_packed_path_matches_transform_route():
     # coefficients -2 at t = 3 and +2 at t = 4 tie: the least t wins
     assert bf_wht2([0, 1, 1, 0, 0, 0, 0, 0]) == [2, 0, 0, -2, 2, 0, 0, -2]
     assert packed_max_coef_sq(0b110, 2, 3) == (4, 3)
+    # bits above the 2^k coset points are not read
+    assert packed_max_coef_sq(0b1011, 0, 1) == (0, 1)
 
 
 def test_packed_kernel_matches_bruteforce_every_dimension():
