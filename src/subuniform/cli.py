@@ -48,7 +48,6 @@ from .gf_core import (
     GFVector,
     PointSet,
     Subspace,
-    canonical_rep,
     rref_basis,
 )
 from .increments import (
@@ -247,7 +246,7 @@ def _cmd_uniformity(args: argparse.Namespace) -> tuple[int, dict, dict]:
         if args.rep is None
         else _parse_vector(args.rep, points.p, points.n)
     )
-    coset = Coset(space, canonical_rep(rep, space))
+    coset = Coset.of(space, rep)
     report = uniformity_sup(points, coset)
     exact = _uniformity_json(report)
     approx = {"sup_sq": _approx(report.sup_sq), "density": _approx(report.density)}

@@ -45,9 +45,9 @@ subspaces that score at least the best so far:
    squares sum to |V| m - m^2 over the |V| - 1 nontrivial characters,
    reaches the best; the gather is skipped when no m could get there;
 3. _CosetSums.screen, list gathers (_gather) through shifted tables
-   x -> F(r + x), two r per table built for the block over F_2, and
-   over F_3 both parts of F(x) = a + b*w of one r, one of each pair r,
-   -r, per table shared by every block;
+   x -> F(r + x), each built for the round that reads it: two r per
+   table over F_2, and over F_3 both parts of F(x) = a + b*w of one r,
+   one of each pair r, -r;
 4. _CosetSums.tries, which scores each survivor by its own coset sums
    over all of the order.
 
@@ -66,11 +66,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from math import ceil, isqrt
 from typing import Callable, Iterator, Optional, Sequence
 
-from . import gf_core
 from .errors import BudgetExceededError, InputError
 from .gf_core import (
     Coset,
@@ -96,14 +95,6 @@ from .spectra import (
 )
 
 ORACLE_BUDGET = 10**7
-# The F_3 block screen tries at most this many r, each through a shifted
-# table of 3^n entries kept for the whole walk; the kept tables hold at
-# most max(gf_core._SPAN_CELLS, 3^n) entries in all: 29 r at F_3^7, 9
-# at F_3^8, 3 at F_3^9, 1 from F_3^10 on.  A subspace the screen leaves
-# reads the same tables, then the rest of order by its own sums.  F_2
-# keeps no table: its screen builds each round's table per block and
-# runs until the blocks are small.
-_ROUNDS = 32
 
 
 @dataclass(frozen=True)
@@ -265,15 +256,13 @@ class _CosetSums:
     S(r) and -r lies in W when r does.
 
     screen serves both fields, which differ in hooks set in __init__:
-    a subspace's own sums over all of order (tries: by XOR, or through
-    the kept tables and then by digit halves), what one int of a screen
-    round holds (keep), the r a round takes (step), the order, and, for
-    the Parseval round (parseval), the values a squared coefficient can
-    take (least) and the bit offset of the part of base that S(0) is
-    read from (real: 0, or the a-part's shift over F_3).
-    `rounds` caps the r a screen may try.  Over F_3 the shifted tables
-    x -> base[r + x] of order[:rounds], and of the r that read takes, are
-    kept by r for the whole walk; F_2 keeps none.  Over F_3, r + x comes
+    a subspace's own sums over all of order (tries: by XOR, or by digit
+    halves), what one int of a screen round holds (keep), the r a round
+    takes (step), the order, and, for the Parseval round (parseval), the
+    values a squared coefficient can take (least) and the bit offset of
+    the part of base that S(0) is read from (real: 0, or the a-part's
+    shift over F_3).  Each screen round, and each read, builds the one
+    table its gather reads, and no table is kept.  Over F_3, r + x comes
     from gf_core's digit halves (_trit_halves).  read reads F_3 sums
     only.
     """
@@ -283,21 +272,17 @@ class _CosetSums:
         self.bias = bias = max(map(abs, F if p == 2 else chain.from_iterable(F)))
         self.shift = (2 * bias * p**max_codim).bit_length()
         self.mask = (1 << self.shift) - 1
-        self.tables: dict[int, list[int]] = {}
         if p == 2:
             self.order = sorted(range(1, self.size), key=[f * f for f in F].__getitem__, reverse=True)
             self.base = [f + bias for f in F]
             self.keep, self.tries, self.step = self._keep2, self._tries2, 2
             self.least, self.real = _least2, 0
-            # no table is kept, so the screen runs through all of order
-            self.rounds = len(self.order)
         else:
             norms = [a * a - a * b + b * b for a, b in F]
             self.order = sorted(_leading_ones(n), key=norms.__getitem__, reverse=True)
             self.base = [((a + bias) << self.shift) + b + bias for a, b in F]
             self.keep, self.tries, self.step = self._keep3, self._tries3, 1
             self.least, self.real = _least3, self.shift
-            self.rounds = max(1, min(_ROUNDS, len(self.order), gf_core._SPAN_CELLS // self.size))
 
     def _tries2(self, span: Sequence[int], bound: int) -> Optional[int]:
         """max S(r)^2 over r outside W, or None at the first one >= bound; by XOR."""
@@ -316,30 +301,19 @@ class _CosetSums:
         return top
 
     def _tries3(self, span: Sequence[int], bound: int) -> Optional[int]:
-        """_tries2 over F_3: order[:rounds] through the kept tables, then r + x by halves."""
-        norm, count, tables, rounds, top = self._norm3, len(span), self.tables, self.rounds, 0
-        for r in self.order[:rounds]:
+        """_tries2 over F_3, with r + x by digit halves and |S(r)|^2 = a^2 - ab + b^2."""
+        base, n, cut, top = self.base, self.n, 3 ** (self.n // 2), 0
+        shift, mask, off = self.shift, self.mask, len(span) * self.bias
+        parts = [divmod(x, cut) for x in span]
+        for r in self.order:
             if r in span:
-                continue
-            table = tables[r] if r in tables else self.table(r)
-            s = 0
-            for x in span:
-                s += table[x]
-            sq = norm(s, count)
-            if sq >= bound:
-                return None
-            if sq > top:
-                top = sq
-        inside, base, n, cut = set(span), self.base, self.n, 3 ** (self.n // 2)
-        highs, lows = [x // cut for x in span], [x % cut for x in span]
-        for r in islice(self.order, rounds, None):
-            if r in inside:
                 continue
             H, L = _trit_halves(n, r)
             s = 0
-            for u, v in zip(highs, lows):
+            for u, v in parts:
                 s += base[H[u] + L[v]]
-            sq = norm(s, count)
+            a, b = (s >> shift) - off, (s & mask) - off
+            sq = a * a - a * b + b * b
             if sq >= bound:
                 return None
             if sq > top:
@@ -347,17 +321,9 @@ class _CosetSums:
         return top
 
     def table(self, r: int) -> list[int]:
-        """The shifted table x -> base[r + x] of r, built once and kept for the walk."""
-        if r not in self.tables:
-            (H, L), base = _trit_halves(self.n, r), self.base
-            self.tables[r] = [base[h + l] for h in H for l in L]
-        return self.tables[r]
-
-    def _norm3(self, s: int, count: int) -> int:
-        """a^2 - ab + b^2 for a sum s of `count` entries of base."""
-        off = count * self.bias
-        a, b = (s >> self.shift) - off, (s & self.mask) - off
-        return a * a - a * b + b * b
+        """The shifted table x -> base[r + x] of r."""
+        (H, L), base = _trit_halves(self.n, r), self.base
+        return [base[h + l] for h in H for l in L]
 
     def _keep2(self, i: int, best: int, spans: list[list[int]], at: Callable[[int], int]) -> list[bool]:
         """The F_2 round at order[i]: one gather sums S(r0) and S(r1).
@@ -367,7 +333,7 @@ class _CosetSums:
         B, so a sum over W holds S + B |W| in [0, 2^K) per half, and S^2
         < best exactly when that lies strictly between bottom and top.
         """
-        r0, r1 = self.order[i], self.order[min(i + 1, self.rounds - 1)]
+        r0, r1 = self.order[i], self.order[min(i + 1, len(self.order) - 1)]
         base, shift = self.base, self.shift
         table = [(base[r0 ^ x] << shift) + base[r1 ^ x] for x in range(self.size)]
         limit = isqrt(best - 1) + 1
@@ -380,7 +346,7 @@ class _CosetSums:
         ]
 
     def _keep3(self, i: int, best: int, spans: list[list[int]], at: Callable[[int], int]) -> list[bool]:
-        """The F_3 round at order[i]: one gather of its kept table sums both parts of S(r)."""
+        """The F_3 round at order[i]: one gather of r's table sums both parts of S(r)."""
         r = self.order[i]
         A, B = self.read(r, spans)
         return [a * a - a * b + b * b < best or x == r for a, b, x in zip(A, B, spans[at(r)])]
@@ -430,9 +396,10 @@ class _CosetSums:
         order, two over F_2 and one over F_3, and sums S(r) for every
         kept subspace by one gather (keep); a subspace is dropped when
         the norm of S(r) is >= best, unless r lies in its W.  A round
-        whose gathers would be fewer than one table's p^n entries costs
-        more than it can save, so the rounds stop there or after
-        `rounds` r, and the survivors' spans are yielded in walk order.
+        whose gathers would be fewer than the p^n entries of the table it
+        builds costs more than it can save, so the rounds stop there or
+        at the end of order, and the survivors' spans are yielded in walk
+        order.
         """
         p, n, c = self.p, self.n, len(free)
         # annihilator row f's digits at the free columns are those of e_f,
@@ -443,7 +410,7 @@ class _CosetSums:
         def at(r: int) -> int:
             return sum(r // w % p * step for w, step in weights)
 
-        for i in range(0, self.rounds, self.step):
+        for i in range(0, len(self.order), self.step):
             if len(spans[0]) * len(spans) < self.size:
                 break
             spans = _kept(spans, self.keep(i, best, spans, at))

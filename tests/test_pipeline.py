@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
 import pytest
@@ -281,8 +281,7 @@ def _patch_caps(monkeypatch, p, n, max_codim, most, span_cells):
     the oracle's walk runs each codim c under min(span_cells, most p^c)
     cells.  Checks that the caps reach the walk: at each codim up to
     max_codim where a block of the default walk holds more subspaces
-    than the cap, the patched walk yields more blocks; over F_3, fewer
-    span cells also keep fewer tables.
+    than the cap, the patched walk yields more blocks.
     """
     walk = pipeline._rref_blocks
 
@@ -294,19 +293,15 @@ def _patch_caps(monkeypatch, p, n, max_codim, most, span_cells):
 
     def sizes():
         blocks = [pipeline._rref_blocks(p, n, n - c) for c in range(max_codim + 1)]
-        rounds = _engine(PointSet.empty(p, n), max_codim).rounds
-        return [[len(spans[0]) for _, spans in b] for b in blocks], rounds
+        return [[len(spans[0]) for _, spans in b] for b in blocks]
 
-    (whole, rounds), cells = sizes(), gf_core._SPAN_CELLS
+    whole = sizes()
     monkeypatch.setattr(gf_core, "_SPAN_CELLS", span_cells)
     monkeypatch.setattr(pipeline, "_rref_blocks", capped)
-    patched, patched_rounds = sizes()
-    for c, (before, after) in enumerate(zip(whole, patched)):
+    for c, (before, after) in enumerate(zip(whole, sizes())):
         assert sum(after) == sum(before)
         if max(before) > max(1, min(most, span_cells // p**c)):
             assert len(after) > len(before), c
-    if p == 3:
-        assert (patched_rounds < rounds) == (span_cells < cells)
 
 
 # a cap of 4 gives many heads, so many blocks, per profile; a cap of 1
@@ -329,9 +324,9 @@ def test_oracle_through_profiles_of_several_blocks(monkeypatch):
     # codim 3 in F_2^8 has profiles of up to 15 slots, so up to 4 blocks
     # of 8,192 subspaces each, checked against one-subspace blocks (1
     # span cell), the per-subspace loop alone; codim 2 in F_3^7 has
-    # profiles of up to 10 slots, so up to 9 blocks of 6,561 screened
-    # through 29 tables, checked against blocks of 243 and one table
-    # (3^7 span cells), as one-subspace blocks there take seconds
+    # profiles of up to 10 slots, so up to 9 blocks of 6,561, checked
+    # against blocks of 243 (3^7 span cells), as one-subspace blocks
+    # there take seconds
     for p, n, codim, seed, cells in ((2, 8, 3, 101, 1), (3, 7, 2, 105, 3**7)):
         A = random_subset(words(seed), p, n, Fraction(1, 2))
         winner, sup = exhaustive_best_subspace(A, codim)
@@ -364,7 +359,7 @@ def _f2_screen(F, order, best, block):
     """The survivors of the engine's F_2 screen of one block, run over order."""
     free, spans = block
     sums = pipeline._CosetSums(2, (len(F) - 1).bit_length(), F, len(free))
-    sums.order, sums.rounds = order, len(order)
+    sums.order = order
     return list(sums.screen(best, free, spans))
 
 
@@ -603,17 +598,15 @@ def test_f3_packed_sums_at_the_packing_extremes():
             assert low & ((1 << top.shift) - 1) == 2 * 3 ** (n - 1)
 
 
-@pytest.mark.parametrize("rounds", [32, 1])
-def test_f3_below_scores_every_subspace(monkeypatch, rounds):
-    # with a bound above every score, tries returns each subspace's exact
-    # score: from the tables alone, or from the sums by halves past one
-    # table; at its own score as the bound it is out
-    monkeypatch.setattr(pipeline, "_ROUNDS", rounds)
+@pytest.mark.parametrize("above", [32, 1])
+def test_f3_below_scores_every_subspace(above):
+    # with a bound above every score, or above the subspace's own score
+    # by as little as one, tries returns that exact score from its sums
+    # by digit halves; at its own score as the bound it is out
     n = 4
     A = random_subset(words(140), 3, n, Fraction(1, 2))
     F3 = _dft3_pairs([(m, 0) for m in A.membership_table()])
     sums = _engine(A, 2)
-    assert sums.rounds == min(rounds, 3**n - 2)
     for c in (1, 2):
         for _, spans in gf_core._rref_blocks(3, n, n - c):
             for span in zip(*spans):
@@ -624,6 +617,7 @@ def test_f3_below_scores_every_subspace(monkeypatch, rounds):
                         b = sum(F3[add_rank(3, n, r, x)][1] for x in span)
                         norms.append(a * a - a * b + b * b)
                 assert sums.tries(span, 9**n + 1) == max(norms), span
+                assert sums.tries(span, max(norms) + above) == max(norms), span
                 assert sums.tries(span, max(norms)) is None
 
 
@@ -634,7 +628,6 @@ def test_f2_below_scores_every_subspace():
     A = random_subset(words(142), 2, n, Fraction(1, 2))
     F = wht2(A.membership_table())
     sums = _engine(A, 3)
-    assert sums.rounds == 2**n - 1
     for c in (1, 2, 3):
         for _, spans in gf_core._rref_blocks(2, n, n - c):
             for span in zip(*spans):
@@ -643,35 +636,33 @@ def test_f2_below_scores_every_subspace():
                 assert sums.tries(span, max(sq)) is None
 
 
-def test_f3_tables_are_shared_by_the_blocks(monkeypatch):
-    # at most one shifted table per screen round for the whole walk, the
-    # tables of a prefix of order, each built once; the codim-2 walk of
-    # F_3^7 cuts profiles of up to 59,049 subspaces into blocks of 6,561
-    # and screens many blocks, which run more rounds between them than
-    # there are tables (29 at F_3^7)
-    built, gathers = [], []
-    table, gather = pipeline._CosetSums.table, pipeline._gather
+def test_f3_tables_are_built_for_reads_alone(monkeypatch):
+    # every shifted table is built by a read, a screen round's or the
+    # scan's visit, for its one gather: tries sums each r by digit
+    # halves and builds none, whatever the screen left it
+    counts = {"table": 0, "read": 0}
 
-    def counted(sums, r):
-        if r not in sums.tables:  # table builds r's table now
-            built.append(r)
-        return table(sums, r)
+    def counted(name):
+        method = getattr(pipeline._CosetSums, name)
 
-    monkeypatch.setattr(pipeline._CosetSums, "table", counted)
-    monkeypatch.setattr(
-        pipeline, "_gather", lambda t, s: gathers.append(t) or gather(t, s)
-    )
-    for n, max_codim in ((5, 2), (7, 2)):
-        for seed in (120, 121):
-            A = random_subset(words(seed), 3, n, Fraction(1, 2))
-            sums = _engine(A, max_codim)
-            built.clear()
-            gathers.clear()
-            exhaustive_best_subspace(A, max_codim)
-            assert 0 < len(built) <= sums.rounds < 3**n - 1
-            assert built == sums.order[: len(built)]
-            if n == 7:
-                assert len(gathers) > len(built)
+        def wrapper(sums, *args, **kwargs):
+            counts[name] += 1
+            return method(sums, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline._CosetSums, name, wrapper)
+
+    counted("table")
+    counted("read")
+    runs = [
+        partial(exhaustive_best_subspace, random_subset(words(seed), 3, n, Fraction(1, 2)), 2)
+        for n in (5, 7)
+        for seed in (120, 121)
+    ]
+    runs.append(partial(scan_leading_one_set, 5, long_run=True))
+    for run in runs:
+        counts.update(table=0, read=0)
+        run()
+        assert 0 < counts["table"] == counts["read"], counts
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -706,16 +697,6 @@ def test_f3_checks_read_each_check(n):
                     seen.add(expected)
     # the two checks stand or fall together (3b = -|V| forces both slices)
     assert seen == {(True, True), (False, False)}
-
-
-@pytest.mark.parametrize(
-    "kind,p,n,max_codim,seed", [c for c in ORACLE_CASES if getattr(c, "values", c)[1] == 3]
-)
-def test_f3_oracle_past_the_kept_rounds(monkeypatch, kind, p, n, max_codim, seed):
-    # one kept round, as at n >= 10: past it every r is tried by the
-    # subspace's own sums by digit halves
-    monkeypatch.setattr(pipeline, "_ROUNDS", 1)
-    test_oracle_matches_transform_route(kind, p, n, max_codim, seed)
 
 
 # 4096 span cells leave every profile whole, 1 cell gives one-subspace blocks
