@@ -83,8 +83,10 @@ def parse_set_file(text: str) -> PointSet:
     any text with an error, goes through the line loop, the one place
     that handles comments, blanks and whitespace and words the errors.
     Lines end at \\n, \\r\\n and \\r, as text mode's newline translation
-    ends them, and a final newline opens no line of its own.
+    ends them, and a final newline opens no line of its own.  One leading
+    byte-order mark (U+FEFF) is dropped.
     """
+    text = text.removeprefix("\ufeff")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")

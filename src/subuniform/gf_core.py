@@ -540,19 +540,7 @@ def gaussian_binomial(p: int, n: int, k: int) -> int:
 
 def coset_reps(space: Subspace) -> list[GFVector]:
     """Canonical coset reps by quotient index (for tests and the bench tracer)."""
-    return [
-        GFVector.from_rank(space.p, space.n, r) for r in _coset_rep_ranks(space)
-    ]
-
-
-def _coset_rep_ranks(space: Subspace) -> list[int]:
-    """Ranks of the canonical coset reps, by quotient index.
-
-    rep_q is point q of the span of the free columns' unit vectors.
-    """
-    weights = _weights(space.p, space.n)
-    units = tuple(weights[col - 1] for col in space.free_columns)
-    return _span_ranks(space.p, space.n, units)
+    return [lift_from_quotient(space, q) for q in range(space.p**space.codim)]
 
 
 def _bit_masks(n: int, bits: Iterable[int]) -> dict[int, int]:
@@ -618,3 +606,16 @@ def lift_from_quotient(space: Subspace, index: int) -> GFVector:
         coords[col - 1] = index % p
         index //= p
     return GFVector(p, n, tuple(coords))
+
+
+def _quotient_index(space: Subspace, rep: GFVector) -> int:
+    """The quotient index of a canonical rep, inverse to lift_from_quotient.
+
+    The free coordinates read as base-p digits, the first free column
+    most significant.  Only canonical reps (zero at every pivot) are
+    read right; any other vector of the coset may give another index.
+    """
+    q = 0
+    for col in space.free_columns:
+        q = q * space.p + rep.coords[col - 1]
+    return q

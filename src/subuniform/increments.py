@@ -35,9 +35,9 @@ from .gf_core import (
     GFVector,
     PointSet,
     Subspace,
-    _coset_rep_ranks,
     _coset_table,
     extend_span,
+    lift_from_quotient,
     perp,
 )
 from .spectra import lift_class, restricted_spectrum, wht2
@@ -148,11 +148,11 @@ def coordinate_subspace(p: int, n: int, codim: int) -> Subspace:
 def _scan_cosets(
     bits: int, space: Subspace, eps: Fraction
 ) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
-    """One pass over the cosets: ([(rep rank, witness t) of bad cosets], counts).
+    """One pass over the cosets: ([(q, witness t) of bad cosets], counts).
 
-    One wht2 call transforms the coset-major table block by block; lane
-    0 of block q is coset q's count, its witness the least t > 0 of
-    largest |c|, whatever the sign of c.
+    One wht2 call transforms the coset-major table block by block; block
+    q is the coset of quotient index q, its lane 0 the coset's count, its
+    witness the least t > 0 of largest |c|, whatever the sign of c.
     """
     size = space.size
     # sup_sq > eps^2 reads |c| > eps |V|, and |c| is an integer
@@ -160,10 +160,10 @@ def _scan_cosets(
     coefs = wht2(_coset_table(bits, space), size)
     mags = list(map(abs, coefs))
     bad: list[tuple[int, int]] = []
-    for start, rep in zip(range(0, len(coefs), size), _coset_rep_ranks(space)):
+    for q, start in enumerate(range(0, len(coefs), size)):
         top = max(mags[start + 1 : start + size], default=0)
         if top > limit:
-            bad.append((rep, mags.index(top, start + 1) - start))
+            bad.append((q, mags.index(top, start + 1) - start))
     return bad, tuple(coefs[::size])
 
 
@@ -179,7 +179,7 @@ def regularity_decompose(
     Starts from W = {x : x_1 = ... = x_min_codim = 0}.  A coset is bad
     when its uniformity sup_sq exceeds eps^2.  While more than an eta
     fraction of cosets are bad, W is replaced by its intersection with
-    the annihilator of the span of the deduplicated bad-coset witnesses.
+    the annihilator of the span of the bad-coset witnesses.
     Fails (succeeded=False, partial state) if that would push the
     codimension beyond max_codim.
     """
@@ -204,34 +204,26 @@ def regularity_decompose(
         bad, counts = _scan_cosets(points.bits, space, eps)
         cosets = len(counts)
         energy_trace.append(_energy(counts, space.size))
-        good_fraction = Fraction(cosets - len(bad), cosets)
-        bad_reps = tuple(GFVector.from_rank(2, n, rep) for rep, _ in bad)
-        if Fraction(len(bad), cosets) <= eta:
-            return RegularityResult(
-                succeeded=True,
-                space=space,
-                good_fraction=good_fraction,
-                bad_reps=bad_reps,
-                rounds=rounds,
-                energy_trace=tuple(energy_trace),
-                coset_counts=counts,
-            )
-        witness_ranks = sorted({lift_class(space, t).rank for _, t in bad})
-        witnesses = [GFVector.from_rank(2, n, r) for r in witness_ranks]
+        succeeded = Fraction(len(bad), cosets) <= eta
+        if succeeded:
+            break
+        witnesses = [lift_class(space, t) for _, t in bad]
         refined = perp(extend_span(perp(space), witnesses))
         if refined.codim > max_codim:
-            return RegularityResult(
-                succeeded=False,
-                space=space,
-                good_fraction=good_fraction,
-                bad_reps=bad_reps,
-                rounds=rounds,
-                energy_trace=tuple(energy_trace),
-                coset_counts=counts,
-            )
+            break
         space = refined
         rounds += 1
-    raise AssertionError("regularity decomposition failed to terminate")
+    else:
+        raise AssertionError("regularity decomposition failed to terminate")
+    return RegularityResult(
+        succeeded=succeeded,
+        space=space,
+        good_fraction=Fraction(cosets - len(bad), cosets),
+        bad_reps=tuple(lift_from_quotient(space, q) for q, _ in bad),
+        rounds=rounds,
+        energy_trace=tuple(energy_trace),
+        coset_counts=counts,
+    )
 
 
 @dataclass(frozen=True)
@@ -276,12 +268,8 @@ class PipelineParams:
     def resolved_d(self) -> int:
         if self.d is not None:
             return self.d
-        # smallest t with 2^t >= 1/eps, plus one
-        inv_num, inv_den = self.eps.denominator, self.eps.numerator
-        t = 0
-        while (inv_den << t) < inv_num:
-            t += 1
-        return t + 1
+        # the least t with 2^t >= ceil(1/eps), plus one
+        return (-(-self.eps.denominator // self.eps.numerator) - 1).bit_length() + 1
 
     @property
     def resolved_buckets(self) -> int:

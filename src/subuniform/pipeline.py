@@ -76,7 +76,7 @@ from .gf_core import (
     GFVector,
     PointSet,
     Subspace,
-    _coset_rep_ranks,
+    _quotient_index,
     _rref_blocks,
     _trit_halves,
     extend_span,
@@ -154,16 +154,10 @@ def find_uniform_subspace(points: PointSet, params: PipelineParams) -> PipelineR
         )
         if not reg.succeeded:
             attempts.append(PipelineAttempt(depth, reg, None))
-            return PipelineReport(
-                outcome="codim_exhausted",
-                d=d,
-                buckets=buckets,
-                attempts=tuple(attempts),
-                W=reg.space,
-            )
+            break
         space = reg.space
-        bad = {rep.rank for rep in reg.bad_reps}
-        good = [q for q, rep in enumerate(_coset_rep_ranks(space)) if rep not in bad]
+        bad = {_quotient_index(space, rep) for rep in reg.bad_reps}
+        good = [q for q in range(len(reg.coset_counts)) if q not in bad]
         colouring = bucket_colouring(reg.coset_counts, space, buckets, good)
         structure = find_union_structure(colouring, d)
         attempts.append(PipelineAttempt(depth, reg, structure))
@@ -191,10 +185,11 @@ def find_uniform_subspace(points: PointSet, params: PipelineParams) -> PipelineR
             xs_ambient=lifts,
             colour=structure.colour,
         )
-    # attempts can be empty when the required depth already exceeds
-    # max_codim; that is a codimension-budget problem, not a failed search
+    # no attempt (depth already past max_codim) or a failed last regularity
+    # ran out of codimension; otherwise every Ramsey search came back empty
+    searched = bool(attempts) and attempts[-1].regularity.succeeded
     return PipelineReport(
-        outcome="ramsey_failure" if attempts else "codim_exhausted",
+        outcome="ramsey_failure" if searched else "codim_exhausted",
         d=d,
         buckets=buckets,
         attempts=tuple(attempts),

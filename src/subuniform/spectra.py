@@ -40,6 +40,7 @@ from .gf_core import (
     PointSet,
     Subspace,
     _coset_table,
+    _quotient_index,
     _unpacked,
     canonical_rep,
     perp,
@@ -198,9 +199,7 @@ def restricted_spectrum(points: PointSet, coset: Coset) -> Spectrum:
     if (points.p, points.n) != (space.p, space.n):
         raise InputError("point set and coset live in different ambient spaces")
     if points.p == 2:
-        q = 0  # the quotient index: the rep's free coordinates, read in binary
-        for col in space.free_columns:
-            q = q << 1 | coset.rep.coords[col - 1]
+        q = _quotient_index(space, coset.rep)
         size = space.size
         table = _coset_table(points.bits, space)
         coefficients = wht2(table[q * size : (q + 1) * size])

@@ -544,6 +544,39 @@ def test_set_file_not_utf8_exits_two(capsys, tmp_path, argv):
     )
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["p=2 n=3\n101\n110\n", "# a comment\np=2 n=3\n\n101   # a member\n110\n"],
+    ids=["canonical", "commented"],
+)
+def test_set_file_byte_order_mark_is_dropped(capsys, tmp_path, text):
+    plain, marked = tmp_path / "plain.set", tmp_path / "marked.set"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert parse_set_file("\ufeff" + text) == parse_set_file(text)
+    _, expect, _ = run(capsys, ["wht", "--set", str(plain)])
+    code, report, err = run(capsys, ["wht", "--set", str(marked)])
+    assert (code, err) == (0, "")
+    assert report["exact"] == expect["exact"]
+
+
+def test_set_file_byte_order_mark_keeps_byte_offsets_and_line_numbers(capsys, tmp_path):
+    # the offset of a bad byte counts the mark's three bytes
+    path = tmp_path / "bad.set"
+    path.write_bytes(b"\xef\xbb\xbfp=2 n=2\n0\xff\n")
+    code, _, err = run(capsys, ["wht", "--set", str(path)])
+    assert code == 2
+    assert err == (
+        f"input error: cannot read set file {path}: "
+        "not UTF-8 (byte 12: invalid start byte)\n"
+    )
+    # only one leading mark is dropped: one on a vector line is an error
+    with pytest.raises(InputError, match="^line 2: "):
+        parse_set_file("p=2 n=3\n\ufeff101\n")
+    with pytest.raises(InputError, match="^line 1: "):
+        parse_set_file("\ufeff\ufeffp=2 n=3\n101\n")
+
+
 def test_bad_rational_exits_two(capsys, set_path):
     path = set_path(PointSet.from_ranks(2, 2, [3]))
     code, _, err = run(capsys, ["increment", "--set", path, "--eps", "abc"])

@@ -38,6 +38,7 @@ from subuniform import (
 from subuniform import gf_core
 from subuniform.gf_core import (
     _coset_table,
+    _quotient_index,
     _span_ranks,
     _trit_halves,
     _trit_shifts,
@@ -329,6 +330,17 @@ def test_quotient_index_constant_on_cosets(p, n, dim, seed):
         assert canonical_rep(x, space) == lift_from_quotient(space, idx)
 
 
+@pytest.mark.parametrize("p,n", [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)])
+def test_quotient_index_inverts_lift_on_canonical_reps(p, n):
+    points = [GFVector.from_rank(p, n, r) for r in range(p**n)]
+    for k in range(n + 1):
+        for space in enumerate_subspaces(p, n, k):
+            for q in range(p**space.codim):
+                assert _quotient_index(space, lift_from_quotient(space, q)) == q
+            for x in points:
+                assert _quotient_index(space, canonical_rep(x, space)) == quotient_index(space, x)
+
+
 # ---------------------------------------------------------------------------
 # enumeration and counting
 
@@ -370,12 +382,13 @@ def _annihilator_rows(space: Subspace) -> tuple[int, ...]:
     other free columns, so w_f . v_i = v_i[f] - v_i[f] = 0.
     """
     p, n, rows = space.p, space.n, []
+    pivots = space.pivots
     for f in space.free_columns:
         row = [0] * n
         row[f - 1] = 1
-        for v, pivot in zip(space.basis, space.pivots):
+        for v, pivot in zip(space.basis, pivots):
             row[pivot - 1] = -v.coords[f - 1] % p
-        rows.append(GFVector(p, n, tuple(row)).rank)
+        rows.append(int("".join(map(str, row)), p))
     return tuple(rows)
 
 

@@ -178,12 +178,12 @@ def test_energy_monotone_under_refinement(seed):
 def recount_scan(points: PointSet, space: Subspace, eps: Fraction):
     """_scan_cosets redone one coset at a time through restricted_spectrum."""
     bad, counts = [], []
-    for rep in coset_reps(space):
+    for q, rep in enumerate(coset_reps(space)):
         spectrum = restricted_spectrum(points, Coset(space, rep))
         report = spectrum.uniformity()
         counts.append(spectrum.count)
         if report.sup_sq > eps * eps:
-            bad.append((rep.rank, report.witness_t))
+            bad.append((q, report.witness_t))
     return bad, tuple(counts)
 
 
@@ -224,7 +224,7 @@ def test_scan_witness_is_least_t_across_signs():
         ranks += [r for r, m in zip(points, restriction) if m]
     A = PointSet.from_ranks(2, 4, ranks)
     bad, counts = _scan_cosets(A.bits, space, Fraction(1, 8))
-    assert bad == [(reps[1].rank, 1), (reps[2].rank, 1)]
+    assert bad == [(1, 1), (2, 1)]
     assert counts == (0, 1, 3, 0)
     assert (bad, counts) == recount_scan(A, space, Fraction(1, 8))
 
@@ -359,6 +359,15 @@ def test_pipeline_params_defaults():
     explicit = PipelineParams(eps=Fraction(1, 4), d=2, buckets=7)
     assert explicit.resolved_d == 2
     assert explicit.resolved_buckets == 7
+
+
+def test_resolved_d_is_least_doubling_past_one_over_eps_plus_one():
+    for b in range(1, 65):
+        for a in range(1, b + 1):
+            t = 0
+            while a << t < b:
+                t += 1
+            assert PipelineParams(eps=Fraction(a, b)).resolved_d == t + 1, (a, b)
 
 
 def test_pipeline_params_validation():

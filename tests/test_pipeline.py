@@ -140,6 +140,31 @@ def test_pipeline_validation():
         )
 
 
+def test_pipeline_colours_only_the_good_cosets(monkeypatch):
+    # the colouring the pipeline itself builds, not one rebuilt from its
+    # report: each succeeded scan colours exactly its good cosets
+    calls = []
+
+    def spy(counts, space, buckets, good):
+        calls.append((space, list(good)))
+        return bucket_colouring(counts, space, buckets, good)
+
+    monkeypatch.setattr(pipeline, "bucket_colouring", spy)
+    some_bad = False
+    for seed, eta in ((0, Fraction(1, 8)), (7, Fraction(1, 4)), (8, Fraction(1, 4))):
+        calls.clear()
+        A = random_point_set(2, 7, Fraction(1, 2), seed)
+        report = find_uniform_subspace(A, PipelineParams(eps=Fraction(1, 4), eta=eta))
+        scans = [a.regularity for a in report.attempts if a.regularity.succeeded]
+        assert len(calls) == len(scans)
+        for (space, good), reg in zip(calls, scans):
+            assert space == reg.space
+            bad = {quotient_index(space, rep) for rep in reg.bad_reps}
+            assert good == [q for q in range(2**space.codim) if q not in bad]
+            some_bad |= bool(bad)
+    assert some_bad
+
+
 @pytest.mark.parametrize("seed", [81, 82, 83, 84, 85, 86])
 def test_pipeline_reports_are_internally_consistent(seed):
     A = random_point_set(2, 7, Fraction(1, 2), seed=seed)
