@@ -23,7 +23,9 @@ Conventions used throughout the package:
   integers (_trit_block_spans).
 * The canonical walk of the subspaces (_rref_blocks) hands them out in
   blocks of as many as fit in _SPAN_CELLS span points, at least one; it
-  alone cuts each pivot profile's free entries into head and tail.
+  alone cuts each pivot profile's free entries into head and tail.  An
+  F_2 block is its annihilators' rows, whose span lists _spans2 builds
+  on demand; an F_3 block is the span lists themselves.
 * Over F_2 a set's coset-major layout (_coset_table) is its mask read
   through a linear bijection of F_2^n, applied to the mask by delta
   swaps; no list of ranks is built.
@@ -426,8 +428,12 @@ _SPAN_CELLS = 1 << 16
 
 
 def _spans2(rows: list[list[int]]) -> list[list[int]]:
-    """The rank lists of a block's spans over F_2, in the order of _span_ranks."""
-    spans = [[0] * len(rows[0])]
+    """The rank lists of a block's spans over F_2, in the order of _span_ranks.
+
+    rows holds one rank list per row of the block's W (_rref_blocks);
+    no rows is the whole space's block, whose one W is {0}.
+    """
+    spans = [[0] * len(rows[0])] if rows else [[0]]
     for row in reversed(rows):
         spans += [list(map(xor, span, row)) for span in spans]
     return spans
@@ -448,20 +454,22 @@ def _rref_blocks(p: int, n: int, k: int) -> Iterator[tuple[list[int], list[list[
     _SPAN_CELLS // p^c, c = n - k, and the head the rest.  One block is
     yielded per (profile, head), the tail running inside it, so a block
     holds at most that many subspaces and never fewer than one.  A
-    block is yielded as (free, spans): the free columns of its profile,
-    and its annihilators' span lists, in which spans[i][j] is the rank
-    of point i (_span_ranks order) of the block's j-th W.  The head
-    fixes the block's first W, whose row f is e_f plus the head's
-    entries in row f; each slot owns one digit of one row, so head and
-    tail touch disjoint digits and their ranks add.  Over F_2 row f's
-    ranks are the first W's plus the profile's tail list for row f,
-    built once by doubling over the tail slots, last slot first, and the
-    spans come from the rows by XOR (_spans2); over F_3 the spans come
-    from the first W's rows and the tail slots (_trit_block_spans).  At
-    k = n the one block is ([], [[0]]): V is the whole space and W = {0}.
+    block is yielded as (free, lists): the free columns of its profile,
+    and one list per row or span point of its annihilators, entry j
+    for the block's j-th W.  The head fixes the block's first W, whose
+    row f is e_f plus the head's entries in row f; each slot owns one
+    digit of one row, so head and tail touch disjoint digits and their
+    ranks add.  Over F_2 the lists are the rows: row f's ranks are the
+    first W's plus the profile's tail list for row f, built once by
+    doubling over the tail slots, last slot first, and _spans2 turns
+    them into span lists for the subspaces that need them.  Over F_3
+    the lists are the spans, lists[i][j] the rank of point i
+    (_span_ranks order) of the j-th W, from the first W's rows and the
+    tail slots (_trit_block_spans).  At k = n the one block is ([], [])
+    over F_2 and ([], [[0]]) over F_3: V is the whole space and W = {0}.
     """
     if k == n:
-        yield [], [[0]]
+        yield [], [] if p == 2 else [[0]]
         return
     weights = _weights(p, n)
     cap = _SPAN_CELLS // p ** (n - k)
@@ -484,7 +492,7 @@ def _rref_blocks(p: int, n: int, k: int) -> Iterator[tuple[list[int], list[list[
             for f, v in zip(head_rows, entries):
                 first[f] += v
             if p == 2:
-                yield free, _spans2([[s + t for t in row] for s, row in zip(first, tails)])
+                yield free, [[s + t for t in row] for s, row in zip(first, tails)]
             else:
                 yield free, _trit_block_spans(n, first, tail)
 

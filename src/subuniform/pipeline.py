@@ -35,15 +35,17 @@ Both fields share one coset-sum engine, _CosetSums, with field hooks
 for the per-subspace sums, the packing, the order and the values a
 squared coefficient can take.  The walk (gf_core._rref_blocks) hands
 out blocks that share a pivot profile, each as its free columns and its
-annihilators' span lists, and four filters drop, in this order, the
-subspaces that score at least the best so far:
+annihilators' rows over F_2 or span lists over F_3, and four filters
+drop, in this order, the subspaces that score at least the best so far:
 
-1. a caller's visit, which sees every subspace of the block;
-2. the Parseval round (_CosetSums.parseval): one gather of S(0) = |W| m,
-   m = |A cap V|, and V is out when |W|^2 times the least value its
-   largest nontrivial squared coefficient can take, given that the
-   squares sum to |V| m - m^2 over the |V| - 1 nontrivial characters,
-   reaches the best; the gather is skipped when no m could get there;
+1. a caller's visit, which sees every subspace of the block (F_3 only);
+2. the Parseval round (_CosetSums.parseval): S(0) = |W| m, m = |A cap
+   V|, summed from the rows over F_2 (_row_sums) and by one gather over
+   F_3, and V is out when |W|^2 times the least value its largest
+   nontrivial squared coefficient can take, given that the squares sum
+   to |V| m - m^2 over the |V| - 1 nontrivial characters, reaches the
+   best; the sums are skipped when no m could get there, and over F_2
+   only the survivors' span lists are built (gf_core._spans2);
 3. _CosetSums.screen, list gathers (_gather) through shifted tables
    x -> F(r + x), each built for the round that reads it: two r per
    table over F_2, and over F_3 both parts of F(x) = a + b*w of one r,
@@ -78,6 +80,7 @@ from .gf_core import (
     Subspace,
     _quotient_index,
     _rref_blocks,
+    _spans2,
     _trit_halves,
     extend_span,
     gaussian_binomial,
@@ -211,9 +214,29 @@ def _gather(table: list[int], spans: list[list[int]]) -> list[int]:
     return sums
 
 
-def _kept(spans: list[list[int]], keep: list[bool]) -> list[list[int]]:
-    """A block's span lists cut down to the subspaces that keep marks."""
-    return spans if all(keep) else [list(compress(span, keep)) for span in spans]
+def _row_sums(table: list[int], rows: list[list[int]]) -> list[int]:
+    """_gather(table, _spans2(rows)): the sum of table over each span of an F_2 block, from its rows.
+
+    With a and b the last two rows, each point u of the leading rows'
+    span brings the four points u, u ^ a, u ^ b and u ^ a ^ b, so only a
+    quarter of the block's span lists is built.
+    """
+    if len(rows) < 2:
+        return _gather(table, _spans2(rows))
+    *lead, a, b = rows
+    zero = table[0]
+    sums = [zero + table[x] + table[y] + table[x ^ y] for x, y in zip(a, b)]
+    for span in _spans2(lead)[1:]:
+        sums = [
+            s + table[u] + table[u ^ x] + table[u ^ y] + table[u ^ x ^ y]
+            for s, u, x, y in zip(sums, span, a, b)
+        ]
+    return sums
+
+
+def _kept(lists: list[list[int]], keep: list[bool]) -> list[list[int]]:
+    """A block's lists, rows or spans, cut down to the subspaces that keep marks."""
+    return lists if all(keep) else [list(compress(entries, keep)) for entries in lists]
 
 
 def _mean_sq(v: int, m: int) -> int:
@@ -254,12 +277,14 @@ class _CosetSums:
     a subspace's own sums over all of order (tries: by XOR, or by digit
     halves), what one int of a screen round holds (keep), the r a round
     takes (step), the order, and, for the Parseval round (parseval), the
-    values a squared coefficient can take (least) and the bit offset of
-    the part of base that S(0) is read from (real: 0, or the a-part's
-    shift over F_3).  Each screen round, and each read, builds the one
-    table its gather reads, and no table is kept.  Over F_3, r + x comes
-    from gf_core's digit halves (_trit_halves).  read reads F_3 sums
-    only.
+    sums of S(0) over a block (round_sums: _row_sums of the rows, or
+    _gather of the spans), the values a squared coefficient can take
+    (least), the bit offset of the part of base that S(0) is read from
+    (real: 0, or the a-part's shift over F_3) and the survivors' span
+    lists (spans: _spans2 of the rows, or the spans as they are).  Each
+    screen round, and each read, builds the one table its gather reads,
+    and no table is kept.  Over F_3, r + x comes from gf_core's digit
+    halves (_trit_halves).  read reads F_3 sums only.
     """
 
     def __init__(self, p: int, n: int, F: Sequence, max_codim: int) -> None:
@@ -271,13 +296,14 @@ class _CosetSums:
             self.order = sorted(range(1, self.size), key=[f * f for f in F].__getitem__, reverse=True)
             self.base = [f + bias for f in F]
             self.keep, self.tries, self.step = self._keep2, self._tries2, 2
-            self.least, self.real = _least2, 0
+            self.least, self.real, self.round_sums, self.spans = _least2, 0, _row_sums, _spans2
         else:
             norms = [a * a - a * b + b * b for a, b in F]
             self.order = sorted(_leading_ones(n), key=norms.__getitem__, reverse=True)
             self.base = [((a + bias) << self.shift) + b + bias for a, b in F]
             self.keep, self.tries, self.step = self._keep3, self._tries3, 1
-            self.least, self.real = _least3, self.shift
+            self.least, self.real, self.round_sums = _least3, self.shift, _gather
+            self.spans = lambda spans: spans
 
     def _tries2(self, span: Sequence[int], bound: int) -> Optional[int]:
         """max S(r)^2 over r outside W, or None at the first one >= bound; by XOR."""
@@ -362,23 +388,30 @@ class _CosetSums:
         q = _mean_sq(v, v // 2)
         return max(self.least(q, m) for m in range(self.p))
 
-    def parseval(self, best: int, spans: list[list[int]]) -> list[list[int]]:
-        """The block's span lists without each subspace that Parseval rules out.
+    def parseval(self, best: int, c: int, block: list[list[int]]) -> list[list[int]]:
+        """The span lists of a codim-c block without each subspace that Parseval rules out.
 
-        One gather of the unshifted base over the spans gives S(0) = |W|
+        block holds the block's lists as the walk gives them
+        (gf_core._rref_blocks): rows over F_2, spans over F_3.  The
+        round's sums of the unshifted base (round_sums) give S(0) = |W|
         m, m the members in V (over F_3 as its a-part), and V is dropped
         when |W|^2 floor(|V|, m) >= best: its score is at least that.
-        The gather is skipped when the block has one-point V or no
-        subspace left, and when |W|^2 top_floor(|V|) < best, so that no
-        V could be dropped.
+        The sums are skipped when V is one point, and when |W|^2
+        top_floor(|V|) < best, so that no V could be dropped.  When no
+        value of S(0) is kept the round returns the empty block, and
+        otherwise only the survivors' lists become spans.
         """
-        w = len(spans)  # |W|
+        w = self.p**c  # |W|
         v, cut = self.size // w, w * w
-        if v == 1 or not spans[0] or cut * self.top_floor(v) < best:
-            return spans
-        sums, real, off = _gather(self.base, spans), self.real, w * self.bias
-        drop = {s: cut * self.floor(v, ((s >> real) - off) // w) >= best for s in set(sums)}
-        return _kept(spans, [not drop[s] for s in sums])
+        if v == 1 or cut * self.top_floor(v) < best:
+            return self.spans(block)
+        sums, real, off = self.round_sums(self.base, block), self.real, w * self.bias
+        kept = {s for s in set(sums) if cut * self.floor(v, ((s >> real) - off) // w) < best}
+        if not kept:
+            return [[]]
+        # a block of one subspace is kept whole here, so the whole space's
+        # F_2 block of no rows never needs a cut
+        return self.spans(_kept(block, [s in kept for s in sums]))
 
     def screen(
         self, best: int, free: list[int], spans: list[list[int]]
@@ -452,14 +485,14 @@ def _scores_below(
     def candidates() -> Iterator[Sequence[int]]:
         """W's span for each subspace still in the running, codim 0 first."""
         for c in range(max_codim + 1):
-            for free, spans in _rref_blocks(p, n, n - c):
+            for free, block in _rref_blocks(p, n, n - c):
                 bound = threshold()
                 if bound == 0:
                     return  # no score is below 0
                 if visit is not None:
-                    spans = _kept(spans, visit(free, spans, partial(sums.read, spans=spans)))
+                    block = _kept(block, visit(free, block, partial(sums.read, spans=block)))
                 # the survivors replace the block's lists, which can then go
-                yield from sums.screen(bound, free, sums.parseval(bound, spans))
+                yield from sums.screen(bound, free, sums.parseval(bound, c, block))
 
     for span in candidates():
         score = sums.tries(span, threshold())

@@ -365,9 +365,14 @@ def _slot_entries(space: Subspace) -> tuple[int, ...]:
     )
 
 
-def _flat(blocks):
+def _block_spans(p, lists):
+    """A block's span lists: the F_2 walk gives its rows, the F_3 walk its spans."""
+    return gf_core._spans2(lists) if p == 2 else lists
+
+
+def _flat(p, blocks):
     """(free columns, W's span) per subspace, from _rref_blocks' blocks."""
-    return [(free, span) for free, spans in blocks for span in zip(*spans)]
+    return [(free, span) for free, lists in blocks for span in zip(*_block_spans(p, lists))]
 
 
 def _rows(p, free, span):
@@ -403,7 +408,7 @@ def test_enumeration_order_and_annihilator_rows(monkeypatch, most, p, n):
         # canonical order: pivot profile, then free entries lexicographically
         keys = [(s.pivots, _slot_entries(s)) for s in spaces]
         assert keys == sorted(keys)
-        walk = _flat(gf_core._rref_blocks(p, n, k))
+        walk = _flat(p, gf_core._rref_blocks(p, n, k))
         assert len(walk) == len(spaces)
         for space, (free, span) in zip(spaces, walk):
             assert tuple(free) == space.free_columns
@@ -439,15 +444,15 @@ def test_rref_blocks_cap_keeps_the_walk(monkeypatch, most):
     # span cells of most * p^c cap the codim-c blocks at most subspaces;
     # under p^c cells a block still holds one subspace
     p, n, k = 2, 7, 3
-    whole = _flat(gf_core._rref_blocks(p, n, k))
+    whole = _flat(p, gf_core._rref_blocks(p, n, k))
     for cells in (most * p ** (n - k), 1) if most == 1 else (most * p ** (n - k),):
         monkeypatch.setattr(gf_core, "_SPAN_CELLS", cells)
         cap = cells // p ** (n - k)
         blocks = list(gf_core._rref_blocks(p, n, k))
-        sizes = [len(spans[0]) for _, spans in blocks]
+        sizes = [len(lists[0]) for _, lists in blocks]
         assert sizes == _block_sizes(p, n, k, max(1, cap))
         assert all(1 <= size <= max(1, cap) for size in sizes)
-        assert _flat(blocks) == whole
+        assert _flat(p, blocks) == whole
 
 
 def test_rref_blocks_are_cut_by_span_cells_alone():
@@ -456,7 +461,7 @@ def test_rref_blocks_are_cut_by_span_cells_alone():
     # to 2^15 subspaces, cut into 60 blocks of at most 8,192, and codim 2
     # in F_3^7 profiles of up to 3^10, cut into 31 blocks of at most 6,561
     for p, n, c, count, most in ((2, 8, 3, 60, 8192), (3, 7, 2, 31, 6561)):
-        sizes = [len(spans[0]) for _, spans in gf_core._rref_blocks(p, n, n - c)]
+        sizes = [len(lists[0]) for _, lists in gf_core._rref_blocks(p, n, n - c)]
         assert sizes == _block_sizes(p, n, n - c, gf_core._SPAN_CELLS // p**c)
         assert (len(sizes), max(sizes)) == (count, most)
         assert sum(sizes) == gaussian_binomial(p, n, n - c)

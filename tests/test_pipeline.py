@@ -51,6 +51,7 @@ from conftest import (
     pair_add,
     quotient_index,
     rand_below,
+    random_int_table,
     raw_coset_counts,
     random_subset,
     random_subspace,
@@ -318,7 +319,7 @@ def _patch_caps(monkeypatch, p, n, max_codim, most, span_cells):
 
     def sizes():
         blocks = [pipeline._rref_blocks(p, n, n - c) for c in range(max_codim + 1)]
-        return [[len(spans[0]) for _, spans in b] for b in blocks]
+        return [[len(_spans(p, lists)[0]) for _, lists in b] for b in blocks]
 
     whole = sizes()
     monkeypatch.setattr(gf_core, "_SPAN_CELLS", span_cells)
@@ -373,6 +374,11 @@ def test_oracle_winner_annihilates_the_top_frequency():
         assert top in span_ranks(perp(winner))
 
 
+def _spans(p, lists):
+    """A block's span lists: the F_2 walk gives its rows, the F_3 walk its spans."""
+    return gf_core._spans2(lists) if p == 2 else lists
+
+
 def _engine(A, max_codim):
     """The coset-sum engine of A's transform, as the oracle builds it."""
     mem = A.membership_table()
@@ -389,8 +395,9 @@ def _f2_screen(F, order, best, block):
 
 
 def _first_block(p, n, c):
-    """The walk's first codim-c block, and W's span for each of its subspaces."""
-    block = next(gf_core._rref_blocks(p, n, n - c))
+    """The walk's first codim-c block as (free, span lists), and W's span for each of its subspaces."""
+    free, lists = next(gf_core._rref_blocks(p, n, n - c))
+    block = free, _spans(p, lists)
     spans = list(zip(*block[1]))
     # each span is that of its rows by _span_ranks, row f at point p^(c-1-f)
     assert spans == [
@@ -654,8 +661,8 @@ def test_f2_below_scores_every_subspace():
     F = wht2(A.membership_table())
     sums = _engine(A, 3)
     for c in (1, 2, 3):
-        for _, spans in gf_core._rref_blocks(2, n, n - c):
-            for span in zip(*spans):
+        for _, rows in gf_core._rref_blocks(2, n, n - c):
+            for span in zip(*gf_core._spans2(rows)):
                 sq = [sum(F[r ^ x] for x in span) ** 2 for r in range(1, 2**n) if r not in span]
                 assert sums.tries(span, 4**n + 1) == max(sq), span
                 assert sums.tries(span, max(sq)) is None
@@ -826,8 +833,8 @@ def test_parseval_round_drops_exactly_what_the_floor_reaches(p, n):
         scores = dict(_scored_walk(A, n))
         for c in range(n + 1):
             w, v = p**c, p ** (n - c)
-            for _, spans in gf_core._rref_blocks(p, n, n - c):
-                block = list(zip(*spans))
+            for _, lists in gf_core._rref_blocks(p, n, n - c):
+                block = list(zip(*_spans(p, lists)))
                 spaces = [pipeline._annihilated(p, n, span) for span in block]
                 true = [scores[V] for V in spaces]
                 floors = [
@@ -835,7 +842,7 @@ def test_parseval_round_drops_exactly_what_the_floor_reaches(p, n):
                     for V in spaces
                 ]
                 for best in {*true, max(true) + 1} - {0}:
-                    kept = list(zip(*sums.parseval(best, spans)))
+                    kept = list(zip(*sums.parseval(best, c, lists)))
                     assert kept == [span for span, f in zip(block, floors) if f < best], (c, best)
                     out = [s for span, s in zip(block, true) if span not in kept]
                     assert all(s >= best for s in out)
@@ -856,13 +863,13 @@ def test_parseval_round_is_tight_on_a_flat_v(p, n):
     sums, w = _engine(A, c), p**c
     scores = dict(_scored_walk(A, c))
     through = 0
-    for _, spans in gf_core._rref_blocks(p, n, n - c):
-        block = list(zip(*spans))
+    for _, lists in gf_core._rref_blocks(p, n, n - c):
+        block = list(zip(*_spans(p, lists)))
         meets = [x in span_ranks(pipeline._annihilated(p, n, span)) for span in block]
         for span, hit in zip(block, meets):
             assert scores[pipeline._annihilated(p, n, span)] == (w * w if hit else 0)
-        assert list(zip(*sums.parseval(w * w + 1, spans))) == block
-        assert list(zip(*sums.parseval(w * w, spans))) == [s for s, hit in zip(block, meets) if not hit]
+        assert list(zip(*sums.parseval(w * w + 1, c, lists))) == block
+        assert list(zip(*sums.parseval(w * w, c, lists))) == [s for s, hit in zip(block, meets) if not hit]
         through += sum(meets)
     assert through
 
@@ -882,23 +889,75 @@ def test_parseval_floors_and_skip_bound():
                     assert floor == _least_ref(p, v, m), (p, v, m)
 
 
+@pytest.mark.parametrize("c", range(1, 7))
+def test_row_sums_match_the_gather_over_the_spans(c):
+    # the round's F_2 sums come from the rows, four points per point of
+    # the leading rows' span; on random rows and tables, in blocks of 0,
+    # 1 and more subspaces, each equals the gather over the block's spans
+    # and the plain sum over each span
+    n = 8
+    stream = words(190 + c)
+    for count in (0, 1, 2, 37):
+        for _ in range(3):
+            rows = [[rand_below(stream, 1 << n) for _ in range(count)] for _ in range(c)]
+            table = random_int_table(stream, 1 << n, 1000)
+            spans = gf_core._spans2(rows)
+            sums = pipeline._row_sums(table, rows)
+            assert sums == pipeline._gather(table, spans), (count, rows)
+            assert sums == [sum(table[x] for x in span) for span in zip(*spans)]
+    # the whole space's block has no rows and one W, {0}
+    assert pipeline._row_sums(table, []) == [table[0]]
+
+
+@pytest.mark.parametrize("c", range(1, 7))
+def test_spans_of_kept_rows_are_the_kept_spans(c):
+    # _spans2 works entry by entry, so the round may cut a block's rows
+    # and build the spans of the survivors alone
+    n = 8
+    stream = words(200 + c)
+    for count in (1, 2, 37):
+        rows = [[rand_below(stream, 1 << n) for _ in range(count)] for _ in range(c)]
+        masks = [[True] * count, [False] * count]
+        masks += [[bool(rand_below(stream, 2)) for _ in range(count)] for _ in range(4)]
+        for keep in masks:
+            assert gf_core._spans2(pipeline._kept(rows, keep)) == pipeline._kept(gf_core._spans2(rows), keep)
+
+
+@pytest.mark.parametrize("p,n,c", [(2, 8, 3), (3, 5, 2)])
+def test_parseval_round_exits_when_nothing_survives(monkeypatch, p, n, c):
+    # at a best of 1 every V whose floor is positive is out, and on a
+    # random set no codim-c V is empty or full: the round returns the
+    # empty block with no cut and no span lists built
+    A = random_subset(words(210 + p), p, n, Fraction(1, 2))
+    sums = _engine(A, c)
+    monkeypatch.setattr(pipeline, "_kept", lambda lists, keep: pytest.fail("cut"))
+    monkeypatch.setattr(sums, "spans", lambda block: pytest.fail("spanned"))
+    blocks = 0
+    for _, lists in gf_core._rref_blocks(p, n, n - c):
+        assert sums.parseval(1, c, lists) == [[]]
+        blocks += 1
+    assert blocks > 1
+
+
 @pytest.mark.parametrize("p,n", [(2, 14), (3, 8)])
 def test_parseval_round_gathers_nothing_at_codim_one(monkeypatch, p, n):
     # at codim 1 no floor can reach the best, so the round skips its
-    # gather: the walk makes no more gathers than with the round gone
-    # (a gather on every block there made F_2^16 codim 1 ten times slower)
+    # sums: the walk makes no more gathers or row sums than with the
+    # round gone (a gather on every block there made F_2^16 codim 1 ten
+    # times slower)
     A = random_subset(words(170 + p), p, n, Fraction(1, 2))
-    gather = pipeline._gather
+    gather, row_sums = pipeline._gather, pipeline._row_sums
 
     def counted() -> tuple:
         calls = []
         with monkeypatch.context() as patch:
             patch.setattr(pipeline, "_gather", lambda t, s: calls.append(t) or gather(t, s))
+            patch.setattr(pipeline, "_row_sums", lambda t, s: calls.append(t) or row_sums(t, s))
             result = exhaustive_best_subspace(A, 1)
         return result, len(calls)
 
     result, calls = counted()
-    monkeypatch.setattr(pipeline._CosetSums, "parseval", lambda self, best, spans: spans)
+    monkeypatch.setattr(pipeline._CosetSums, "parseval", lambda self, best, c, block: _spans(p, block))
     without = counted()
     assert result == without[0]
     assert calls <= without[1]
@@ -918,9 +977,9 @@ def test_scores_below_yields_every_subspace_below_a_fixed_threshold(
     stream = words(seed)
     parseval, dropped = pipeline._CosetSums.parseval, []
 
-    def counted(sums, best, spans):
-        kept = parseval(sums, best, spans)
-        dropped.append(len(spans[0]) - len(kept[0]))
+    def counted(sums, best, c, block):
+        kept = parseval(sums, best, c, block)
+        dropped.append(len(_spans(p, block)[0]) - len(kept[0]))
         return kept
 
     monkeypatch.setattr(pipeline._CosetSums, "parseval", counted)
