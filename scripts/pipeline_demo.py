@@ -27,7 +27,6 @@ from subuniform import (
     find_uniform_subspace,
     parse_rational,
     random_point_set,
-    subspace_scan_count,
 )
 
 ORACLE_SCAN_LIMIT = 500_000
@@ -112,11 +111,11 @@ def main() -> None:
         f" {'ok' if report.bound_ok else 'EXCEEDED'})"
     )
 
-    scans = subspace_scan_count(2, args.n, args.oracle_codim)
-    if scans > ORACLE_SCAN_LIMIT:
-        print(f"oracle skipped: {scans} subspaces to scan at codim <= {args.oracle_codim}")
+    try:
+        winner, best = exhaustive_best_subspace(A, args.oracle_codim, budget=ORACLE_SCAN_LIMIT)
+    except BudgetExceededError as exc:
+        print(f"oracle skipped: {exc}")
         return
-    winner, best = exhaustive_best_subspace(A, args.oracle_codim)
     print(
         f"oracle best at codim <= {args.oracle_codim}:"
         f" sup^2 = {best} on {describe_space(winner)}"

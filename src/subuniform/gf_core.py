@@ -25,7 +25,8 @@ Conventions used throughout the package:
   blocks of as many as fit in _SPAN_CELLS span points, at least one; it
   alone cuts each pivot profile's free entries into head and tail.  An
   F_2 block is its annihilators' rows, whose span lists _spans2 builds
-  on demand; an F_3 block is the span lists themselves.
+  on demand; an F_3 block is the span lists themselves.  _span_index
+  alone reads their point order: which point of each W can equal r.
 * Over F_2 a set's coset-major layout (_coset_table) is its mask read
   through a linear bijection of F_2^n, applied to the mask by delta
   swaps; no list of ranks is built.
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, product
 from operator import xor
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -119,10 +120,8 @@ class GFVector:
         return "".join(str(c) for c in self.coords)
 
 
-def _rref_rows(p: int, n: int, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place RREF of integer rows mod p.  Returns (nonzero rows, pivot cols)."""
-    inv = {1: 1, 2: (p + 1) // 2 if p == 3 else 1}
-    pivots: list[int] = []
+def _rref_rows(p: int, n: int, rows: list[list[int]]) -> list[list[int]]:
+    """In-place RREF of integer rows mod p.  Returns the nonzero rows."""
     rank = 0
     for col in range(n):
         pivot_row = next(
@@ -132,16 +131,15 @@ def _rref_rows(p: int, n: int, rows: list[list[int]]) -> tuple[list[list[int]], 
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         head = rows[rank]
-        scale = inv[head[col] % p]
+        scale = head[col] % p  # every nonzero element of F_2 and F_3 is its own inverse
         if scale != 1:
             rows[rank] = head = [(scale * v) % p for v in head]
         for r in range(len(rows)):
             if r != rank and rows[r][col] % p != 0:
                 factor = rows[r][col] % p
                 rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], head)]
-        pivots.append(col + 1)
         rank += 1
-    return [row for row in rows[:rank]], pivots
+    return rows[:rank]
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,7 @@ class Subspace:
     def __post_init__(self) -> None:
         _check_space(self.p, self.n)
         last_pivot = 0
-        for i, row in enumerate(self.basis):
+        for row in self.basis:
             if (row.p, row.n) != (self.p, self.n):
                 raise InputError("basis row lives in a different ambient space")
             pivot = next((j for j, c in enumerate(row.coords, 1) if c), None)
@@ -205,7 +203,7 @@ def rref_basis(vectors: Sequence[GFVector]) -> Subspace:
     for v in vectors:
         if (v.p, v.n) != (p, n):
             raise InputError("vectors live in different ambient spaces")
-    rows, _ = _rref_rows(p, n, [list(v.coords) for v in vectors])
+    rows = _rref_rows(p, n, [list(v.coords) for v in vectors])
     return Subspace(p, n, tuple(GFVector(p, n, tuple(r)) for r in rows))
 
 
@@ -225,7 +223,7 @@ def perp(space: Subspace) -> Subspace:
         rows.append(row)
     if not rows:
         return Subspace.zero(p, n)
-    reduced, _ = _rref_rows(p, n, rows)
+    reduced = _rref_rows(p, n, rows)
     return Subspace(p, n, tuple(GFVector(p, n, tuple(r)) for r in reduced))
 
 
@@ -394,7 +392,7 @@ def _trit_block_spans(n: int, first: Sequence[int], tail: Sequence[tuple[int, in
     """The spans of a block of annihilators in F_3^n, as rank lists.
 
     first holds the ranks of the rows w_f of the block's first
-    annihilator W (there is at least one row), and tail the block's tail
+    annihilator W (none for the whole space's block), and tail the block's tail
     slots as (f, weight of the slot's pivot column), as _rref_blocks(3,
     n, k) cuts them.  Entry j of list i is the rank of point i of the
     block's j-th W, in the order of _span_ranks.
@@ -439,6 +437,18 @@ def _spans2(rows: list[list[int]]) -> list[list[int]]:
     return spans
 
 
+def _span_index(p: int, n: int, free: Sequence[int]) -> Callable[[int], int]:
+    """r -> the point of each W in a block that can equal r: sum_f r_(free[f]) p^(c-1-f).
+
+    c = len(free), free the block's free columns (_rref_blocks).  Row f
+    of each W is e_f there, so point i (_spans2, _trit_block_spans) has
+    the base-p digits of i there, the first row most significant.
+    """
+    c, weights = len(free), _weights(p, n)
+    steps = [(weights[col - 1], p ** (c - 1 - f)) for f, col in enumerate(free)]
+    return lambda r: sum(r // w % p * step for w, step in steps)
+
+
 def _rref_blocks(p: int, n: int, k: int) -> Iterator[tuple[list[int], list[list[int]]]]:
     """The canonical walk of the k-dim subspaces V, one block at a time.
 
@@ -468,9 +478,6 @@ def _rref_blocks(p: int, n: int, k: int) -> Iterator[tuple[list[int], list[list[
     tail slots (_trit_block_spans).  At k = n the one block is ([], [])
     over F_2 and ([], [[0]]) over F_3: V is the whole space and W = {0}.
     """
-    if k == n:
-        yield [], [] if p == 2 else [[0]]
-        return
     weights = _weights(p, n)
     cap = _SPAN_CELLS // p ** (n - k)
     for pivots in combinations(range(1, n + 1), k):

@@ -34,8 +34,7 @@ r + W is |W| times V's coefficient at the character r induces on V.
 Both fields share one coset-sum engine, _CosetSums, with field hooks
 for the per-subspace sums, the packing, the order and the values a
 squared coefficient can take.  The walk (gf_core._rref_blocks) hands
-out blocks that share a pivot profile, each as its free columns and its
-annihilators' rows over F_2 or span lists over F_3, and four filters
+out blocks of subspaces that share a pivot profile, and four filters
 drop, in this order, the subspaces that score at least the best so far:
 
 1. a caller's visit, which sees every subspace of the block (F_3 only);
@@ -80,6 +79,7 @@ from .gf_core import (
     Subspace,
     _quotient_index,
     _rref_blocks,
+    _span_index,
     _spans2,
     _trit_halves,
     extend_span,
@@ -423,21 +423,13 @@ class _CosetSums:
         the subspaces still in the running.  A round takes the next r of
         order, two over F_2 and one over F_3, and sums S(r) for every
         kept subspace by one gather (keep); a subspace is dropped when
-        the norm of S(r) is >= best, unless r lies in its W.  A round
-        whose gathers would be fewer than the p^n entries of the table it
-        builds costs more than it can save, so the rounds stop there or
-        at the end of order, and the survivors' spans are yielded in walk
-        order.
+        the norm of S(r) is >= best, unless r is W's point at(r)
+        (gf_core._span_index).  A round whose gathers would be fewer than
+        the p^n entries of the table it builds costs more than it can
+        save, so the rounds stop there or at the end of order, and the
+        survivors' spans are yielded in walk order.
         """
-        p, n, c = self.p, self.n, len(free)
-        # annihilator row f's digits at the free columns are those of e_f,
-        # for the whole block; r's digits there pick the one span point
-        # that can equal r: point sum_f r_f p^(c-1-f)
-        weights = [(p ** (n - col), p ** (c - 1 - f)) for f, col in enumerate(free)]
-
-        def at(r: int) -> int:
-            return sum(r // w % p * step for w, step in weights)
-
+        at = _span_index(self.p, self.n, free)
         for i in range(0, len(self.order), self.step):
             if len(spans[0]) * len(spans) < self.size:
                 break
@@ -472,7 +464,7 @@ def _scores_below(
     walk order, with its exact score.  The walk ends at a block that
     starts with threshold() at 0, which no score is below.
 
-    visit(free, spans, at), over F_3 only, with at(r) giving the
+    visit(free, spans, read), over F_3 only, with read(r) giving the
     block's (a, b) lists of S(r), sees each block first and returns
     which subspaces stay in the running; it may drop only ones that
     score at least threshold().
@@ -527,10 +519,9 @@ def exhaustive_best_subspace(
             f"scan of {total} subspaces exceeds budget {budget}"
         )
     best = p ** (2 * n) + 1  # above every |S|^2, since |S| <= p^n
-    # the whole space comes first and scores below that, so best_span is set
+    # each record lowers the threshold; the whole space comes first, so best_span is set
     for best_span, best in _scores_below(points, max_codim, lambda: best):
-        if best == 0:
-            break
+        pass
     return _annihilated(p, n, best_span), Fraction(best, p ** (2 * n))
 
 
@@ -619,13 +610,13 @@ def scan_leading_one_set(n: int, long_run: bool = False) -> F3Report:
         # the walk order within a dimension is that of pivots, then basis ranks
         failures[V.dim, V.pivots, tuple(v.rank for v in V.basis)] = V
 
-    def visit(free, spans, at) -> list[bool]:
+    def visit(free, spans, read) -> list[bool]:
         nonlocal total
         total += len(spans[0])
         j = next(col for col in range(1, n + 1) if col not in free)
         bound = max(best, floor)
         keep = []
-        for i, (a, b) in enumerate(zip(*at(3 ** (n - j)))):
+        for i, (a, b) in enumerate(zip(*read(3 ** (n - j)))):
             if b != -(3 ** (n - 1)):
                 fail(_annihilated(3, n, [span[i] for span in spans]))
             keep.append(a * a - a * b + b * b < bound)

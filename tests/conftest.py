@@ -12,6 +12,7 @@ can serve as cross-checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
 from subuniform import (
@@ -28,6 +29,7 @@ from subuniform import (
     rref_basis,
     splitmix64,
 )
+from subuniform import gf_core
 from subuniform.ramsey import MAX_COLOURING_M
 
 
@@ -83,6 +85,63 @@ def span_ranks(space: Subspace) -> list[int]:
 def random_int_table(stream: Iterator[int], length: int, bound: int = 9) -> list[int]:
     """Random integer-valued function table with entries in [-bound, bound]."""
     return [rand_below(stream, 2 * bound + 1) - bound for _ in range(length)]
+
+
+# ---------------------------------------------------------------------------
+# readers of library objects that several test modules share
+
+
+def coset_density(points: PointSet, coset: Coset) -> Fraction:
+    return Fraction(sum(points.bits >> r & 1 for r in coset.point_ranks()), coset.subspace.size)
+
+
+def block_spans(p: int, lists: list[list[int]]) -> list[list[int]]:
+    """A block's span lists: the F_2 walk gives its rows, the F_3 walk its spans."""
+    return gf_core._spans2(lists) if p == 2 else lists
+
+
+# ---------------------------------------------------------------------------
+# a reference subspace walk that builds no objects
+
+
+def rref_walk(p: int, n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+    """(pivots, RREF rows as digit lists) of each k-dim subspace of F_p^n.
+
+    enumerate_subspaces' own loop and order: pivot combinations, then a
+    product over the free entries, row by row, first slot most
+    significant; no GFVector or Subspace is built.
+    """
+    for pivots in combinations(range(1, n + 1), k):
+        slots = [
+            (i, col - 1)
+            for i, pivot in enumerate(pivots)
+            for col in range(pivot + 1, n + 1)
+            if col not in pivots
+        ]
+        units = [[int(col == pivot) for col in range(1, n + 1)] for pivot in pivots]
+        for entries in product(range(p), repeat=len(slots)):
+            rows = [unit[:] for unit in units]
+            for (i, j), entry in zip(slots, entries):
+                rows[i][j] = entry
+            yield pivots, rows
+
+
+def annihilator_rows(p: int, n: int, pivots: Sequence[int], rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """W's rows w_f as ranks, built from V's RREF rows (digit lists), one per free column f.
+
+    w_f is 1 at f, -v_i[f] at the pivot of basis row v_i and 0 at the
+    other free columns, so w_f . v_i = v_i[f] - v_i[f] = 0.
+    """
+    out = []
+    for f in range(1, n + 1):
+        if f in pivots:
+            continue
+        row = [0] * n
+        row[f - 1] = 1
+        for v, pivot in zip(rows, pivots):
+            row[pivot - 1] = -v[f - 1] % p
+        out.append(int("".join(map(str, row)), p))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +245,15 @@ def rec_wht2(table: Sequence[int]) -> list[int]:
     even = rec_wht2(table[:half])
     odd = rec_wht2(table[half:])
     return [e + o for e, o in zip(even, odd)] + [e - o for e, o in zip(even, odd)]
+
+
+def oracle_sup_sq(points: PointSet, coset: Coset) -> Fraction:
+    """Uniformity sup recomputed via the independent recursive transform."""
+    table = [points.bits >> r & 1 for r in coset.point_ranks()]
+    coeffs = rec_wht2(table)
+    if len(coeffs) == 1:
+        return Fraction(0)
+    return Fraction(max(c * c for c in coeffs[1:]), coset.subspace.size**2)
 
 
 # Eisenstein numbers as plain (a, b) pairs with a + b*omega, omega^2 = -1 - omega.

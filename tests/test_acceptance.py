@@ -47,13 +47,14 @@ from conftest import (
     bf_dft3,
     bf_wht2,
     check_union_structure,
+    coset_density,
+    oracle_sup_sq,
     pair_add,
     rand_below,
     random_int_table,
     random_subset,
     random_subspace,
     random_vector,
-    rec_wht2,
     span_ranks,
     value_at,
     words,
@@ -71,19 +72,6 @@ def criterion(num: int, name: str):
         print(f"[acceptance] criterion {num} ({name}): FAIL")
         raise
     print(f"[acceptance] criterion {num} ({name}): PASS")
-
-
-def coset_density(points: PointSet, coset: Coset) -> Fraction:
-    return Fraction(sum(points.bits >> r & 1 for r in coset.point_ranks()), coset.subspace.size)
-
-
-def oracle_sup_sq(points: PointSet, coset: Coset) -> Fraction:
-    """Uniformity sup recomputed via the independent recursive transform."""
-    table = [points.bits >> r & 1 for r in coset.point_ranks()]
-    coeffs = rec_wht2(table)
-    if len(coeffs) == 1:
-        return Fraction(0)
-    return Fraction(max(c * c for c in coeffs[1:]), coset.subspace.size**2)
 
 
 def ternary_subspaces(n: int):

@@ -760,3 +760,12 @@ def test_pipeline_demo_budget_exceeded_exits_three(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded: subset-sum search tried more than 1000")
     assert err.count("\n") == 1
+
+
+def test_pipeline_demo_skips_an_oracle_past_its_budget():
+    # codim <= 4 in F_2^9 holds 4,141,729 subspaces, past the demo's limit
+    proc = run_script("pipeline_demo.py", ["--n", "9", "--seed", "3", "--oracle-codim", "4"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    last = proc.stdout.splitlines()[-1]
+    assert last == "oracle skipped: scan of 4141729 subspaces exceeds budget 500000"

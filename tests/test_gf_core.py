@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +47,9 @@ from subuniform.gf_core import (
 
 from conftest import (
     add_rank,
+    annihilator_rows,
     base_p_digits,
+    block_spans,
     full_set,
     rand_below,
     random_subset,
@@ -57,6 +59,7 @@ from conftest import (
     rec_wht2,
     quotient_index,
     ref_member_ranks,
+    rref_walk,
     span_ranks,
     tuple_add,
     tuple_scale,
@@ -365,36 +368,14 @@ def _slot_entries(space: Subspace) -> tuple[int, ...]:
     )
 
 
-def _block_spans(p, lists):
-    """A block's span lists: the F_2 walk gives its rows, the F_3 walk its spans."""
-    return gf_core._spans2(lists) if p == 2 else lists
-
-
 def _flat(p, blocks):
     """(free columns, W's span) per subspace, from _rref_blocks' blocks."""
-    return [(free, span) for free, lists in blocks for span in zip(*_block_spans(p, lists))]
+    return [(free, span) for free, lists in blocks for span in zip(*block_spans(p, lists))]
 
 
 def _rows(p, free, span):
     """W's rows w_f, one per free column: span point p^(c-1-f), c = len(free)."""
     return tuple(span[p ** (len(free) - 1 - f)] for f in range(len(free)))
-
-
-def _annihilator_rows(space: Subspace) -> tuple[int, ...]:
-    """W's rows w_f as ranks, built from V's RREF basis, one per free column f.
-
-    w_f is 1 at f, -v_i[f] at the pivot of basis row v_i and 0 at the
-    other free columns, so w_f . v_i = v_i[f] - v_i[f] = 0.
-    """
-    p, n, rows = space.p, space.n, []
-    pivots = space.pivots
-    for f in space.free_columns:
-        row = [0] * n
-        row[f - 1] = 1
-        for v, pivot in zip(space.basis, pivots):
-            row[pivot - 1] = -v.coords[f - 1] % p
-        rows.append(int("".join(map(str, row)), p))
-    return tuple(rows)
 
 
 # most * p^c span cells cap the codim-c blocks at most subspaces: 4096
@@ -465,6 +446,28 @@ def test_rref_blocks_are_cut_by_span_cells_alone():
         assert sizes == _block_sizes(p, n, n - c, gf_core._SPAN_CELLS // p**c)
         assert (len(sizes), max(sizes)) == (count, most)
         assert sum(sizes) == gaussian_binomial(p, n, n - c)
+
+
+@pytest.mark.parametrize("p,n", [*((2, n) for n in range(1, 6)), *((3, n) for n in range(1, 5))])
+def test_span_index_names_the_one_point_that_can_equal_r(p, n):
+    # every block at every k, the whole space's (k = n, W = {0}) included:
+    # r lies in W exactly when W's point at _span_index's index is r
+    for k in range(n + 1):
+        for free, lists in gf_core._rref_blocks(p, n, k):
+            at = gf_core._span_index(p, n, free)
+            spans = list(zip(*block_spans(p, lists)))
+            for r in range(p**n):
+                i = at(r)
+                assert all((span[i] == r) == (r in span) for span in spans)
+
+
+def test_reference_walk_is_enumerate_subspaces():
+    # conftest's rref_walk stands in for enumerate_subspaces where objects cost too much
+    for p, n in product((2, 3), range(1, 5)):
+        for k in range(n + 1):
+            assert [(pivots, [tuple(row) for row in rows]) for pivots, rows in rref_walk(p, n, k)] == [
+                (V.pivots, [v.coords for v in V.basis]) for V in enumerate_subspaces(p, n, k)
+            ]
 
 
 def test_enumeration_is_deterministic_with_frozen_head():
@@ -687,7 +690,7 @@ def test_trit_block_spans_match_tuple_span(n, k):
             V = next(spaces)
             rows = _rows(3, free, span)
             assert list(span) == _span_ranks(3, n, rows)
-            assert rows == _annihilator_rows(V)
+            assert rows == annihilator_rows(3, n, V.pivots, [v.coords for v in V.basis])
             W = perp(V)
             assert set(span) == set(_span_ranks(3, n, [w.rank for w in W.basis]))
             assert rref_basis([GFVector.from_rank(3, n, w) for w in rows]) == W
@@ -730,12 +733,12 @@ def test_trit_block_spans_on_every_annihilator_block(monkeypatch, most, top, cut
             monkeypatch.setattr(gf_core, "_SPAN_CELLS", most * 3**c or cells)
             blocks = list(gf_core._rref_blocks(3, n, n - c))
             more |= len(blocks) > unpatched
-            spaces = enumerate_subspaces(3, n, n - c)
+            spaces = rref_walk(3, n, n - c)
             for free, spans in blocks:
                 # each span is the span of W's rows w_f, built here from
                 # the matching V, and those rows are the span's own
                 for span in zip(*spans):
-                    rows = _annihilator_rows(next(spaces))
+                    rows = annihilator_rows(3, n, *next(spaces))
                     assert _rows(3, free, span) == rows
                     assert span == tuple(_span_ranks(3, n, rows))
                 if n == 4:

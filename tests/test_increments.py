@@ -32,7 +32,9 @@ from subuniform import (
 from subuniform.increments import _scan_cosets
 
 from conftest import (
+    coset_density,
     full_set,
+    oracle_sup_sq,
     partition_energy,
     raw_coset_counts,
     random_subset,
@@ -44,20 +46,6 @@ from conftest import (
 
 def half_space(n: int) -> PointSet:
     return PointSet.from_ranks(2, n, [r for r in range(1 << n) if r >> (n - 1) & 1])
-
-
-def coset_density(points: PointSet, coset: Coset) -> Fraction:
-    return Fraction(sum(points.bits >> r & 1 for r in coset.point_ranks()), coset.subspace.size)
-
-
-def oracle_sup_sq(points: PointSet, coset: Coset) -> Fraction:
-    """Uniformity sup recomputed via the independent recursive transform."""
-    table = [points.bits >> r & 1 for r in coset.point_ranks()]
-    coeffs = rec_wht2(table)
-    if len(coeffs) == 1:
-        return Fraction(0)
-    worst = max(c * c for c in coeffs[1:])
-    return Fraction(worst, coset.subspace.size ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from subuniform import (
     perp,
     random_point_set,
     restricted_spectrum,
+    rref_basis,
     scan_leading_one_set,
     subspace_scan_count,
     uniformity_sup,
@@ -46,6 +47,7 @@ from subuniform.spectra import _dft3_pairs, wht2
 from conftest import (
     OMEGA_PAIRS,
     add_rank,
+    block_spans,
     check_union_structure,
     full_set,
     pair_add,
@@ -319,7 +321,7 @@ def _patch_caps(monkeypatch, p, n, max_codim, most, span_cells):
 
     def sizes():
         blocks = [pipeline._rref_blocks(p, n, n - c) for c in range(max_codim + 1)]
-        return [[len(_spans(p, lists)[0]) for _, lists in b] for b in blocks]
+        return [[len(block_spans(p, lists)[0]) for _, lists in b] for b in blocks]
 
     whole = sizes()
     monkeypatch.setattr(gf_core, "_SPAN_CELLS", span_cells)
@@ -374,11 +376,6 @@ def test_oracle_winner_annihilates_the_top_frequency():
         assert top in span_ranks(perp(winner))
 
 
-def _spans(p, lists):
-    """A block's span lists: the F_2 walk gives its rows, the F_3 walk its spans."""
-    return gf_core._spans2(lists) if p == 2 else lists
-
-
 def _engine(A, max_codim):
     """The coset-sum engine of A's transform, as the oracle builds it."""
     mem = A.membership_table()
@@ -397,7 +394,7 @@ def _f2_screen(F, order, best, block):
 def _first_block(p, n, c):
     """The walk's first codim-c block as (free, span lists), and W's span for each of its subspaces."""
     free, lists = next(gf_core._rref_blocks(p, n, n - c))
-    block = free, _spans(p, lists)
+    block = free, block_spans(p, lists)
     spans = list(zip(*block[1]))
     # each span is that of its rows by _span_ranks, row f at point p^(c-1-f)
     assert spans == [
@@ -834,7 +831,7 @@ def test_parseval_round_drops_exactly_what_the_floor_reaches(p, n):
         for c in range(n + 1):
             w, v = p**c, p ** (n - c)
             for _, lists in gf_core._rref_blocks(p, n, n - c):
-                block = list(zip(*_spans(p, lists)))
+                block = list(zip(*block_spans(p, lists)))
                 spaces = [pipeline._annihilated(p, n, span) for span in block]
                 true = [scores[V] for V in spaces]
                 floors = [
@@ -864,7 +861,7 @@ def test_parseval_round_is_tight_on_a_flat_v(p, n):
     scores = dict(_scored_walk(A, c))
     through = 0
     for _, lists in gf_core._rref_blocks(p, n, n - c):
-        block = list(zip(*_spans(p, lists)))
+        block = list(zip(*block_spans(p, lists)))
         meets = [x in span_ranks(pipeline._annihilated(p, n, span)) for span in block]
         for span, hit in zip(block, meets):
             assert scores[pipeline._annihilated(p, n, span)] == (w * w if hit else 0)
@@ -957,7 +954,7 @@ def test_parseval_round_gathers_nothing_at_codim_one(monkeypatch, p, n):
         return result, len(calls)
 
     result, calls = counted()
-    monkeypatch.setattr(pipeline._CosetSums, "parseval", lambda self, best, c, block: _spans(p, block))
+    monkeypatch.setattr(pipeline._CosetSums, "parseval", lambda self, best, c, block: block_spans(p, block))
     without = counted()
     assert result == without[0]
     assert calls <= without[1]
@@ -979,7 +976,7 @@ def test_scores_below_yields_every_subspace_below_a_fixed_threshold(
 
     def counted(sums, best, c, block):
         kept = parseval(sums, best, c, block)
-        dropped.append(len(_spans(p, block)[0]) - len(kept[0]))
+        dropped.append(len(block_spans(p, block)[0]) - len(kept[0]))
         return kept
 
     monkeypatch.setattr(pipeline._CosetSums, "parseval", counted)
@@ -1296,3 +1293,48 @@ def test_f3_scan_across_block_boundaries(monkeypatch, most, span_cells):
         test_f3_scan_flags_broken_slices_and_identity(patch)
     with monkeypatch.context() as patch:
         test_f3_scan_floor_boundary(patch)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's optimum where brute force does not reach
+
+
+def _invertible(stream, p: int, n: int) -> list[tuple[int, ...]]:
+    """The rows of a seeded M in GL(n, p), drawn again until they are independent."""
+    while True:
+        rows = [random_vector(stream, p, n) for _ in range(n)]
+        if rref_basis(rows).dim == n:
+            return [row.coords for row in rows]
+
+
+def _image(M: list[tuple[int, ...]], x: GFVector) -> GFVector:
+    """Mx, coordinate i the dot product of row i of M with x."""
+    return GFVector(x.p, x.n, tuple(sum(m * c for m, c in zip(row, x.coords)) % x.p for row in M))
+
+
+# F_2^8 codim 3 is the oracle-n8 size, past the transform route's reach;
+# F_2^9 codim 4 takes 10-15 s, so it and F_3^6 codim 2 run on request
+OPTIMUM_CASES = [
+    (2, 8, 3, 141),
+    (2, 8, 3, 142),
+    (3, 5, 2, 143),
+    (3, 5, 2, 144),
+    *([(2, 9, 4, 145), (3, 6, 2, 146)] if LONG_RUN else []),
+]
+
+
+@pytest.mark.parametrize("p,n,max_codim,seed", OPTIMUM_CASES)
+def test_oracle_optimum_is_invariant_under_gl_and_complement(p, n, max_codim, seed):
+    # V -> MV, M in GL(n, p), keeps codim and sup^2, and the complement's
+    # nontrivial coefficients are A's negated, so A, MA and the complement
+    # share one best value; a pruning defect hangs on walk position and on
+    # the order of the r, which M scrambles
+    stream = words(seed)
+    A = random_subset(stream, p, n, Fraction(1, 2))
+    M = _invertible(stream, p, n)
+    MA = PointSet.from_ranks(p, n, [_image(M, GFVector.from_rank(p, n, r)).rank for r in A.member_ranks()])
+    winner, best = exhaustive_best_subspace(A, max_codim)
+    assert exhaustive_best_subspace(MA, max_codim)[1] == best
+    assert exhaustive_best_subspace(PointSet(p, n, A.bits ^ full_set(p, n).bits), max_codim)[1] == best
+    MV = rref_basis([_image(M, v) for v in winner.basis])
+    assert uniformity_sup(MA, Coset(MV, GFVector.zero(p, n))).sup_sq == best
